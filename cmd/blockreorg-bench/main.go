@@ -35,10 +35,6 @@ func main() {
 		subset    = flag.String("datasets", "", "comma-separated dataset subset for grid experiments")
 		cacheDir  = flag.String("cachedir", "", "directory to cache generated datasets between runs")
 		workers   = flag.Int("workers", 0, "host executor workers (0 = GOMAXPROCS, 1 = sequential)")
-		baseline  = flag.Bool("baseline", false, "measure the host execution engine and write the baseline record")
-		compare   = flag.Bool("compare", false, "measure the host execution engine and fail on regression against the baseline record")
-		benchFile = flag.String("benchfile", "BENCH_host.json", "baseline record path for -baseline/-compare")
-		tolerance = flag.Float64("tolerance", 0.10, "ns/op regression tolerance for -compare")
 		profile   = flag.Bool("profile", false, "trace one Block Reorganizer run per dataset and write the per-phase record")
 		profFile  = flag.String("profileout", "PROFILE_host.json", "per-phase record path for -profile")
 		accum     = flag.String("accum", "auto", "merge accumulator strategy: auto, dense, hash or sort")
@@ -54,13 +50,6 @@ func main() {
 
 	if *list {
 		listExperiments(os.Stdout)
-		return
-	}
-	if *baseline || *compare {
-		if err := runHostBench(os.Stdout, *baseline, *benchFile, *tolerance, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "blockreorg-bench:", err)
-			os.Exit(1)
-		}
 		return
 	}
 	if *profile {
@@ -103,56 +92,9 @@ func main() {
 	}
 }
 
-// runHostBench measures the host execution engine (work-stealing executor
-// plus scratch arenas). write=true records the baseline; otherwise the
-// measurement is compared against the stored baseline and any entry more
-// than tolerance slower fails the run. The default -scale 8 is heavier
-// than the recording default, so host benches pin scale 16 unless -scale
-// was set away from the default.
-func runHostBench(w io.Writer, write bool, path string, tolerance float64, scale int) error {
-	if scale == 8 {
-		scale = 16
-	}
-	fmt.Fprintf(w, "measuring host execution engine (scale 1/%d)...\n", scale)
-	cur, err := bench.RunHostBench(scale)
-	if err != nil {
-		return err
-	}
-	for _, e := range cur.Entries {
-		fmt.Fprintf(w, "  %-32s %12.0f ns/op %10d allocs/op %12d B/op\n",
-			e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
-	}
-	for k, v := range cur.Derived {
-		fmt.Fprintf(w, "  %-32s %12.2f\n", k, v)
-	}
-	if write {
-		if err := cur.WriteFile(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "baseline written to %s (GOMAXPROCS=%d)\n", path, cur.GoMaxProcs)
-		return nil
-	}
-	base, err := bench.ReadHostBench(path)
-	if err != nil {
-		return fmt.Errorf("no usable baseline (run -baseline first): %w", err)
-	}
-	if base.GoMaxProcs != cur.GoMaxProcs {
-		fmt.Fprintf(w, "WARNING: baseline recorded at GOMAXPROCS=%d but this run uses GOMAXPROCS=%d; ns/op comparisons across different parallelism are unreliable\n",
-			base.GoMaxProcs, cur.GoMaxProcs)
-	}
-	if problems := base.Compare(cur, tolerance); len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintln(w, "REGRESSION:", p)
-		}
-		return fmt.Errorf("%d host benchmark regression(s) against %s", len(problems), path)
-	}
-	fmt.Fprintf(w, "no regressions against %s\n", path)
-	return nil
-}
-
 // runProfile traces one Block Reorganizer multiplication per Table II
-// dataset (defaulting to the reduced host-bench grid), prints the per-phase
-// share table, and writes the machine-readable record to path. -csv
+// dataset (defaulting to the reduced Table II grid), prints the per-phase
+// share table of the phases that fired, and writes the machine-readable record to path. -csv
 // additionally exports the table.
 func runProfile(w io.Writer, path string, scale int, gpu, subset, cacheDir string, workers int, csvDir string, accum sparse.AccumulatorKind) error {
 	dev, err := gpusim.ByName(gpu)

@@ -96,3 +96,24 @@ func TestParseBytes(t *testing.T) {
 		}
 	}
 }
+
+func TestRunProfileShowsFiredPhasesOnly(t *testing.T) {
+	dir := t.TempDir()
+	var b strings.Builder
+	out := filepath.Join(dir, "profile.json")
+	if err := runProfile(&b, out, 32, "TITAN Xp", "as-caida", "", 1, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	if !strings.Contains(text, "expansion") || !strings.Contains(text, "classification") {
+		t.Fatalf("profile table missing fired phases:\n%s", text)
+	}
+	for _, idle := range []string{"pipeline.expand", "ooc.load", "ooc.merge"} {
+		if strings.Contains(text, idle) {
+			t.Fatalf("profile table shows phase %s, which never fired:\n%s", idle, text)
+		}
+	}
+	if _, err := os.Stat(out); err != nil {
+		t.Fatalf("per-phase record missing: %v", err)
+	}
+}

@@ -113,13 +113,13 @@ func TestConcurrentPoisonedArenaReuse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 3; iter++ {
-				got, err := sparse.MultiplyOn(a, a, ex)
+				got, err := sparse.MultiplyConfigured(a, a, ex, nil, sparse.MulConfig{Accum: sparse.AccumDense})
 				if err != nil {
 					errs <- err
 					return
 				}
 				if !got.Equal(want, 0) {
-					errs <- errors.New("concurrent poisoned MultiplyOn diverged")
+					errs <- errors.New("concurrent poisoned MultiplyConfigured diverged")
 					return
 				}
 				res, err := blockreorg.Multiply(a, a, blockreorg.Options{})

@@ -30,7 +30,7 @@
 // Options.Trace attaches a phase-level recorder (NewTrace) to a run: every
 // pipeline stage — the symbolic sweeps, classification, B-Splitting,
 // B-Gathering, B-Limiting, the simulated kernels, and the host-side
-// expansion/scatter/merge — records its wall time and workload, and
+// numeric expansion — records its wall time and workload, and
 // Trace.Profile folds them into a Profile. A nil Trace costs nothing. See
 // DESIGN.md §11 for the span taxonomy.
 //

@@ -39,7 +39,7 @@ func RunOOC(cfg Config, budget int64) ([]OOCRun, error) {
 		return nil, fmt.Errorf("bench: out-of-core budget must be positive, got %d", budget)
 	}
 	if len(cfg.Datasets) == 0 {
-		cfg.Datasets = hostBenchDatasets()
+		cfg.Datasets = reducedGrid()
 	}
 	var runs []OOCRun
 	for _, name := range cfg.Datasets {

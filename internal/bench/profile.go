@@ -13,8 +13,8 @@ import (
 )
 
 // DatasetProfile is the phase-resolved host profile of one Table II dataset:
-// a full Block Reorganizer multiplication (values included — the numeric
-// expansion/scatter/merge phases are the point) traced end to end.
+// a full Block Reorganizer multiplication (values included — the host
+// numeric expansion is the point) traced end to end.
 type DatasetProfile struct {
 	Dataset string `json:"dataset"`
 	Rows    int    `json:"rows"`
@@ -37,15 +37,25 @@ type ProfileReport struct {
 	Datasets   []DatasetProfile `json:"datasets"`
 }
 
+// reducedGrid is the reduced Table II grid the profile and out-of-core
+// runs default to — the same subset bench_test.go uses, covering both
+// families.
+func reducedGrid() []string {
+	return []string{
+		"harbor", "QCD", "mario002",
+		"youtube", "as-caida", "slashDot",
+	}
+}
+
 // RunProfile traces one Block Reorganizer multiplication (A², the paper's
 // workload) per dataset in the config's selection — defaulting to the
-// reduced Table II grid the host benchmarks use — and returns the
+// reduced Table II grid — and returns the
 // phase-resolved report. Runs are sequential across datasets so one
 // dataset's executor activity cannot bleed into another's profile.
 func RunProfile(cfg Config) (*ProfileReport, error) {
 	cfg = cfg.normalize()
 	if len(cfg.Datasets) == 0 {
-		cfg.Datasets = hostBenchDatasets()
+		cfg.Datasets = reducedGrid()
 	}
 	rep := &ProfileReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -83,10 +93,21 @@ func RunProfile(cfg Config) (*ProfileReport, error) {
 }
 
 // Table renders the report as one phase-share grid: datasets as rows, the
-// taxonomy phases as columns (share of wall time), plus wall time and
-// coverage.
+// phases that fired in at least one dataset as columns (share of wall
+// time, in taxonomy order), plus wall time and coverage.
 func (r *ProfileReport) Table() *tableio.Table {
-	phases := trace.Phases()
+	fired := make(map[string]bool)
+	for _, d := range r.Datasets {
+		for _, b := range d.Profile.Phases {
+			fired[b.Phase] = true
+		}
+	}
+	var phases []trace.Phase
+	for _, ph := range trace.Phases() {
+		if fired[string(ph)] {
+			phases = append(phases, ph)
+		}
+	}
 	cols := []string{"dataset", "wall_ms"}
 	for _, ph := range phases {
 		cols = append(cols, string(ph))

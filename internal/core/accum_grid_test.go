@@ -1,9 +1,12 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/datasets"
+	"github.com/blockreorg/blockreorg/internal/gpusim"
+	"github.com/blockreorg/blockreorg/internal/kernels"
 	"github.com/blockreorg/blockreorg/internal/parallel"
 	"github.com/blockreorg/blockreorg/sparse"
 )
@@ -14,19 +17,20 @@ var accumKinds = []sparse.AccumulatorKind{
 }
 
 // TestAccumGridBitIdentical sweeps the Table II grid (downscaled) and
-// requires every accumulator strategy to reproduce its engine's oracle
-// exactly — tolerance zero. The Gustavson engine (MultiplyConfigured) is
-// checked against the sequential Multiply; the plan executor is checked
-// against its own legacy shape — the sequential sort-merge Execute —
-// because the plan's scattered product stream sums in scatter order, a
-// different (equally valid) floating-point order than the row loop's. All
-// strategies accumulate each column's products in stream order, so within
-// an engine they agree to the bit. The grid spans regular meshes and
-// hub-skewed networks, so the hash tables, the stable sort-combine and the
-// per-row selector all see both families.
+// requires the Block Reorganizer's product to equal both oracles exactly —
+// tolerance zero — under every accumulator strategy, on one-worker and
+// six-worker executors, for a freshly built plan and for a plan rebound to
+// new values over the same structure. The oracles are the sequential
+// sparse.Multiply and the plan's block walk (core.Plan.Execute); the host
+// engine and both oracles sum every entry in the same canonical order, and
+// every strategy accumulates each column's products in that order, so all
+// of them agree to the bit. The grid spans regular meshes and hub-skewed
+// networks, so the hash tables, the stable sort-combine and the per-row
+// selector all see both families.
 func TestAccumGridBitIdentical(t *testing.T) {
 	const scale = 100
-	ex := parallel.NewExecutor(6)
+	dev := gpusim.TitanXp()
+	executors := []*parallel.Executor{parallel.NewExecutor(1), parallel.NewExecutor(6)}
 	for _, spec := range datasets.RealWorld() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
@@ -34,41 +38,62 @@ func TestAccumGridBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sparse.Multiply(m, m)
-			if err != nil {
-				t.Fatal(err)
+			// The rebound operand keeps m's structure with new values.
+			r := m.Clone()
+			for k := range r.Val {
+				r.Val[k] = 0.75*r.Val[k] + 0.125
 			}
-			legacy, err := BuildPlan(m, m, Params{Accumulator: sparse.AccumSort})
-			if err != nil {
-				t.Fatal(err)
-			}
-			planWant, err := legacy.Execute(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, kind := range accumKinds {
-				got, err := sparse.MultiplyConfigured(m, m, ex, nil,
-					sparse.MulConfig{Accum: kind})
+			for _, rebound := range []bool{false, true} {
+				a := m
+				if rebound {
+					a = r
+				}
+				want, err := sparse.Multiply(a, a)
 				if err != nil {
-					t.Fatalf("%v: %v", kind, err)
+					t.Fatal(err)
 				}
-				if !got.Equal(want, 0) {
-					t.Fatalf("MultiplyConfigured(%v) not bit-identical to Multiply", kind)
-				}
-
-				plan, err := BuildPlan(m, m, Params{Accumulator: kind})
+				// The block structure does not depend on the accumulator,
+				// so one walk serves every strategy.
+				walkPlan, err := core.BuildPlan(a, a, core.Params{NumSMs: dev.NumSMs})
 				if err != nil {
-					t.Fatalf("%v: %v", kind, err)
+					t.Fatal(err)
 				}
-				par, err := plan.ExecuteOn(ex, 0)
+				walk, err := walkPlan.Execute(0)
 				if err != nil {
-					t.Fatalf("%v: %v", kind, err)
+					t.Fatal(err)
 				}
-				if err := par.Validate(); err != nil {
-					t.Fatalf("%v: %v", kind, err)
+				if !walk.Equal(want, 0) {
+					t.Fatalf("rebound=%v: Execute not bit-identical to Multiply", rebound)
 				}
-				if !par.Equal(planWant, 0) {
-					t.Fatalf("ExecuteOn(%v) not bit-identical to the sort-merge Execute", kind)
+				for _, kind := range accumKinds {
+					var plan *core.Plan
+					if rebound {
+						built, err := core.BuildPlan(m, m, core.Params{Accumulator: kind, NumSMs: dev.NumSMs})
+						if err != nil {
+							t.Fatalf("%v: %v", kind, err)
+						}
+						if plan, err = built.Rebind(r, r); err != nil {
+							t.Fatalf("%v: %v", kind, err)
+						}
+					}
+					for _, ex := range executors {
+						opts := kernels.Options{Device: dev, Exec: ex, Accumulator: kind, Plan: plan}
+						prod, err := kernels.Reorganizer{}.Multiply(a, a, opts)
+						if err != nil {
+							t.Fatalf("%v workers=%d rebound=%v: %v", kind, ex.Workers(), rebound, err)
+						}
+						if prod.PlanReused != rebound {
+							t.Fatalf("%v workers=%d: plan reused = %v, want %v",
+								kind, ex.Workers(), prod.PlanReused, rebound)
+						}
+						if err := prod.C.Validate(); err != nil {
+							t.Fatalf("%v workers=%d rebound=%v: %v", kind, ex.Workers(), rebound, err)
+						}
+						if !prod.C.Equal(want, 0) || !prod.C.Equal(walk, 0) {
+							t.Fatalf("%v workers=%d rebound=%v: Reorganizer product not bit-identical to Multiply and Execute",
+								kind, ex.Workers(), rebound)
+						}
+					}
 				}
 			}
 		})
@@ -89,7 +114,7 @@ func TestAccumPlanCountsAndSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range accumKinds {
-		plan, err := BuildPlan(m, m, Params{Accumulator: kind})
+		plan, err := core.BuildPlan(m, m, core.Params{Accumulator: kind})
 		if err != nil {
 			t.Fatal(err)
 		}

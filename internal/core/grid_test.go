@@ -9,7 +9,7 @@ import (
 )
 
 // TestGridBitIdentical sweeps the Table II dataset grid (downscaled) and
-// requires both parallel engines to reproduce their sequential oracles
+// requires the parallel host engine to reproduce both sequential oracles
 // exactly — tolerance zero, structure and values to the last bit. The
 // grid spans both families: Florida's banded regular meshes and
 // Stanford's capped power-law networks, so the weighted chunking, the
@@ -25,22 +25,21 @@ func TestGridBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Gustavson engine: chunked two-phase MultiplyOn against the
-			// sequential Multiply.
+			// The engine called directly, against the sequential Multiply.
 			want, err := sparse.Multiply(m, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sparse.MultiplyOn(m, m, ex)
+			got, err := sparse.MultiplyConfigured(m, m, ex, nil, sparse.MulConfig{Accum: sparse.AccumDense})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want, 0) {
-				t.Fatal("MultiplyOn not bit-identical to Multiply")
+				t.Fatal("MultiplyConfigured not bit-identical to Multiply")
 			}
 
-			// Reorganizer engine: parallel ExecuteOn against the
-			// sequential Execute of the same plan.
+			// The engine through the plan (ExecuteOn), against the plan's
+			// sequential block walk.
 			plan, err := BuildPlan(m, m, Params{})
 			if err != nil {
 				t.Fatal(err)

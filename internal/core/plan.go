@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/blockreorg/blockreorg/internal/trace"
 	"github.com/blockreorg/blockreorg/sparse"
@@ -218,6 +217,8 @@ func (p *Plan) NumBlocks() int {
 // result is bit-identical to ExecuteOn, to sparse.Multiply, and to any
 // panel-tiled reassembly — the launch order covers the multiset of
 // products, the canonical order fixes their floating-point association.
+// It is the test oracle for the paper's functional claim: every
+// reorganized block covers each product exactly once.
 //
 // Memory is O(nnz(Ĉ)); intended for validation and moderate sizes. The
 // maxIntermediate guard (0 = no limit) rejects materializations that would
@@ -247,21 +248,36 @@ func (p *Plan) Execute(maxIntermediate int64) (*sparse.CSR, error) {
 			}
 		}
 	})
+	// Canonical order: stable counting sorts by k, then by row, order the
+	// products by (row, k) and keep each run's B-row order.
 	ord := make([]int, len(is))
 	for k := range ord {
 		ord[k] = k
 	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		if is[ord[a]] != is[ord[b]] {
-			return is[ord[a]] < is[ord[b]]
-		}
-		return ks[ord[a]] < ks[ord[b]]
-	})
+	ord = bucketStable(bucketStable(ord, ks, p.A.Cols), is, p.A.Rows)
 	coo := sparse.NewCOO(p.A.Rows, p.B.Cols, len(is))
 	for _, o := range ord {
 		coo.Add(is[o], js[o], vs[o])
 	}
 	return coo.ToCSR(), nil
+}
+
+// bucketStable returns order stably re-sorted by key[order[t]], for keys
+// in [0, n).
+func bucketStable(order, key []int, n int) []int {
+	start := make([]int, n+1)
+	for _, o := range order {
+		start[key[o]+1]++
+	}
+	for b := 0; b < n; b++ {
+		start[b+1] += start[b]
+	}
+	out := make([]int, len(order))
+	for _, o := range order {
+		out[start[key[o]]] = o
+		start[key[o]]++
+	}
+	return out
 }
 
 // Stats summarizes a plan the way the paper's §IV-E walkthrough does.

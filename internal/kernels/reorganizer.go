@@ -3,15 +3,8 @@ package kernels
 import (
 	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/gpusim"
-	"github.com/blockreorg/blockreorg/internal/trace"
 	"github.com/blockreorg/blockreorg/sparse"
 )
-
-// maxPlanExec bounds the intermediate size for which the numeric result is
-// produced by walking the transformed block structure (quadratic-memory
-// path); larger products fall back to the reference Gustavson kernel,
-// which yields the identical matrix.
-const maxPlanExec = 20_000_000
 
 // Reorganizer is the paper's contribution: outer-product spGEMM with the
 // Block Reorganizer pass applied — dominator pairs split (B-Splitting),
@@ -45,28 +38,13 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 			// The merge kernel still needs the structure-only row
 			// populations. The plan stashed them at build time (they
 			// survive Rebind, being structure-only), so a cache hit pays
-			// nothing here; only plans predating the stash fall back to
-			// the symbolic sweep.
-			rowNNZ := plan.RowNNZ
-			nnzc := plan.NNZC
-			if rowNNZ == nil {
-				symStart := opts.Trace.Now()
-				rowNNZ, err = sparse.SymbolicRowNNZOn(a, b, executor(opts))
-				if err != nil {
-					return nil, err
-				}
-				nnzc = 0
-				for _, n := range rowNNZ {
-					nnzc += int64(n)
-				}
-				opts.Trace.Observe(trace.PhaseSymbolic, nnzc, opts.Trace.Since(symStart))
-			}
+			// nothing here.
 			pc = &Precomputed{
 				rows: a.Rows, mid: a.Cols, cols: b.Cols,
 				RowWork: plan.Limit.RowWork,
-				RowNNZ:  rowNNZ,
+				RowNNZ:  plan.RowNNZ,
 				Flops:   plan.Cls.TotalWork,
-				NNZC:    nnzc,
+				NNZC:    plan.NNZC,
 				ACSC:    plan.ACSC,
 			}
 		}
@@ -149,19 +127,12 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 		prod.NNZC = pc.NNZC
 		return prod, nil
 	}
-	// Produce the numeric result through the transformed structure when
-	// the intermediate fits; otherwise through the reference kernel. Both
-	// paths run on the host executor and are bit-identical to their
-	// sequential counterparts.
-	var c *sparse.CSR
-	if plan.Cls.TotalWork <= maxPlanExec {
-		c, err = plan.ExecuteTraced(executor(opts), 0, opts.Trace)
-	} else {
-		// The plan already recorded the strategy counts (RecordTrace), so
-		// the fallback engine must not add its own.
-		c, err = sparse.MultiplyConfigured(a, b, executor(opts), opts.Trace,
-			sparse.MulConfig{Accum: plan.Params.Accumulator, RowNNZ: pc.RowNNZ, SkipCounters: true})
-	}
+	// The numeric result comes from the host engine: the plan's per-row
+	// accumulator resolves exactly as plan.Accum.Rows does, and the plan
+	// already recorded the strategy counts (RecordTrace), so the engine
+	// must not add its own.
+	c, err := sparse.MultiplyConfigured(a, b, executor(opts), opts.Trace,
+		sparse.MulConfig{Accum: plan.Params.Accumulator, RowNNZ: pc.RowNNZ, SkipCounters: true})
 	if err != nil {
 		return nil, err
 	}

@@ -12,15 +12,14 @@
 // (see Phases) and every instrumented stage of the pipeline reports into
 // it: the symbolic sweeps of the precalculation, plan construction
 // (classification, splitting, gathering, limiting), the simulated kernel
-// launches, and the host-side numeric execution (expansion, scatter,
-// merge).
+// launches, and the host-side numeric product (expansion).
 //
 // # Cost model
 //
 // Tracing is strictly opt-in and free when off. Every method of Recorder
 // is nil-safe: the instrumented code paths call
 //
-//	defer rec.Span(trace.PhaseMerge)()
+//	defer rec.Span(trace.PhaseExpansion)()
 //
 // unconditionally, and when rec is nil the call performs no allocation, no
 // time measurement and no synchronization (verified by
@@ -44,7 +43,7 @@
 //
 // Consumers: blockreorg.Options.Trace attaches a recorder to one
 // multiplication; cmd/blockreorg-bench -profile writes per-dataset phase
-// breakdowns next to BENCH_host.json; cmd/inspect -profile prints the
+// breakdowns (PROFILE_host.json); cmd/inspect -profile prints the
 // classification histogram of a matrix; the server package records a
 // profile per job, feeds per-phase Prometheus histograms from it, and
 // returns it in job results on request. DESIGN.md §11 documents how the

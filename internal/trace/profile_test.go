@@ -21,7 +21,7 @@ func goldenProfile() *Profile {
 		Phases: []PhaseBreakdown{
 			{Phase: string(PhaseSymbolic), Calls: 1, Seconds: 0.025, Share: 0.2, Items: 1000},
 			{Phase: string(PhaseClassify), Calls: 1, Seconds: 0.0125, Share: 0.1, Items: 64},
-			{Phase: string(PhaseMerge), Calls: 2, Seconds: 0.075, Share: 0.6, Items: 512},
+			{Phase: string(PhaseExpansion), Calls: 2, Seconds: 0.075, Share: 0.6, Items: 512},
 			{Phase: string(PhaseOther), Calls: 1, Seconds: 0.0125, Share: 0.1},
 		},
 		Counters: map[string]int64{
@@ -70,7 +70,7 @@ func TestProfileJSONGolden(t *testing.T) {
 // accidental field additions reach consumers unpinned.
 func TestRecorderProfileJSONKeys(t *testing.T) {
 	r := New()
-	r.Observe(PhaseMerge, 9, time.Millisecond)
+	r.Observe(PhaseExpansion, 9, time.Millisecond)
 	r.Add(CounterNNZC, 9)
 	r.Set(GaugeAlpha, 32)
 

@@ -36,14 +36,11 @@ const (
 	// the host spends running kernels through gpusim (the simulated
 	// durations themselves are reported by the Result, not here).
 	PhaseSimulate Phase = "simulate"
-	// PhaseExpansion is the host-side numeric expansion: materializing the
-	// intermediate products through the transformed block structure.
+	// PhaseExpansion is the host-side numeric product: the row-wise engine
+	// expanding and merging every output row into its final slot (the
+	// functional counterpart of the expansion and B-Limited merge
+	// kernels).
 	PhaseExpansion Phase = "expansion"
-	// PhaseScatter groups the expanded triplet stream by output row.
-	PhaseScatter Phase = "scatter"
-	// PhaseMerge sort-combines each output row (the B-Limited merge's
-	// functional counterpart).
-	PhaseMerge Phase = "merge"
 	// PhaseOther is the unattributed remainder: total wall time minus the
 	// instrumented phases. Profiles include it so the phase sum equals the
 	// end-to-end wall time exactly.
@@ -100,7 +97,7 @@ func Phases() []Phase {
 	return []Phase{
 		PhaseIntermediate, PhaseSymbolic, PhaseConvert,
 		PhaseClassify, PhaseSplit, PhaseGather, PhaseLimit,
-		PhaseSimulate, PhaseExpansion, PhaseScatter, PhaseMerge,
+		PhaseSimulate, PhaseExpansion,
 		PhasePipelineExpand, PhasePipelineInflate,
 		PhasePipelinePrune, PhasePipelineConverge,
 		PhaseOOCLoad, PhaseOOCReshard, PhaseOOCMultiply,

@@ -13,9 +13,9 @@ import (
 func TestNilRecorderZeroAllocs(t *testing.T) {
 	var r *Recorder
 	cases := map[string]func(){
-		"Span":      func() { r.Span(PhaseMerge)() },
-		"SpanItems": func() { r.SpanItems(PhaseMerge, 42)() },
-		"Observe":   func() { r.Observe(PhaseMerge, 42, time.Second) },
+		"Span":      func() { r.Span(PhaseExpansion)() },
+		"SpanItems": func() { r.SpanItems(PhaseExpansion, 42)() },
+		"Observe":   func() { r.Observe(PhaseExpansion, 42, time.Second) },
 		"Add":       func() { r.Add(CounterPairs, 1) },
 		"Set":       func() { r.Set(GaugeAlpha, 1.5) },
 		"NowSince":  func() { _ = r.Since(r.Now()) },
@@ -50,8 +50,8 @@ func TestNilRecorderValues(t *testing.T) {
 // and durations.
 func TestSpanAggregation(t *testing.T) {
 	r := New()
-	r.Observe(PhaseMerge, 10, 2*time.Millisecond)
-	r.Observe(PhaseMerge, 5, 3*time.Millisecond)
+	r.Observe(PhaseExpansion, 10, 2*time.Millisecond)
+	r.Observe(PhaseExpansion, 5, 3*time.Millisecond)
 	r.Observe(PhaseSplit, 7, time.Millisecond)
 	r.Add(CounterPairs, 3)
 	r.Add(CounterPairs, 4)
@@ -61,7 +61,7 @@ func TestSpanAggregation(t *testing.T) {
 	p := r.Profile()
 	var merge *PhaseBreakdown
 	for i := range p.Phases {
-		if p.Phases[i].Phase == string(PhaseMerge) {
+		if p.Phases[i].Phase == string(PhaseExpansion) {
 			merge = &p.Phases[i]
 		}
 	}
@@ -71,7 +71,7 @@ func TestSpanAggregation(t *testing.T) {
 	if merge.Calls != 2 || merge.Items != 15 {
 		t.Errorf("merge = %d calls / %d items, want 2 / 15", merge.Calls, merge.Items)
 	}
-	if got := p.PhaseSeconds(PhaseMerge); got < 0.005 {
+	if got := p.PhaseSeconds(PhaseExpansion); got < 0.005 {
 		t.Errorf("merge seconds = %v, want >= 0.005", got)
 	}
 	if got := p.Counter(CounterPairs); got != 7 {
@@ -86,7 +86,7 @@ func TestSpanAggregation(t *testing.T) {
 // pipeline order, extra phases after them in name order, "other" last.
 func TestProfileOrdering(t *testing.T) {
 	r := New()
-	r.Observe(PhaseMerge, 0, time.Nanosecond)
+	r.Observe(PhaseExpansion, 0, time.Nanosecond)
 	r.Observe(PhaseSymbolic, 0, time.Nanosecond)
 	r.Observe(Phase("zz-custom"), 0, time.Nanosecond)
 	r.Observe(Phase("aa-custom"), 0, time.Nanosecond)
@@ -97,7 +97,7 @@ func TestProfileOrdering(t *testing.T) {
 	for _, b := range p.Phases {
 		names = append(names, b.Phase)
 	}
-	want := []string{"symbolic-nnz", "classification", "merge", "aa-custom", "zz-custom", "other"}
+	want := []string{"symbolic-nnz", "classification", "expansion", "aa-custom", "zz-custom", "other"}
 	if len(names) != len(want) {
 		t.Fatalf("phases = %v, want %v", names, want)
 	}
@@ -176,7 +176,7 @@ func TestProfileWhileRecording(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				r.Observe(PhaseMerge, 1, time.Microsecond)
+				r.Observe(PhaseExpansion, 1, time.Microsecond)
 			}
 		}
 	}()

@@ -16,7 +16,7 @@
 // A tile C[I,J] = A[I,:]×B[:,J] is a complete product — no partial sums
 // cross tiles — and the planned engine sums every output entry's
 // intermediate products in the canonical order (ascending k, B-row order
-// within one k; see core.Plan.ExecuteOn). Column-slicing B drops
+// within one k; see sparse.MultiplyConfigured). Column-slicing B drops
 // contributions without reordering the survivors, so the reassembled
 // out-of-core product is bit-identical to the in-memory blockreorg
 // product and to sparse.Multiply for every budget and tile grid. Tests

@@ -64,12 +64,12 @@ func TestParanoidPoisonedArenaReuse(t *testing.T) {
 	// arenas.
 	ex := parallel.NewExecutor(4)
 	for iter := 0; iter < 3; iter++ {
-		got, err := sparse.MultiplyOn(a, a, ex)
+		got, err := sparse.MultiplyConfigured(a, a, ex, nil, sparse.MulConfig{Accum: sparse.AccumDense})
 		if err != nil {
 			t.Fatalf("iteration %d: %v", iter, err)
 		}
 		if !got.Equal(want, 0) {
-			t.Fatalf("iteration %d: poisoned-arena MultiplyOn diverged", iter)
+			t.Fatalf("iteration %d: poisoned-arena MultiplyConfigured diverged", iter)
 		}
 		res, err := Multiply(a, a, Options{Paranoid: true})
 		if err != nil {

@@ -124,14 +124,13 @@ func (c *AccumCounts) add(other AccumCounts) {
 	c.Sort += other.Sort
 }
 
-// RowMerger is the pluggable accumulation engine behind every host merge
-// path: the Gustavson row loops (Multiply's pooled and chunked engines) and
-// the plan executor's scattered-stream merge. One merger serves one
-// goroutine; scratch — dense accumulator, marker array, hash table, pair
-// buffers — is drawn lazily from the internal/parallel arenas on first use
-// per strategy and returned by Release. Output rows are appended to
-// caller-provided slices (CombineRow's contract), so chunked engines pass
-// capped three-index slices and write straight into their final slots.
+// RowMerger is the pluggable accumulation engine behind the host numeric
+// engine's row loop (MultiplyConfigured). One merger serves one goroutine;
+// scratch — dense accumulator, marker array, hash table, pair buffers — is
+// drawn lazily from the internal/parallel arenas on first use per strategy
+// and returned by Release. Output rows are appended to caller-provided
+// slices (CombineRow's contract), so the engine passes capped three-index
+// slices and writes straight into each row's final slot.
 type RowMerger struct {
 	cols int
 	// Counts tallies the rows merged per strategy since construction.
@@ -258,29 +257,6 @@ func (m *RowMerger) ProductRow(kind AccumulatorKind, a, b *CSR, i int, upper int
 	}
 }
 
-// Merge combines one row's scattered intermediate products (idx/val in
-// stream order, consumed destructively) under the given strategy and
-// appends the merged row to outIdx/outVal. With kind AccumSort this is
-// exactly CombineRow; dense and hash accumulate in stream order, so all
-// three agree to the bit.
-func (m *RowMerger) Merge(kind AccumulatorKind, idx []int, val []float64,
-	outIdx []int, outVal []float64) ([]int, []float64) {
-	if len(idx) == 0 {
-		return outIdx, outVal
-	}
-	switch SelectAccumulator(kind, int64(len(idx)), m.cols) {
-	case AccumHash:
-		m.Counts.Hash++
-		return m.hashMerge(idx, val, outIdx, outVal)
-	case AccumSort:
-		m.Counts.Sort++
-		return CombineRow(idx, val, outIdx, outVal)
-	default:
-		m.Counts.Dense++
-		return m.denseMerge(idx, val, outIdx, outVal)
-	}
-}
-
 // denseProductRow is the marker-stamped dense accumulation — the engine's
 // original strategy, kept verbatim as the bit-identity oracle shape.
 func (m *RowMerger) denseProductRow(a, b *CSR, i int, upper int64,
@@ -384,77 +360,4 @@ func (m *RowMerger) sortProductRow(a, b *CSR, i int, upper int64,
 		}
 	}
 	return CombineRow(pi, pv, outIdx, outVal)
-}
-
-// denseMerge is denseProductRow over an already-materialized product
-// stream — the plan executor's merge shape.
-func (m *RowMerger) denseMerge(idx []int, val []float64,
-	outIdx []int, outVal []float64) ([]int, []float64) {
-	m.ensureDense()
-	bound := len(idx)
-	if bound > m.cols {
-		bound = m.cols
-	}
-	m.ensurePairs(bound)
-	m.stamp++
-	stamp := m.stamp
-	acc, marker := m.acc, m.marker
-	touched := m.pIdx[:0]
-	for k, j := range idx {
-		if marker[j] != stamp {
-			marker[j] = stamp
-			acc[j] = 0
-			touched = append(touched, j)
-		}
-		acc[j] += val[k]
-	}
-	insertionSortInts(touched)
-	for _, j := range touched {
-		outIdx = append(outIdx, j)
-		outVal = append(outVal, acc[j])
-	}
-	return outIdx, outVal
-}
-
-// hashMerge is hashProductRow over an already-materialized product stream.
-func (m *RowMerger) hashMerge(idx []int, val []float64,
-	outIdx []int, outVal []float64) ([]int, []float64) {
-	m.ensureHash(HashTableSlots(int64(len(idx))))
-	bound := len(idx)
-	if bound > m.cols {
-		bound = m.cols
-	}
-	m.ensurePairs(bound)
-	keys, vals := m.hKeys, m.hVals
-	mask := len(keys) - 1
-	shift := uint(64 - bits.Len(uint(mask)))
-	touched := m.pIdx[:0]
-	slots := m.pSlots[:0]
-	for k, j := range idx {
-		pos := int((uint64(j) * fibMul) >> shift)
-		for {
-			kj := keys[pos]
-			if kj == j {
-				vals[pos] += val[k]
-				break
-			}
-			if kj < 0 {
-				keys[pos] = j
-				vals[pos] = val[k]
-				touched = append(touched, j)
-				slots = append(slots, pos)
-				break
-			}
-			pos = (pos + 1) & mask
-		}
-	}
-	base := len(outIdx)
-	for t, j := range touched {
-		slot := slots[t]
-		outIdx = append(outIdx, j)
-		outVal = append(outVal, vals[slot])
-		keys[slot] = -1
-	}
-	sortRowEntries(outIdx[base:], outVal[base:])
-	return outIdx, outVal
 }

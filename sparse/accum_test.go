@@ -98,11 +98,28 @@ func bitIdenticalRows(t *testing.T, label string, wantIdx, gotIdx []int, wantVal
 	}
 }
 
-// TestMergeStrategiesMatchCombineRow drives every strategy over scattered
-// product streams — duplicate-heavy, single-column, and empty — and
-// requires bit-identical output to CombineRow, the engine's historical
-// merge. Merge consumes its input destructively, so each strategy gets a
-// fresh copy.
+// streamOperands builds the operands whose product row 0 is exactly the
+// given product stream: A is a 1×n row of ones and B is n×cols with the
+// single entry B[k, idx[k]] = val[k] per row, so the engine's canonical
+// order (ascending k) replays the stream in order and 1·val[k] = val[k]
+// bit for bit.
+func streamOperands(idx []int, val []float64, cols int) (a, b *CSR) {
+	n := len(idx)
+	a = NewCSR(1, n)
+	b = NewCSR(n, cols)
+	for k := 0; k < n; k++ {
+		a.Idx = append(a.Idx, k)
+		a.Val = append(a.Val, 1)
+		b.AppendRow(k, idx[k:k+1], val[k:k+1])
+	}
+	a.Ptr[1] = n
+	return a, b
+}
+
+// TestMergeStrategiesMatchCombineRow drives every strategy over product
+// streams — duplicate-heavy, single-column, and empty — replayed through
+// ProductRow (see streamOperands), and requires bit-identical output to
+// CombineRow, the engine's historical sort-merge.
 func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 	rng := testRNG(7)
 	const cols = 1 << 14
@@ -131,14 +148,11 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 		copy(wi, idx)
 		copy(wv, val)
 		wantIdx, wantVal := CombineRow(wi, wv, nil, nil)
+		a, b := streamOperands(idx, val, cols)
 
 		for _, kind := range allAccumKinds {
 			m := NewRowMerger(cols)
-			ci := make([]int, len(idx))
-			cv := make([]float64, len(val))
-			copy(ci, idx)
-			copy(cv, val)
-			gotIdx, gotVal := m.Merge(kind, ci, cv, nil, nil)
+			gotIdx, gotVal := m.ProductRow(kind, a, b, 0, int64(len(idx)), nil, nil)
 			bitIdenticalRows(t, kind.String(), wantIdx, gotIdx, wantVal, gotVal)
 			if len(idx) == 0 {
 				if m.Counts != (AccumCounts{}) {

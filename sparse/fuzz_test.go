@@ -92,9 +92,10 @@ func FuzzReadBinary(f *testing.F) {
 }
 
 // FuzzAccumulatorMerge feeds arbitrary product streams through every
-// accumulator strategy and requires bit-identical output to CombineRow,
-// the engine's historical sort-merge. Bytes decode as (column, value)
-// pairs over a small column space so duplicates are the common case; the
+// accumulator strategy — replayed through ProductRow as the product row of
+// streamOperands — and requires bit-identical output to CombineRow, the
+// engine's historical sort-merge. Bytes decode as (column, value) pairs
+// over a small column space so duplicates are the common case; the
 // seed corpus pins the hostile shapes — empty rows, all-duplicate rows,
 // and streams long enough to cross the auto-selector's sort and hash
 // thresholds into every strategy.
@@ -126,11 +127,10 @@ func FuzzAccumulatorMerge(f *testing.F) {
 		wi := append([]int(nil), idx...)
 		wv := append([]float64(nil), val...)
 		wantIdx, wantVal := CombineRow(wi, wv, nil, nil)
+		a, b := streamOperands(idx, val, cols)
 		for _, kind := range allAccumKinds {
 			m := NewRowMerger(cols)
-			ci := append([]int(nil), idx...)
-			cv := append([]float64(nil), val...)
-			gotIdx, gotVal := m.Merge(kind, ci, cv, nil, nil)
+			gotIdx, gotVal := m.ProductRow(kind, a, b, 0, int64(n), nil, nil)
 			if len(gotIdx) != len(wantIdx) {
 				t.Fatalf("%v: %d entries, want %d", kind, len(gotIdx), len(wantIdx))
 			}

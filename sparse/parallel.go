@@ -8,40 +8,6 @@ import (
 	"github.com/blockreorg/blockreorg/internal/trace"
 )
 
-// MultiplyParallel computes C = A×B with Gustavson's algorithm across
-// `workers` goroutines (0 selects the process-wide default executor, sized
-// GOMAXPROCS). Rows are dealt in contiguous chunks sized to balance
-// power-law inputs: chunk boundaries follow the intermediate-work
-// distribution rather than the row count, so one hub row cannot serialize
-// the computation — the CPU analogue of the load-balancing problem the
-// Block Reorganizer solves on GPUs.
-//
-// The result is bit-identical to Multiply (the per-row computation is
-// deterministic and rows are written to disjoint output ranges).
-func MultiplyParallel(a, b *CSR, workers int) (*CSR, error) {
-	ex := parallel.Default()
-	if workers > 0 && workers != ex.Workers() {
-		ex = parallel.NewExecutor(workers)
-	}
-	return MultiplyOn(a, b, ex)
-}
-
-// MultiplyOn is Multiply on an explicit executor, with all scratch —
-// dense accumulators, marker arrays, workload vectors — drawn from the
-// shared arenas instead of allocated per call. A nil executor selects the
-// process-wide default.
-func MultiplyOn(a, b *CSR, ex *parallel.Executor) (*CSR, error) {
-	return MultiplyTraced(a, b, ex, nil)
-}
-
-// MultiplyTraced is MultiplyOn with phase-level tracing: the work-weighting
-// sweep, the symbolic sizing pass and the numeric expansion each record a
-// span on rec (see internal/trace). A nil recorder disables tracing at zero
-// cost and the result is identical either way.
-func MultiplyTraced(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder) (*CSR, error) {
-	return MultiplyConfigured(a, b, ex, rec, MulConfig{Accum: AccumDense})
-}
-
 // MulConfig tunes MultiplyConfigured beyond the executor and recorder.
 type MulConfig struct {
 	// Accum selects the per-row merge strategy; the zero value is
@@ -51,13 +17,13 @@ type MulConfig struct {
 	Accum AccumulatorKind
 	// RowNNZ optionally supplies the exact merged row populations of the
 	// product (sparse.SymbolicRowNNZ of the same operands), letting the
-	// chunked engine skip its own symbolic sizing pass — the plan and
+	// engine skip its own symbolic sizing pass — the plan and
 	// precompute layers already paid for it. Ignored unless its length is
 	// exactly a.Rows. The caller keeps ownership.
 	RowNNZ []int
 	// SkipCounters suppresses the accum_rows_* trace counters, for
 	// callers whose plan already recorded the identical per-class counts
-	// (the plan executor's fallback path).
+	// (the Block Reorganizer, via Plan.RecordTrace).
 	SkipCounters bool
 }
 
@@ -71,15 +37,29 @@ func recordAccumCounts(rec *trace.Recorder, cfg MulConfig, counts AccumCounts) {
 	rec.Add(trace.CounterAccumSortRows, counts.Sort)
 }
 
-// MultiplyConfigured is MultiplyTraced with the accumulator strategy and
-// symbolic reuse exposed: the merge runs per row on the strategy cfg.Accum
-// resolves to (see AccumulatorKind), and a caller-supplied cfg.RowNNZ lets
-// the two-phase engine write straight into final row slots without
-// re-running the symbolic sweep. Results are bit-identical across every
-// configuration.
+// MultiplyConfigured is the host numeric engine: C = A×B by row-wise
+// Gustavson on an explicit executor (nil selects the process-wide default),
+// with all scratch drawn from the shared arenas and phase-level spans
+// recorded on rec (nil disables tracing at zero cost). Rows are dealt in
+// contiguous chunks sized by intermediate work rather than row count, so
+// one hub row cannot serialize the computation — the CPU analogue of the
+// load-balancing problem the Block Reorganizer solves on GPUs. A symbolic
+// pass (skipped when cfg.RowNNZ supplies the populations) sizes every
+// output row exactly, and the numeric pass merges each row on the strategy
+// cfg.Accum resolves to (see AccumulatorKind), writing straight into its
+// final slot.
+//
+// Canonical order: every output entry sums its intermediate products in
+// ascending k over A's row entries, and in B-row order within one k. The
+// result is therefore bit-identical to Multiply, across every worker count
+// and accumulator, and to the Block Reorganizer's block walk
+// (core.Plan.Execute), whatever launch order the reorganized plan uses.
+// Out-of-core tiling (package ooc) depends on this contract: a column
+// slice of B drops contributions without reordering the survivors, so
+// panel products reassemble into the bitwise-identical whole.
 func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, cfg MulConfig) (*CSR, error) {
 	if a.Cols != b.Rows {
-		return nil, shapeError("MultiplyOn", a.Rows, a.Cols, b.Rows, b.Cols)
+		return nil, shapeError("MultiplyConfigured", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	if ex == nil {
 		ex = parallel.Default()
@@ -87,13 +67,6 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 	if len(cfg.RowNNZ) != a.Rows {
 		cfg.RowNNZ = nil
 	}
-	if ex.Workers() == 1 || a.Rows < 2*ex.Workers() {
-		endExp := rec.Span(trace.PhaseExpansion)
-		c, err := multiplyPooled(a, b, rec, cfg)
-		endExp()
-		return c, err
-	}
-
 	// Work-weighted chunking: split rows so each chunk holds a similar
 	// number of intermediate products. The same per-row upper bounds
 	// drive the accumulator selector, so both layers (host engine, cost
@@ -182,28 +155,6 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 		return nil, fmt.Errorf("sparse: row %d merged to a population different from its symbolic size", badRow)
 	}
 	recordAccumCounts(rec, cfg, counts)
-	return c, nil
-}
-
-// multiplyPooled is the sequential Gustavson kernel with arena scratch:
-// the same computation as Multiply, minus its per-call allocations, with
-// the merge strategy pluggable per row. The per-row upper bound the
-// selector needs is one cheap sweep over the row of A (summing B row
-// populations), the same quantity the chunked engine's work-weighting
-// computes.
-func multiplyPooled(a, b *CSR, rec *trace.Recorder, cfg MulConfig) (*CSR, error) {
-	c := NewCSR(a.Rows, b.Cols)
-	mg := NewRowMerger(b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		var upper int64
-		for ka := a.Ptr[i]; ka < a.Ptr[i+1]; ka++ {
-			upper += int64(b.RowNNZ(a.Idx[ka]))
-		}
-		c.Idx, c.Val = mg.ProductRow(cfg.Accum, a, b, i, upper, c.Idx, c.Val)
-		c.Ptr[i+1] = len(c.Idx)
-	}
-	recordAccumCounts(rec, cfg, mg.Counts)
-	mg.Release()
 	return c, nil
 }
 

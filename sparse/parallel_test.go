@@ -1,11 +1,22 @@
 package sparse
 
 import (
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
 	"github.com/blockreorg/blockreorg/internal/parallel"
 )
+
+// multiplyWorkers runs the host engine with the dense accumulator on an
+// executor of the given size (0 selects the process-wide default).
+func multiplyWorkers(a, b *CSR, workers int) (*CSR, error) {
+	var ex *parallel.Executor
+	if workers > 0 {
+		ex = parallel.NewExecutor(workers)
+	}
+	return MultiplyConfigured(a, b, ex, nil, MulConfig{Accum: AccumDense})
+}
 
 func TestMultiplyParallelMatchesSerial(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -20,7 +31,7 @@ func TestMultiplyParallelMatchesSerial(t *testing.T) {
 			return false
 		}
 		for _, workers := range []int{0, 1, 2, 7} {
-			got, err := MultiplyParallel(a, b, workers)
+			got, err := multiplyWorkers(a, b, workers)
 			if err != nil || got.Validate() != nil || !got.Equal(want, 0) {
 				return false
 			}
@@ -49,7 +60,7 @@ func TestMultiplyParallelSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MultiplyParallel(m, m, 4)
+	got, err := multiplyWorkers(m, m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +70,7 @@ func TestMultiplyParallelSkewed(t *testing.T) {
 }
 
 func TestMultiplyParallelShape(t *testing.T) {
-	if _, err := MultiplyParallel(NewCSR(2, 3), NewCSR(4, 2), 2); err == nil {
+	if _, err := multiplyWorkers(NewCSR(2, 3), NewCSR(4, 2), 2); err == nil {
 		t.Fatal("mismatched shapes accepted")
 	}
 }
@@ -114,7 +125,7 @@ func TestMultiplyParallelMostlyEmptyRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 16} {
-		got, err := MultiplyParallel(m, m, workers)
+		got, err := multiplyWorkers(m, m, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,6 +134,42 @@ func TestMultiplyParallelMostlyEmptyRows(t *testing.T) {
 		}
 		if !got.Equal(want, 0) {
 			t.Fatalf("workers=%d: parallel result not bit-identical on mostly-empty matrix", workers)
+		}
+	}
+}
+
+// TestMultiplyConfiguredOneWorkerPresized pins the single code path at one
+// worker: with the row populations supplied, the engine writes every row
+// into its exact slot, so its allocation count is a small constant however
+// large the product is. An engine that grows the result by
+// append-doubling allocates O(log nnz) times and fails here. Collection
+// is paused so a GC cycle cannot empty the scratch arenas mid-measurement.
+func TestMultiplyConfiguredOneWorkerPresized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random, so arena allocations are not countable")
+	}
+	const maxAllocs = 16
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ex := parallel.NewExecutor(1)
+	for _, n := range []int{500, 4000} {
+		m := randomCSR(testRNG(uint64(n)), n, n, 8/float64(n))
+		rowNNZ, err := SymbolicRowNNZOn(m, m, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := MulConfig{Accum: AccumAuto, RowNNZ: rowNNZ}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := MultiplyConfigured(m, m, ex, nil, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var nnzc int
+		for _, c := range rowNNZ {
+			nnzc += c
+		}
+		if allocs > maxAllocs {
+			t.Fatalf("n=%d (nnz(C)=%d): %.0f allocs per multiply, want <= %d",
+				n, nnzc, allocs, maxAllocs)
 		}
 	}
 }
@@ -196,7 +243,7 @@ func BenchmarkMultiplyParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiplyParallel(a, a, 0); err != nil {
+		if _, err := multiplyWorkers(a, a, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // via Options.Trace and it records host wall time per pipeline phase —
 // the precalculation sweeps, classification, B-Splitting, B-Gathering,
 // B-Limiting, the simulated kernel launches and the numeric
-// expansion/scatter/merge — plus the classification populations and the
+// expansion — plus the classification populations and the
 // execution engine's steal and arena traffic over the run. Call Profile
 // on it afterwards for the aggregated breakdown.
 //
