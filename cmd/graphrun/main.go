@@ -64,7 +64,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		alg       = fs.String("alg", "", "spGEMM algorithm (default Block-Reorganizer)")
 		gpu       = fs.String("gpu", "", "simulated GPU (default TITAN Xp)")
 		workers   = fs.Int("workers", 0, "host executor width (0 = shared pool, 1 = sequential)")
-		noreuse   = fs.Bool("noreuse", false, "disable the cross-iteration plan cache")
+		noreuse   = fs.Bool("noreuse", false, "disable the cross-iteration plan cache (and the tile plan cache under -mem-budget)")
 		memBudget = fs.String("mem-budget", "", "run multiplies out of core under this working-set budget (e.g. 64M, 2G)")
 		spillDir  = fs.String("spill-dir", "", "out-of-core scratch/spill directory (default: private temp dir)")
 		profile   = fs.Bool("profile", false, "print the phase breakdown after the run")

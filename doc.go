@@ -22,8 +22,10 @@
 // The Block Reorganizer's preprocessing depends only on the operands'
 // sparsity structure, so it can be paid once and reused: NewPlan builds a
 // reusable Plan, Plan.Rebind carries it to later operands with the same
-// pattern, and Options.Plan drives a multiplication with it — the serving
-// layer's plan-cache fast path (see the server package).
+// pattern, and Options.Plan drives a multiplication with it. PlanCache
+// packages that sequence as a keyed LRU (PlanKeyFor builds the key, Bind
+// looks up and rebinds, Put stores the run's plan); the server, the
+// pipeline runner and the out-of-core engine all use it.
 //
 // # Observability
 //

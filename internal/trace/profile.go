@@ -63,7 +63,10 @@ func (r *Recorder) Profile() *Profile {
 	}
 	r.mu.Unlock()
 
+	// Durations are summed as integers and converted once per phase, so
+	// the totals are exact and independent of span order.
 	agg := make(map[Phase]*PhaseBreakdown, len(spans))
+	durs := make(map[Phase]time.Duration, len(spans))
 	var accounted time.Duration
 	for _, s := range spans {
 		b := agg[s.phase]
@@ -72,9 +75,12 @@ func (r *Recorder) Profile() *Profile {
 			agg[s.phase] = b
 		}
 		b.Calls++
-		b.Seconds += s.dur.Seconds()
 		b.Items += s.items
+		durs[s.phase] += s.dur
 		accounted += s.dur
+	}
+	for ph, b := range agg {
+		b.Seconds = durs[ph].Seconds()
 	}
 	p := &Profile{WallSeconds: wall.Seconds()}
 	if len(counters) > 0 {

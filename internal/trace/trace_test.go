@@ -163,20 +163,56 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
+// TestProfileExactTotals: phase totals are exact sums of the recorded
+// durations, so they do not drift with the span count and do not depend
+// on the order the spans arrived in.
+func TestProfileExactTotals(t *testing.T) {
+	r := New()
+	for i := 0; i < 1_000_000; i++ {
+		r.Observe(PhaseExpansion, 1, time.Microsecond)
+	}
+	if got := r.Profile().PhaseSeconds(PhaseExpansion); got != 1.0 {
+		t.Fatalf("10^6 spans of 1µs total %v s, want exactly 1", got)
+	}
+
+	// Varied durations across two phases, recorded forward and reversed.
+	durs := make([]time.Duration, 100_000)
+	for i := range durs {
+		durs[i] = time.Duration(1 + i*7919%100_003)
+	}
+	phase := func(i int) Phase { return []Phase{PhaseSymbolic, PhaseExpansion}[i%2] }
+	fwd, rev := New(), New()
+	for i := range durs {
+		j := len(durs) - 1 - i
+		fwd.Observe(phase(i), int64(i), durs[i])
+		rev.Observe(phase(j), int64(j), durs[j])
+	}
+	pf, pr := fwd.Profile(), rev.Profile()
+	for _, ph := range []Phase{PhaseSymbolic, PhaseExpansion} {
+		if a, b := pf.PhaseSeconds(ph), pr.PhaseSeconds(ph); a != b {
+			t.Errorf("%s: forward order totals %v s, reverse %v s", ph, a, b)
+		}
+	}
+}
+
 // TestProfileWhileRecording checks Profile is a consistent snapshot,
-// callable while spans keep arriving.
+// callable while spans keep arriving. The observer records measured,
+// hence disjoint, spans: the precondition of the sum <= wall invariant
+// (overlapping spans may legitimately exceed the wall time). It stops
+// after 1<<16 spans so the span slice stays bounded under -count=N.
 func TestProfileWhileRecording(t *testing.T) {
 	r := New()
 	stop := make(chan struct{})
 	donec := make(chan struct{})
 	go func() {
 		defer close(donec)
-		for {
+		for n := 0; n < 1<<16; n++ {
 			select {
 			case <-stop:
 				return
 			default:
-				r.Observe(PhaseExpansion, 1, time.Microsecond)
+				t0 := time.Now()
+				r.Observe(PhaseExpansion, 1, time.Since(t0))
 			}
 		}
 	}()

@@ -4,9 +4,9 @@
 //
 // The engine partitions A into row panels and B into column panels sized
 // by a byte Budget, streams panel pairs through the in-memory planned
-// multiply (blockreorg.NewPlan / Plan.Rebind, with a tile-pair-structure-
-// keyed plan cache so iterative workloads reuse tile preprocessing across
-// iterations), spills each finished C tile to a spill directory, and
+// multiply (blockreorg.NewPlan / Plan.Rebind, with a blockreorg.PlanCache
+// keyed on the tile pair's structure so iterative workloads reuse tile
+// preprocessing across iterations), spills each finished C tile to a spill directory, and
 // finally merges the tiles row-wise into the result — streamed back to
 // disk in the segmented container format, or assembled in memory when the
 // caller wants a *sparse.CSR.

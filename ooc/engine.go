@@ -11,6 +11,12 @@ import (
 	"github.com/blockreorg/blockreorg/sparse"
 )
 
+// tilePlanCacheSize bounds the engine's tile plan cache: enough for an
+// 8×8 grid. Tiles with the same panel structures share every
+// preprocessing decision, so iterative workloads (PowerIterate, MCL) pay
+// the tile preprocessing only on their first pass while the grid fits.
+const tilePlanCacheSize = 64
+
 // Options configures an out-of-core engine.
 type Options struct {
 	// Budget caps the engine's working set in bytes. It sizes the tile
@@ -32,9 +38,9 @@ type Options struct {
 	Workers     int
 	Paranoid    bool
 	Accumulator string
-	// PlanCacheSize bounds the tile plan cache in entries: 0 selects the
-	// default (64, enough for an 8×8 grid), negative disables plan reuse.
-	PlanCacheSize int
+	// NoPlanReuse disables the tile plan cache: every tile pays its own
+	// preprocessing and counts as a plan miss.
+	NoPlanReuse bool
 	// Trace optionally attaches a recorder: the engine records ooc.*
 	// phase spans (load, reshard, multiply, spill, merge), tile and plan
 	// cache counters, byte counters, and the budget/peak gauges, and the
@@ -82,7 +88,7 @@ type Engine struct {
 	dir    string
 	ownDir bool
 	acct   Accountant
-	plans  *planCache
+	plans  *blockreorg.PlanCache // nil when Options.NoPlanReuse
 	stats  Stats
 	seq    int
 
@@ -99,13 +105,6 @@ func New(opts Options) (*Engine, error) {
 	if opts.Budget <= 0 {
 		return nil, fmt.Errorf("ooc: memory budget must be positive, got %d", opts.Budget)
 	}
-	if opts.PlanCacheSize == 0 {
-		opts.PlanCacheSize = 64
-	}
-	cacheCap := opts.PlanCacheSize
-	if cacheCap < 0 {
-		cacheCap = 0
-	}
 	dir, ownDir := opts.Dir, false
 	if dir == "" {
 		t, err := os.MkdirTemp("", "ooc-")
@@ -116,13 +115,16 @@ func New(opts Options) (*Engine, error) {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Engine{
+	e := &Engine{
 		opts:   opts,
 		dir:    dir,
 		ownDir: ownDir,
-		plans:  newPlanCache(cacheCap),
 		stats:  Stats{BudgetBytes: opts.Budget},
-	}, nil
+	}
+	if !opts.NoPlanReuse {
+		e.plans = blockreorg.NewPlanCache(tilePlanCacheSize)
+	}
+	return e, nil
 }
 
 // Close drops the reshard cache and, for an engine that created its own
@@ -461,7 +463,6 @@ func (e *Engine) tile(g *tileGrid, I, J int, aPanel *sparse.CSR, fpA uint64, bPa
 	rec.Observe(trace.PhaseOOCLoad, bb, d)
 
 	t0 = time.Now()
-	key := planKey{a: fpA, b: bPanel.StructureFingerprint()}
 	mopts := blockreorg.Options{
 		GPU:         e.opts.GPU,
 		Workers:     e.opts.Workers,
@@ -469,26 +470,23 @@ func (e *Engine) tile(g *tileGrid, I, J int, aPanel *sparse.CSR, fpA uint64, bPa
 		Accumulator: e.opts.Accumulator,
 		Trace:       e.opts.Trace,
 	}
-	reused := false
-	if cached := e.plans.get(key); cached != nil {
-		// A fingerprint collision surfaces as a Rebind error; fall back to
-		// a fresh plan rather than failing the multiplication.
-		if bound, rerr := cached.Rebind(aPanel, bPanel); rerr == nil {
-			mopts.Plan = bound
-			reused = true
-		}
+	key, cacheable := blockreorg.PlanKeyFor(fpA, bPanel.StructureFingerprint(), mopts)
+	if cacheable {
+		mopts.Plan = e.plans.Bind(key, aPanel, bPanel)
 	}
 	res, err := blockreorg.Multiply(aPanel, bPanel, mopts)
 	if err != nil {
 		return err
 	}
-	if reused {
+	if cacheable {
+		e.plans.Put(key, res.ReusablePlan())
+	}
+	if res.PlanReused {
 		e.stats.PlanHits++
 		rec.Add(trace.CounterOOCPlanHits, 1)
 	} else {
 		e.stats.PlanMisses++
 		rec.Add(trace.CounterOOCPlanMisses, 1)
-		e.plans.put(key, res.ReusablePlan())
 	}
 	e.stats.Tiles++
 	e.stats.Flops += res.Flops

@@ -364,23 +364,6 @@ func TestAccountingBalanced(t *testing.T) {
 	}
 }
 
-func TestPlanCacheEviction(t *testing.T) {
-	c := newPlanCache(2)
-	p := &blockreorg.Plan{}
-	c.put(planKey{1, 1}, p)
-	c.put(planKey{2, 2}, p)
-	c.put(planKey{3, 3}, p)
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, cap 2", c.len())
-	}
-	if c.get(planKey{1, 1}) != nil {
-		t.Fatal("oldest entry not evicted")
-	}
-	if c.get(planKey{3, 3}) == nil {
-		t.Fatal("newest entry missing")
-	}
-}
-
 func TestColCuts(t *testing.T) {
 	// 4 columns of 10 entries each, 3 rows: base = 8*4 = 32 bytes, each
 	// column adds 160 bytes. share 200 → one column per panel.

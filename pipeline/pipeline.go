@@ -15,10 +15,10 @@ import (
 // left zero. Convergent workloads (MCL) normally stop long before it.
 const DefaultMaxIterations = 64
 
-// defaultPlanCacheSize bounds the Runner's per-run plan cache. Iterative
+// planCacheSize bounds the Runner's per-run plan cache. Iterative
 // workloads cycle between at most a handful of operand structures, so a
 // small cache captures every realistic reuse chain.
-const defaultPlanCacheSize = 16
+const planCacheSize = 16
 
 // Options configures a Runner. The zero value runs the Block Reorganizer
 // on the default simulated device with plan reuse enabled and tracing off.
@@ -37,13 +37,11 @@ type Options struct {
 	Workers int
 	// Paranoid enables the deep sanitizer layer on every multiply.
 	Paranoid bool
-	// NoPlanReuse disables the cross-iteration plan cache; every multiply
+	// NoPlanReuse disables the cross-iteration plan cache, and under
+	// MemBudget the out-of-core engine's tile plan cache; every multiply
 	// then pays its own preprocessing. Useful for measuring what the cache
 	// buys.
 	NoPlanReuse bool
-	// PlanCacheSize bounds the number of cached plans (0 = a small
-	// default). Eviction is oldest-first.
-	PlanCacheSize int
 	// Trace optionally attaches a phase recorder (blockreorg.NewTrace) to
 	// the run. Steps record pipeline.* spans on it, the multiplies inside
 	// record their own phase spans, and the Runner accumulates the
@@ -155,7 +153,7 @@ type runState struct {
 	ctx    context.Context
 	runner *Runner
 	trace  *trace.Recorder
-	cache  *planCache
+	cache  *blockreorg.PlanCache // nil when plans are not reusable
 	ooc    *ooc.Engine
 	hits   int
 	misses int
@@ -200,25 +198,23 @@ func (r *Runner) Run(ctx context.Context, p *Pipeline, st *State) (*Result, erro
 		ctx:    ctx,
 		runner: r,
 		trace:  r.opts.Trace,
-		cache:  newPlanCache(r.opts.PlanCacheSize),
+	}
+	if r.planReusable() {
+		rs.cache = blockreorg.NewPlanCache(planCacheSize)
 	}
 	if r.opts.MemBudget > 0 {
 		if r.opts.Algorithm != "" && r.opts.Algorithm != blockreorg.BlockReorganizer {
 			return nil, invalidf("out-of-core execution requires the %s algorithm, got %q",
 				blockreorg.BlockReorganizer, r.opts.Algorithm)
 		}
-		cacheSize := r.opts.PlanCacheSize
-		if r.opts.NoPlanReuse {
-			cacheSize = -1
-		}
 		eng, err := ooc.New(ooc.Options{
-			Budget:        r.opts.MemBudget,
-			Dir:           r.opts.SpillDir,
-			GPU:           r.opts.GPU,
-			Workers:       r.opts.Workers,
-			Paranoid:      r.opts.Paranoid,
-			PlanCacheSize: cacheSize,
-			Trace:         r.opts.Trace,
+			Budget:      r.opts.MemBudget,
+			Dir:         r.opts.SpillDir,
+			GPU:         r.opts.GPU,
+			Workers:     r.opts.Workers,
+			Paranoid:    r.opts.Paranoid,
+			NoPlanReuse: r.opts.NoPlanReuse,
+			Trace:       r.opts.Trace,
 		})
 		if err != nil {
 			return nil, err
@@ -285,26 +281,21 @@ func (r *Runner) planReusable() bool {
 // multiply runs one expansion product through the engine, consulting the
 // run's plan cache first. On a structural hit the cached plan is rebound
 // to the new operands (Plan.Rebind, O(nnz(A))) and supplied through
-// Options.Plan so the multiply skips its precalculation; on a miss the
-// freshly built plan is cached for later iterations. The rebound plan
-// replaces the cached one so the cache always holds the latest binding.
+// Options.Plan so the multiply skips its precalculation; either way the
+// run's plan is cached afterwards, so the cache always holds the latest
+// binding.
 func (st *State) multiply(a, b *sparse.CSR) (*sparse.CSR, error) {
 	rs := st.run
 	if rs.ooc != nil {
 		return st.multiplyOOC(a, b)
 	}
 	opts := rs.runner.multiplyOptions()
-	cacheable := rs.runner.planReusable()
-	var key planKey
-	hit := false
-	if cacheable {
-		key = planKey{fpA: a.StructureFingerprint(), fpB: b.StructureFingerprint()}
-		if cached := rs.cache.get(key); cached != nil {
-			if bound, err := cached.Rebind(a, b); err == nil {
-				opts.Plan = bound
-				rs.cache.put(key, bound)
-				hit = true
-			}
+	var key blockreorg.PlanKey
+	cacheable := false
+	if rs.cache != nil {
+		key, cacheable = blockreorg.PlanKeyFor(a.StructureFingerprint(), b.StructureFingerprint(), opts)
+		if cacheable {
+			opts.Plan = rs.cache.Bind(key, a, b)
 		}
 	}
 	res, err := blockreorg.MultiplyContext(rs.ctx, a, b, opts)
@@ -312,19 +303,17 @@ func (st *State) multiply(a, b *sparse.CSR) (*sparse.CSR, error) {
 		return nil, err
 	}
 	if cacheable {
-		if hit {
+		rs.cache.Put(key, res.ReusablePlan())
+		if res.PlanReused {
 			rs.hits++
 			rs.trace.Add(trace.CounterPipelinePlanHits, 1)
 		} else {
 			rs.misses++
 			rs.trace.Add(trace.CounterPipelinePlanMisses, 1)
-			if p := res.ReusablePlan(); p != nil {
-				rs.cache.put(key, p)
-			}
 		}
 	}
 	st.Stat.Multiplies++
-	st.Stat.PlanHit = hit
+	st.Stat.PlanHit = res.PlanReused
 	st.Stat.Flops += res.Flops
 	st.Stat.SimSeconds += res.TotalSeconds
 	return res.C, nil
@@ -360,40 +349,4 @@ func (st *State) multiplyOOC(a, b *sparse.CSR) (*sparse.CSR, error) {
 	st.Stat.Flops += after.Flops - before.Flops
 	st.Stat.SimSeconds += after.SimSeconds - before.SimSeconds
 	return c, nil
-}
-
-// planKey identifies an operand-pair structure: both fingerprints must
-// match for a cached plan to be rebindable.
-type planKey struct {
-	fpA, fpB uint64
-}
-
-// planCache is a small insertion-ordered map of reusable plans, evicting
-// oldest-first. It is per-run and needs no locking: steps run
-// sequentially within an iteration.
-type planCache struct {
-	max   int
-	plans map[planKey]*blockreorg.Plan
-	order []planKey
-}
-
-func newPlanCache(max int) *planCache {
-	if max <= 0 {
-		max = defaultPlanCacheSize
-	}
-	return &planCache{max: max, plans: make(map[planKey]*blockreorg.Plan)}
-}
-
-func (c *planCache) get(k planKey) *blockreorg.Plan { return c.plans[k] }
-
-func (c *planCache) put(k planKey, p *blockreorg.Plan) {
-	if _, ok := c.plans[k]; !ok {
-		if len(c.order) >= c.max {
-			oldest := c.order[0]
-			c.order = c.order[1:]
-			delete(c.plans, oldest)
-		}
-		c.order = append(c.order, k)
-	}
-	c.plans[k] = p
 }

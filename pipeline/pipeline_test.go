@@ -146,19 +146,3 @@ func TestRunnerTraceCountersAndSpans(t *testing.T) {
 		}
 	}
 }
-
-func TestPlanCacheEviction(t *testing.T) {
-	c := newPlanCache(2)
-	k1, k2, k3 := planKey{1, 1}, planKey{2, 2}, planKey{3, 3}
-	p := &blockreorg.Plan{}
-	c.put(k1, p)
-	c.put(k2, p)
-	c.put(k1, p) // re-put must not grow the cache
-	c.put(k3, p) // evicts k1, the oldest
-	if c.get(k1) != nil {
-		t.Fatal("oldest entry not evicted")
-	}
-	if c.get(k2) == nil || c.get(k3) == nil {
-		t.Fatal("newer entries evicted")
-	}
-}

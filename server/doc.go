@@ -10,7 +10,9 @@
 //   - Registry — named operand matrices, loaded from Matrix Market or
 //     binary CSR files or registered over the API, each carrying its
 //     structure fingerprint;
-//   - PlanCache — an LRU of reusable preprocessing plans keyed by the
+//   - the plan cache — a blockreorg.PlanCache (the LRU shared with the
+//     pipeline runner and the out-of-core engine) of reusable
+//     preprocessing plans, keyed by blockreorg.PlanKeyFor on the
 //     operands' sparsity fingerprints plus the device and tuning that
 //     shaped the plan;
 //   - Server — request admission (bounded queue, per-request deadlines,

@@ -22,12 +22,22 @@ type COOPayload struct {
 	V    []float64 `json:"v"`
 }
 
+// maxPayloadDim bounds the rows and columns of a wire matrix. Conversion
+// allocates in proportion to the dimensions before reading any entry, so
+// an unbounded header would let a tiny request body exhaust memory. The
+// bound admits every Table II network at full scale (the largest has
+// 1.1 M rows).
+const maxPayloadDim = 1 << 24
+
 // ToCSR validates the payload and converts it. Exported so front-ends
 // (the cluster router) can fingerprint inline operands without
 // re-implementing the wire validation.
 func (p *COOPayload) ToCSR() (*sparse.CSR, error) {
 	if p.Rows < 0 || p.Cols < 0 {
 		return nil, fmt.Errorf("negative dimensions %dx%d", p.Rows, p.Cols)
+	}
+	if p.Rows > maxPayloadDim || p.Cols > maxPayloadDim {
+		return nil, fmt.Errorf("dimensions %dx%d exceed the %d limit", p.Rows, p.Cols, maxPayloadDim)
 	}
 	if len(p.I) != len(p.J) || len(p.I) != len(p.V) {
 		return nil, fmt.Errorf("coordinate arrays disagree: %d i, %d j, %d v", len(p.I), len(p.J), len(p.V))
@@ -42,7 +52,13 @@ func (p *COOPayload) ToCSR() (*sparse.CSR, error) {
 		}
 		coo.Add(p.I[k], p.J[k], p.V[k])
 	}
-	return coo.ToCSR(), nil
+	m := coo.ToCSR()
+	for _, v := range m.Val {
+		if math.IsInf(v, 0) {
+			return nil, fmt.Errorf("duplicate entries sum to a non-finite value")
+		}
+	}
+	return m, nil
 }
 
 // PayloadFromCSR converts a matrix to its wire form — used for response

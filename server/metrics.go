@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/blockreorg/blockreorg"
 	"github.com/blockreorg/blockreorg/internal/parallel"
 	"github.com/blockreorg/blockreorg/internal/trace"
 )
@@ -154,7 +155,7 @@ func (m *metrics) addPhases(p *trace.Profile) {
 
 // write renders the metrics in Prometheus text exposition format. The
 // queue and cache figures are passed in by the server, which owns them.
-func (m *metrics) write(w io.Writer, cache CacheStats, queueDepth, queueCap int) {
+func (m *metrics) write(w io.Writer, cache blockreorg.CacheStats, queueDepth, queueCap int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fmt.Fprintf(w, "# TYPE spgemmd_jobs_submitted_total counter\n")

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/blockreorg/blockreorg"
-	"github.com/blockreorg/blockreorg/sparse"
 	"github.com/blockreorg/blockreorg/workload"
 )
 
@@ -103,7 +102,7 @@ func knownAlgorithm(name string) bool {
 type Server struct {
 	cfg     Config
 	reg     *Registry
-	cache   *PlanCache
+	cache   *blockreorg.PlanCache
 	jobs    *jobStore
 	metrics *metrics
 	queue   chan *job
@@ -134,7 +133,7 @@ func New(cfg Config, reg *Registry) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		reg:        reg,
-		cache:      NewPlanCache(cfg.PlanCacheSize),
+		cache:      blockreorg.NewPlanCache(cfg.PlanCacheSize),
 		jobs:       newJobStore(),
 		metrics:    newMetrics(),
 		queue:      make(chan *job, cfg.QueueDepth),
@@ -185,7 +184,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Cache returns the server's plan cache.
-func (s *Server) Cache() *PlanCache { return s.cache }
+func (s *Server) Cache() *blockreorg.PlanCache { return s.cache }
 
 // Shutdown drains the server gracefully: new submissions are refused with
 // 503, the queue is closed, and every admitted job — in flight or still
@@ -288,34 +287,12 @@ func (s *Server) runJob(j *job, workerGPU string) {
 	}
 
 	// Plan-cache lookup: the Block Reorganizer's preprocessing depends
-	// only on the operands' sparsity structure, the device and the
-	// tuning, all of which the key captures. A hit is rebound to this
-	// job's operands (O(nnz)) and drives the run, skipping the
-	// precalculation; a rebind failure (fingerprint collision) falls
-	// back to the cold path.
-	var key PlanKey
-	hit := false
-	cacheable := opts.Algorithm == blockreorg.BlockReorganizer
+	// only on the operands' sparsity structure and the options the key
+	// captures. A hit is rebound to this job's operands (O(nnz)) and
+	// drives the run, skipping the precalculation.
+	key, cacheable := blockreorg.PlanKeyFor(j.fpA, j.fpB, opts)
 	if cacheable {
-		// The accumulator name is normalized through its parsed form so
-		// "" and "auto" share cache entries; an invalid name falls through
-		// to Multiply's option validation (the key is never stored then).
-		accum, _ := sparse.ParseAccumulator(opts.Accumulator)
-		key = PlanKey{
-			FpA: j.fpA, FpB: j.fpB,
-			GPU:         string(opts.GPU),
-			Alpha:       opts.Alpha,
-			Beta:        opts.Beta,
-			SplitFactor: opts.SplitFactor,
-			LimitFactor: opts.LimitFactor,
-			Accumulator: accum.String(),
-		}
-		if cached, ok := s.cache.Get(key); ok {
-			if bound, err := cached.Rebind(j.a, j.b); err == nil {
-				opts.Plan = bound
-				hit = true
-			}
-		}
+		opts.Plan = s.cache.Bind(key, j.a, j.b)
 	}
 
 	ctx, cancel := context.WithDeadline(context.Background(), j.deadline)
@@ -339,7 +316,7 @@ func (s *Server) runJob(j *job, workerGPU string) {
 		s.traceFailed(j, kind, queueWait)
 		return
 	}
-	if cacheable && !hit && res.ReusablePlan() != nil {
+	if cacheable {
 		s.cache.Put(key, res.ReusablePlan())
 	}
 
