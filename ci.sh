@@ -39,9 +39,11 @@
 #                      structure-repeating spec at it over real HTTP, and
 #                      the gate asserts the router's affinity-hit counter
 #                      moved (cluster_routed_total{...,affinity_hit="true"}
-#                      > 0) and the fitness report still passes the schema
-#                      golden — so the routing path of docs/CLUSTER.md
-#                      stays exercised end to end
+#                      > 0), that the live cluster /metrics declares each
+#                      family once (no repeated "# TYPE" line), and that
+#                      the fitness report still passes the schema golden —
+#                      so the routing and fleet-scrape paths of
+#                      docs/CLUSTER.md stay exercised end to end
 #  11. out-of-core smoke — genmat -stream writes a segmented R-MAT network,
 #                      graphrun powers it twice: once in memory, once under
 #                      a deliberately tiny -mem-budget (forcing a real tile
@@ -80,7 +82,7 @@ fi
 rm -f "$vet_json"
 
 echo "==> go test -race (paranoid)"
-BLOCKREORG_PARANOID=1 go test -race . ./internal/core/... ./internal/gpusim/... ./internal/kernels/... ./internal/trace/... ./sparse/... ./server/... ./pipeline/... ./workload/... ./ooc/...
+BLOCKREORG_PARANOID=1 go test -race . ./internal/core/... ./internal/gpusim/... ./internal/kernels/... ./internal/trace/... ./internal/prom/... ./sparse/... ./server/... ./pipeline/... ./workload/... ./ooc/...
 
 echo "==> examples (godoc Examples + example programs)"
 go test -run Example ./...
@@ -182,6 +184,12 @@ go run ./cmd/spgemmload check -report "$smoke_dir/cluster.json" -schema workload
 curl -sf "http://$cluster_addr/metrics" >"$smoke_dir/cluster_metrics.txt"
 kill "$cluster_pid" 2>/dev/null || true
 trap 'rm -rf "$smoke_dir"' EXIT
+repeated_types=$(grep '^# TYPE' "$smoke_dir/cluster_metrics.txt" | sort | uniq -d)
+if [ -n "$repeated_types" ]; then
+    echo "cluster smoke: /metrics repeats a family's TYPE line:" >&2
+    echo "$repeated_types" >&2
+    exit 1
+fi
 affinity_hits=$(awk '$1 == "cluster_routed_total{policy=\"affinity\",affinity_hit=\"true\"}" { print $2 }' \
     "$smoke_dir/cluster_metrics.txt")
 if [ -z "$affinity_hits" ] || [ "$affinity_hits" -le 0 ]; then

@@ -64,7 +64,7 @@ func TestAnalyzers(t *testing.T) {
 		{"pkgdoc", "pkgdocbad", 1, "no package documentation"},
 		{"pkgdoc", "pkgdocprefix", 1, "godoc convention"},
 		{"pkgdoc", "pkgdocok", 0, ""},
-		{"lockheld", "lockheldbad", 4, "held across"},
+		{"lockheld", "lockheldbad", 5, "held across"},
 		{"lockheld", "lockheldok", 0, ""},
 		{"ctxflow", "ctxflowbad", 4, "discards the caller's context"},
 		{"ctxflow", "ctxflowok", 0, ""},

@@ -10,14 +10,15 @@ import (
 // LockHeldAnalyzer flags mutexes held across blocking operations. A
 // channel send, a bare receive, a WaitGroup (or any other) Wait, a
 // select with no default clause, time.Sleep, or a call into a blocking
-// I/O package while a sync.Mutex is held is how the serving layer
-// deadlocks: the blocked goroutine keeps the lock the unblocking
-// goroutine needs. The rule walks the CFG region between each Lock and
+// I/O package — fmt.Fprint* included, since it writes to an arbitrary
+// io.Writer such as an http.ResponseWriter — while a sync.Mutex is held
+// is how the serving layer deadlocks: the blocked goroutine keeps the
+// lock the unblocking goroutine needs. The rule walks the CFG region between each Lock and
 // its matching same-receiver Unlock — the whole rest of the function
 // when the unlock is deferred — and reports every blocking statement in
 // it. A select that has a default clause is non-blocking by
 // construction and is not reported (the queue-full fast path in
-// server.enqueue is the motivating example).
+// server.admit is the motivating example).
 func LockHeldAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "lockheld",
@@ -106,7 +107,8 @@ func blockingOp(n *Node) string {
 				what = "time.Sleep"
 				return false
 			case strings.HasPrefix(callee, "io.") || strings.HasPrefix(callee, "http.") ||
-				strings.HasPrefix(callee, "net.") || strings.HasPrefix(callee, "exec."):
+				strings.HasPrefix(callee, "net.") || strings.HasPrefix(callee, "exec.") ||
+				strings.HasPrefix(callee, "fmt.Fprint"):
 				what = "blocking I/O call " + callee
 				return false
 			}

@@ -2,7 +2,11 @@
 // held across blocking operations.
 package lockheldbad
 
-import "sync"
+import (
+	"fmt"
+	"io"
+	"sync"
+)
 
 var mu sync.Mutex
 
@@ -32,4 +36,12 @@ func BlockingSelect() int {
 	case v := <-ch:
 		return v
 	}
+}
+
+// FprintUnderLock holds mu across a write to an arbitrary io.Writer: a
+// reader that stops reading keeps the lock.
+func FprintUnderLock(w io.Writer, v int) {
+	mu.Lock()
+	defer mu.Unlock()
+	fmt.Fprintf(w, "%d\n", v)
 }

@@ -27,6 +27,15 @@
 //     instances (one at a time or rolling across the cluster), and
 //     aggregates every instance's /metrics under per-instance labels.
 //
+// # Observability
+//
+// The router's /metrics is built per scrape with internal/prom: its own
+// series from Status, then each instance's exposition (size-capped; an
+// oversize or failed scrape counts in cluster_scrape_failures) parsed,
+// relabelled with instance="<name>" and merged. spgemmd_executor_* and
+// spgemmd_arena_* are process-wide, so in-process instances all report the
+// same totals; never sum them over instance.
+//
 // Construct an in-process cluster with NewInProcess, or wrap existing
 // backends (local or remote) with New. docs/CLUSTER.md is the operator
 // guide; DESIGN.md §16 records the architecture and the affinity-table

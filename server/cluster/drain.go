@@ -43,17 +43,13 @@ func (rt *Router) Status() ClusterStatus {
 	st := ClusterStatus{
 		Policy:            rt.policy.Name(),
 		Draining:          rt.draining,
+		RoutedTotal:       rt.routedHits + rt.routedMisses,
+		AffinityHits:      rt.routedHits,
 		AdmissionRejected: rt.admitRejected,
 		TrackedJobs:       len(rt.jobs),
 	}
 	if ap, ok := rt.policy.(interface{ Entries() int }); ok {
 		st.AffinityEntries = ap.Entries()
-	}
-	for key, n := range rt.routed {
-		st.RoutedTotal += n
-		if key.affinityHit {
-			st.AffinityHits += n
-		}
 	}
 	for i, inst := range rt.instances {
 		row := InstanceStatus{

@@ -1,197 +1,89 @@
 package cluster
 
 import (
-	"bytes"
-	"fmt"
+	"context"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
+
+	"github.com/blockreorg/blockreorg/internal/prom"
 )
 
+// maxScrapeBytes caps one instance's /metrics body. -backend instances
+// are arbitrary remote URLs, so the router must not buffer whatever they
+// send; a fully populated instance exposition is about 20 KB.
+const maxScrapeBytes = 8 << 20
+
 // handleMetrics renders the cluster-wide Prometheus exposition: the
-// router's own routing/admission counters, summed cluster-wide plan-cache
+// router's own routing/admission series, summed cluster-wide plan-cache
 // traffic, and every instance's full /metrics output relabelled with an
 // instance="<name>" label so one scrape covers the fleet.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	rt.writeRouterMetrics(&buf)
-
-	agg := newMetricsAggregator()
-	scrapeFailures := 0
-	for i, inst := range rt.instances {
-		resp, err := rt.forward(r.Context(), i, http.MethodGet, "/metrics", nil)
-		if err != nil {
-			scrapeFailures++
-			continue
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			scrapeFailures++
-			continue
-		}
-		agg.ingest(inst.name, data)
-	}
-
-	fmt.Fprintf(&buf, "# TYPE cluster_scrape_failures gauge\n")
-	fmt.Fprintf(&buf, "cluster_scrape_failures %d\n", scrapeFailures)
-	fmt.Fprintf(&buf, "# TYPE cluster_plancache_hits_total counter\n")
-	fmt.Fprintf(&buf, "cluster_plancache_hits_total %d\n", int64(agg.sums["spgemmd_plancache_hits_total"]))
-	fmt.Fprintf(&buf, "# TYPE cluster_plancache_misses_total counter\n")
-	fmt.Fprintf(&buf, "cluster_plancache_misses_total %d\n", int64(agg.sums["spgemmd_plancache_misses_total"]))
-	agg.write(&buf)
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write(buf.Bytes())
-}
-
-// writeRouterMetrics emits the router's own counters and gauges.
-func (rt *Router) writeRouterMetrics(w io.Writer) {
 	st := rt.Status()
-	fmt.Fprintf(w, "# TYPE cluster_instances gauge\n")
-	fmt.Fprintf(w, "cluster_instances %d\n", len(st.Instances))
-
-	// cluster_routed_total is labelled by policy and whether the decision
-	// was an affinity-table hit. Both affinity_hit values are always
-	// emitted for the active policy, so dashboards (and the CI gate) can
-	// read a zero instead of an absent series.
-	rt.mu.Lock()
-	keys := make([]routedKey, 0, len(rt.routed)+2)
-	seen := make(map[routedKey]bool, len(rt.routed)+2)
-	for _, hit := range []bool{false, true} {
-		k := routedKey{policy: rt.policy.Name(), affinityHit: hit}
-		keys = append(keys, k)
-		seen[k] = true
-	}
-	for k := range rt.routed {
-		if !seen[k] {
-			keys = append(keys, k)
-			seen[k] = true
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].policy != keys[j].policy {
-			return keys[i].policy < keys[j].policy
-		}
-		return !keys[i].affinityHit && keys[j].affinityHit
-	})
-	fmt.Fprintf(w, "# TYPE cluster_routed_total counter\n")
-	for _, k := range keys {
-		fmt.Fprintf(w, "cluster_routed_total{policy=%q,affinity_hit=\"%t\"} %d\n", k.policy, k.affinityHit, rt.routed[k])
-	}
-	rt.mu.Unlock()
-
-	fmt.Fprintf(w, "# TYPE cluster_admission_rejected_total counter\n")
-	fmt.Fprintf(w, "cluster_admission_rejected_total %d\n", st.AdmissionRejected)
-	fmt.Fprintf(w, "# TYPE cluster_tracked_jobs gauge\n")
-	fmt.Fprintf(w, "cluster_tracked_jobs %d\n", st.TrackedJobs)
-	fmt.Fprintf(w, "# TYPE cluster_affinity_entries gauge\n")
-	fmt.Fprintf(w, "cluster_affinity_entries %d\n", st.AffinityEntries)
-
-	fmt.Fprintf(w, "# TYPE cluster_instance_outstanding gauge\n")
+	reg := prom.NewRegistry()
+	reg.Gauge("cluster_instances").Set(float64(len(st.Instances)))
+	// Both affinity_hit values are always emitted, so dashboards (and the
+	// CI gate) read a zero instead of an absent series.
+	routed := reg.Counter("cluster_routed_total", "policy", "affinity_hit")
+	routed.Add(float64(st.RoutedTotal-st.AffinityHits), st.Policy, "false")
+	routed.Add(float64(st.AffinityHits), st.Policy, "true")
+	reg.Counter("cluster_admission_rejected_total").Add(float64(st.AdmissionRejected))
+	reg.Gauge("cluster_tracked_jobs").Set(float64(st.TrackedJobs))
+	reg.Gauge("cluster_affinity_entries").Set(float64(st.AffinityEntries))
+	outstanding := reg.Gauge("cluster_instance_outstanding", "instance")
+	pending := reg.Gauge("cluster_instance_pending_work", "instance")
+	cordoned := reg.Gauge("cluster_instance_cordoned", "instance")
 	for _, row := range st.Instances {
-		fmt.Fprintf(w, "cluster_instance_outstanding{instance=%q} %d\n", row.Name, row.Outstanding)
-	}
-	fmt.Fprintf(w, "# TYPE cluster_instance_pending_work gauge\n")
-	for _, row := range st.Instances {
-		fmt.Fprintf(w, "cluster_instance_pending_work{instance=%q} %d\n", row.Name, row.PendingWork)
-	}
-	fmt.Fprintf(w, "# TYPE cluster_instance_cordoned gauge\n")
-	for _, row := range st.Instances {
-		cordoned := 0
+		outstanding.Set(float64(row.Outstanding), row.Name)
+		pending.Set(float64(row.PendingWork), row.Name)
+		c := 0.0
 		if row.State == "cordoned" {
-			cordoned = 1
+			c = 1
 		}
-		fmt.Fprintf(w, "cluster_instance_cordoned{instance=%q} %d\n", row.Name, cordoned)
+		cordoned.Set(c, row.Name)
 	}
-}
 
-// metricsAggregator merges several instances' text-format expositions into
-// one: samples are relabelled with the instance name, grouped per metric
-// so each group sits under a single "# TYPE" line (the exposition format
-// requires one contiguous group per metric), and the plan-cache counters
-// are summed for the cluster-wide figures.
-type metricsAggregator struct {
-	order   []string            // metric base names, first-seen order
-	types   map[string]string   // base name -> full "# TYPE" line
-	samples map[string][]string // base name -> relabelled sample lines
-	sums    map[string]float64  // summed unlabelled counters (plan cache)
-}
-
-func newMetricsAggregator() *metricsAggregator {
-	return &metricsAggregator{
-		types:   make(map[string]string),
-		samples: make(map[string][]string),
-		sums:    make(map[string]float64),
-	}
-}
-
-// summedMetrics are the unlabelled instance counters the aggregator also
-// folds into cluster-wide totals.
-var summedMetrics = map[string]bool{
-	"spgemmd_plancache_hits_total":   true,
-	"spgemmd_plancache_misses_total": true,
-}
-
-// ingest parses one instance's exposition. The instances emit each
-// metric's "# TYPE" line immediately before its samples, so the current
-// group is simply the most recent TYPE declaration.
-func (a *metricsAggregator) ingest(instance string, data []byte) {
-	group := ""
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimRight(line, "\r")
-		if line == "" {
+	var scraped []prom.Family
+	var failures, hits, misses float64
+	for i, inst := range rt.instances {
+		fams, ok := rt.scrape(r.Context(), i)
+		if !ok {
+			failures++
 			continue
 		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(line)
-			if len(fields) < 4 {
-				continue
-			}
-			group = fields[2]
-			if _, ok := a.types[group]; !ok {
-				a.types[group] = line
-				a.order = append(a.order, group)
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "#") || group == "" {
-			continue
-		}
-		if summedMetrics[group] {
-			if rest, ok := strings.CutPrefix(line, group+" "); ok {
-				if v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64); err == nil {
-					a.sums[group] += v
+		for _, f := range fams {
+			for k := range f.Samples {
+				s := &f.Samples[k]
+				s.Labels = slices.Insert(s.Labels, 0, prom.Label{Name: "instance", Value: inst.name})
+				switch f.Name {
+				case "spgemmd_plancache_hits_total":
+					hits += s.Value
+				case "spgemmd_plancache_misses_total":
+					misses += s.Value
 				}
 			}
 		}
-		a.samples[group] = append(a.samples[group], relabelSample(line, instance))
+		scraped = append(scraped, fams...)
 	}
+	reg.Gauge("cluster_scrape_failures").Set(failures)
+	reg.Counter("cluster_plancache_hits_total").Add(hits)
+	reg.Counter("cluster_plancache_misses_total").Add(misses)
+
+	w.Header().Set("Content-Type", prom.ContentType)
+	_ = prom.Write(w, append(reg.Gather(), prom.Merge(scraped)...)) // the scraper went away; nothing to report to
 }
 
-// relabelSample injects instance="<name>" as the first label of one sample
-// line, creating the label set when the sample has none.
-func relabelSample(line, instance string) string {
-	tag := fmt.Sprintf("instance=%q", instance)
-	if brace := strings.IndexByte(line, '{'); brace >= 0 && brace < strings.IndexByte(line, ' ') {
-		return line[:brace+1] + tag + "," + line[brace+1:]
+// scrape fetches and parses one instance's exposition; false on a
+// transport error, a non-200 answer or a body over maxScrapeBytes.
+func (rt *Router) scrape(ctx context.Context, idx int) ([]prom.Family, bool) {
+	resp, err := rt.forward(ctx, idx, http.MethodGet, "/metrics", nil)
+	if err != nil {
+		return nil, false
 	}
-	space := strings.IndexByte(line, ' ')
-	if space < 0 {
-		return line // malformed; pass through untouched
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxScrapeBytes+1))
+	if err != nil || resp.StatusCode != http.StatusOK || len(data) > maxScrapeBytes {
+		return nil, false
 	}
-	return line[:space] + "{" + tag + "}" + line[space:]
-}
-
-// write emits the merged exposition, one TYPE line then all instances'
-// samples per metric, in first-seen metric order.
-func (a *metricsAggregator) write(w io.Writer) {
-	for _, name := range a.order {
-		fmt.Fprintln(w, a.types[name])
-		for _, s := range a.samples[name] {
-			fmt.Fprintln(w, s)
-		}
-	}
+	return prom.Parse(data), true
 }

@@ -74,12 +74,6 @@ type routedJob struct {
 	expires  time.Time
 }
 
-// routedKey labels the cluster_routed_total counter.
-type routedKey struct {
-	policy      string
-	affinityHit bool
-}
-
 // Router is the cluster front-end: an http.Handler that admits, routes and
 // forwards spgemmd requests across the instances, rewrites job ids so
 // polls find their way back, and aggregates the fleet's metrics.
@@ -91,11 +85,14 @@ type Router struct {
 	bucket    *tokenBucket // nil: admission control disabled
 	mux       *http.ServeMux
 
-	mu            sync.Mutex
-	draining      bool
-	states        []instState
-	jobs          map[string]*routedJob
-	routed        map[routedKey]uint64
+	mu       sync.Mutex
+	draining bool
+	states   []instState
+	jobs     map[string]*routedJob
+	// routedHits and routedMisses split the routed submissions by whether
+	// the affinity table placed them; one policy serves the router's life.
+	routedHits    uint64
+	routedMisses  uint64
 	admitRejected uint64
 }
 
@@ -136,7 +133,6 @@ func NewRouter(instances []*Instance, reg *server.Registry, opts Options) (*Rout
 		policy:    policy,
 		states:    make([]instState, len(instances)),
 		jobs:      make(map[string]*routedJob),
-		routed:    make(map[routedKey]uint64),
 	}
 	if opts.AdmitRate > 0 {
 		rt.bucket = newTokenBucket(opts.AdmitRate, opts.AdmitBurst, nil)
@@ -336,7 +332,11 @@ func (rt *Router) route(key AffinityKey, work int64) (int, error) {
 	idx := eligible[d.Index].Index
 	rt.states[idx].outstanding++
 	rt.states[idx].pendingWork += work
-	rt.routed[routedKey{policy: rt.policy.Name(), affinityHit: d.AffinityHit}]++
+	if d.AffinityHit {
+		rt.routedHits++
+	} else {
+		rt.routedMisses++
+	}
 	return idx, nil
 }
 

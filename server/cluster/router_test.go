@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/blockreorg/blockreorg/internal/prom"
 	"github.com/blockreorg/blockreorg/server"
 	"github.com/blockreorg/blockreorg/sparse"
 	"github.com/blockreorg/blockreorg/sparse/rmat"
@@ -421,6 +423,15 @@ func TestClusterMetricsAggregation(t *testing.T) {
 		}
 	}
 
+	// The exposition is in the canonical form prom.Write emits.
+	var rewritten bytes.Buffer
+	if err := prom.Write(&rewritten, prom.Parse([]byte(text))); err != nil {
+		t.Fatal(err)
+	}
+	if rewritten.String() != text {
+		t.Fatalf("prom.Write(prom.Parse(exposition)) differs from the exposition:\n--- got ---\n%s--- want ---\n%s", rewritten.String(), text)
+	}
+
 	// Both instances contribute relabelled samples.
 	for _, inst := range []string{"i0", "i1"} {
 		if !strings.Contains(text, fmt.Sprintf(`spgemmd_jobs_completed_total{instance=%q}`, inst)) {
@@ -437,5 +448,60 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 	if misses != 2 {
 		t.Fatalf("cluster plan-cache misses = %v, want 2 (one cold per instance)", misses)
+	}
+}
+
+// endlessBackend answers every request with 200 and a body that never
+// ends: a remote instance that floods its scrape.
+type endlessBackend struct{}
+
+func (endlessBackend) RoundTrip(*http.Request) (*http.Response, error) {
+	line := []byte("spgemmd_plancache_hits_total 1\n")
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(&repeatReader{line: line})}, nil
+}
+
+// repeatReader yields line over and over.
+type repeatReader struct {
+	line []byte
+	off  int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.line[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.line)
+	}
+	return n, nil
+}
+
+// TestClusterMetricsOversizeScrape puts a flooding instance beside a real
+// one: its scrape is cut at the cap and counted as a failure, and none of
+// its samples reach the cluster exposition or the plan-cache sums.
+func TestClusterMetricsOversizeScrape(t *testing.T) {
+	srv, err := server.New(server.Config{Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := NewInstance("i0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter([]*Instance{good, {name: "i1", backend: endlessBackend{}}}, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	if v := scrapeMetric(t, ts.URL, "cluster_scrape_failures"); v != 1 {
+		t.Fatalf("cluster_scrape_failures = %v, want 1 (the flooding instance)", v)
+	}
+	if v := scrapeMetric(t, ts.URL, "cluster_plancache_hits_total"); v != 0 {
+		t.Fatalf("cluster_plancache_hits_total = %v, want 0: the oversize scrape was summed", v)
+	}
+	if v := scrapeMetric(t, ts.URL, `spgemmd_plancache_hits_total{instance="i0"}`); v != 0 {
+		t.Fatalf("i0 plan-cache hits = %v, want 0", v)
 	}
 }

@@ -26,6 +26,11 @@
 // service latency (spgemmd_job_seconds) and per-phase host time
 // (spgemmd_phase_seconds), alongside queue, plan-cache and execution-engine
 // counters — and a request that sets "profile": true gets its own phase
-// breakdown back in the job result. The standard Go runtime profiles are
-// served under /debug/pprof/.
+// breakdown back in the job result. The families live in an
+// internal/prom registry, which owns the text format: a scrape snapshots
+// the registry and writes after releasing its lock, so a client that stops
+// reading never stalls a worker. Multiply and pipeline jobs share one
+// lifecycle (admission, queue wait, failure classification, completion),
+// so every counter has a single writer. The standard Go runtime profiles
+// are served under /debug/pprof/.
 package server

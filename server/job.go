@@ -231,36 +231,15 @@ func newJobStore() *jobStore {
 	return &jobStore{jobs: make(map[string]*job)}
 }
 
-// add creates a queued job and assigns its id.
-func (s *jobStore) add(a, b *sparse.CSR, fpA, fpB uint64, req MultiplyRequest, deadline time.Time) *job {
+// add assigns j its id and admission time and records it as queued.
+func (s *jobStore) add(j *job) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.next++
-	j := &job{
-		id: fmt.Sprintf("j-%d", s.next),
-		a:  a, b: b, fpA: fpA, fpB: fpB,
-		req: req, deadline: deadline,
-		submitted: time.Now(),
-		state:     StateQueued,
-		completed: make(chan struct{}),
-	}
-	s.jobs[j.id] = j
-	return j
-}
-
-// addPipeline creates a queued pipeline job and assigns its id.
-func (s *jobStore) addPipeline(a *sparse.CSR, fpA uint64, preq *PipelineRequest, deadline time.Time) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.next++
-	j := &job{
-		id: fmt.Sprintf("j-%d", s.next),
-		a:  a, fpA: fpA,
-		preq: preq, deadline: deadline,
-		submitted: time.Now(),
-		state:     StateQueued,
-		completed: make(chan struct{}),
-	}
+	j.id = fmt.Sprintf("j-%d", s.next)
+	j.submitted = time.Now()
+	j.state = StateQueued
+	j.completed = make(chan struct{})
 	s.jobs[j.id] = j
 	return j
 }
@@ -307,15 +286,4 @@ func (s *jobStore) status(id string) (JobStatus, bool) {
 		return JobStatus{}, false
 	}
 	return JobStatus{ID: j.id, State: j.state, ErrorKind: j.errKind, Error: j.errMsg, Result: j.result}, true
-}
-
-// snapshot returns the status of every job (tests and drain accounting).
-func (s *jobStore) snapshot() []JobStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, JobStatus{ID: j.id, State: j.state, ErrorKind: j.errKind, Error: j.errMsg, Result: j.result})
-	}
-	return out
 }

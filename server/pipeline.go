@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"github.com/blockreorg/blockreorg"
 	"github.com/blockreorg/blockreorg/pipeline"
@@ -148,53 +146,15 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-
-	j := s.jobs.addPipeline(a, fpA, &req, time.Now().Add(timeout))
-	if err := s.enqueue(j); err != nil {
-		s.jobs.remove(j.id)
-		if errors.Is(err, errDraining) {
-			writeError(w, http.StatusServiceUnavailable, "draining")
-			return
-		}
-		s.metrics.addRejected()
-		s.traceRejected(j)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue is full (%d jobs)", s.cfg.QueueDepth)
-		return
-	}
-	s.metrics.addSubmitted()
-	writeJSON(w, http.StatusAccepted, map[string]string{
-		"job": j.id,
-		"url": "/v1/jobs/" + j.id,
-	})
+	s.admit(w, s.jobs.add(&job{a: a, fpA: fpA, preq: &req, deadline: s.deadline(req.TimeoutMillis)}))
 }
 
-// runPipelineJob executes one admitted pipeline job on the worker's
-// device. The job deadline becomes the run context's deadline, so an
-// expired job cancels between pipeline steps and abandons any in-flight
-// multiply — the worker is back on the queue promptly and Shutdown's
-// drain never waits on a dead run's full workload.
-func (s *Server) runPipelineJob(j *job, workerGPU string) {
-	start := time.Now()
-	queueWait := start.Sub(j.submitted)
-	s.metrics.addQueueWait(queueWait.Seconds())
-	if !start.Before(j.deadline) {
-		s.jobs.fail(j, FailTimeout, "deadline expired while queued")
-		s.metrics.addFailed()
-		s.traceFailed(j, FailTimeout, queueWait)
-		return
-	}
-	s.jobs.setRunning(j)
+// runPipeline runs one pipeline job. The job deadline is ctx's deadline,
+// so an expired job cancels between pipeline steps and abandons any
+// in-flight multiply — the worker is back on the queue promptly and
+// Shutdown's drain never waits on a dead run's full workload.
+func (s *Server) runPipeline(ctx context.Context, j *job, workerGPU string, rec *blockreorg.Trace) (*JobResult, error) {
 	req := j.preq
-
-	rec := blockreorg.NewTrace()
 	gpu := req.GPU
 	if gpu == "" {
 		gpu = workerGPU
@@ -209,9 +169,6 @@ func (s *Server) runPipelineJob(j *job, workerGPU string) {
 		Paranoid:  s.cfg.Paranoid,
 		Trace:     rec,
 	}
-
-	ctx, cancel := context.WithDeadline(context.Background(), j.deadline)
-	defer cancel()
 
 	var res *pipeline.Result
 	var clusters []int
@@ -249,36 +206,18 @@ func (s *Server) runPipelineJob(j *job, workerGPU string) {
 		err = fmt.Errorf("%w: unknown workload %q", blockreorg.ErrInvalidOptions, req.Workload)
 	}
 	if err != nil {
-		s.metrics.addFailed()
-		kind := FailInternal
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			kind = FailTimeout
-			s.jobs.fail(j, FailTimeout, fmt.Sprintf("deadline exceeded after %s", time.Since(start).Round(time.Millisecond)))
-		case errors.Is(err, blockreorg.ErrDimensionMismatch),
-			errors.Is(err, blockreorg.ErrUnknownAlgorithm),
-			errors.Is(err, blockreorg.ErrInvalidOptions):
-			kind = FailClient
-			s.jobs.fail(j, FailClient, err.Error())
-		default:
-			s.jobs.fail(j, FailInternal, err.Error())
-		}
-		s.traceFailed(j, kind, queueWait)
-		return
+		return nil, err
 	}
 
-	wall := time.Since(start)
-	profile := rec.Profile()
-	s.metrics.addPhases(profile)
-	s.metrics.addPipeline(req.Workload, res.Iterations, res.PlanHits, res.PlanMisses)
+	// A pipeline run spans many multiplies, so the single-multiplication
+	// timing fields stay zero; in particular there is no gpusim prediction
+	// for the request trace to calibrate against.
 	out := &JobResult{
-		Algorithm:        algorithm,
-		Device:           gpu,
-		Rows:             res.M.Rows,
-		Cols:             res.M.Cols,
-		NNZC:             int64(res.M.NNZ()),
-		WallSeconds:      wall.Seconds(),
-		QueueWaitSeconds: queueWait.Seconds(),
+		Algorithm: algorithm,
+		Device:    gpu,
+		Rows:      res.M.Rows,
+		Cols:      res.M.Cols,
+		NNZC:      int64(res.M.NNZ()),
 		Pipeline: &PipelineResult{
 			Workload:    req.Workload,
 			Iterations:  res.Iterations,
@@ -291,15 +230,8 @@ func (s *Server) runPipelineJob(j *job, workerGPU string) {
 			NumClusters: numClusters,
 		},
 	}
-	if req.Profile {
-		out.Profile = profile
-	}
 	if req.ReturnValues {
 		out.Values = PayloadFromCSR(res.M)
 	}
-	s.jobs.finish(j, out)
-	s.metrics.addCompleted("pipeline/"+req.Workload, wall.Seconds())
-	// A pipeline run spans many multiplies, so there is no single gpusim
-	// prediction to calibrate against; the record carries 0.
-	s.traceDone(j, out, profile, algorithm, gpu, 0)
+	return out, nil
 }

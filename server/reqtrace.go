@@ -38,35 +38,25 @@ func workloadRound(v float64) float64 {
 	return r
 }
 
-// traceBase builds the fields shared by every outcome of a job-shaped
-// request: arrival offset, class, kind, operand identity and shape.
-func (s *Server) traceBase(submitted time.Time, class, kind string, fpA, fpB uint64, rows, cols, nnz int, twoOperands bool) workload.Record {
+// traceJob builds the fields shared by every outcome of a job: arrival
+// offset, class, kind, operand identity and shape.
+func (s *Server) traceJob(j *job) workload.Record {
 	rec := workload.Record{
-		ArrivalSeconds: submitted.Sub(s.traceStart).Seconds(),
-		Class:          class,
-		Kind:           kind,
-		FpA:            fmt.Sprintf("%016x", fpA),
-		Rows:           rows,
-		Cols:           cols,
-		NNZ:            nnz,
+		ArrivalSeconds: j.submitted.Sub(s.traceStart).Seconds(),
+		Class:          j.req.Class,
+		Kind:           "multiply",
+		FpA:            fmt.Sprintf("%016x", j.fpA),
+		Rows:           j.a.Rows,
+		Cols:           j.a.Cols,
+		NNZ:            j.a.NNZ(),
 	}
-	if twoOperands {
-		rec.FpB = fmt.Sprintf("%016x", fpB)
+	if j.req.B != nil {
+		rec.FpB = fmt.Sprintf("%016x", j.fpB)
+	}
+	if j.preq != nil {
+		rec.Kind, rec.Class = "pipeline/"+j.preq.Workload, j.preq.Class
 	}
 	return rec
-}
-
-// traceJob derives the base record for an admitted job.
-func (s *Server) traceJob(j *job) workload.Record {
-	kind := "multiply"
-	class := j.req.Class
-	twoOperands := j.req.B != nil
-	if j.preq != nil {
-		kind = "pipeline/" + j.preq.Workload
-		class = j.preq.Class
-		twoOperands = false
-	}
-	return s.traceBase(j.submitted, class, kind, j.fpA, j.fpB, j.a.Rows, j.a.Cols, j.a.NNZ(), twoOperands)
 }
 
 // traceFailed records a terminal failure.
@@ -81,18 +71,19 @@ func (s *Server) traceFailed(j *job, kind string, queueWait time.Duration) {
 }
 
 // traceDone records a completed job with its timing evidence: queue wait,
-// execution wall, the gpusim prediction, and the host phase breakdown.
-func (s *Server) traceDone(j *job, out *JobResult, profile *trace.Profile, alg, gpu string, predicted float64) {
+// execution wall, the gpusim prediction (the result's simulated total;
+// zero for pipeline runs), and the host phase breakdown.
+func (s *Server) traceDone(j *job, out *JobResult, profile *trace.Profile) {
 	if s.reqTrace == nil {
 		return
 	}
 	rec := s.traceJob(j)
 	rec.Outcome = workload.OutcomeDone
-	rec.Algorithm = alg
-	rec.GPU = gpu
+	rec.Algorithm = out.Algorithm
+	rec.GPU = out.Device
 	rec.QueueWaitSeconds = workloadRound(out.QueueWaitSeconds)
 	rec.ExecSeconds = workloadRound(out.WallSeconds)
-	rec.PredictedSeconds = predicted
+	rec.PredictedSeconds = out.TotalSeconds
 	rec.PlanCacheHit = out.PlanCacheHit
 	if profile != nil && len(profile.Phases) > 0 {
 		rec.Phases = make(map[string]float64, len(profile.Phases))

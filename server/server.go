@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/blockreorg/blockreorg"
+	"github.com/blockreorg/blockreorg/internal/prom"
 	"github.com/blockreorg/blockreorg/workload"
 )
 
@@ -135,10 +136,10 @@ func New(cfg Config, reg *Registry) (*Server, error) {
 		reg:        reg,
 		cache:      blockreorg.NewPlanCache(cfg.PlanCacheSize),
 		jobs:       newJobStore(),
-		metrics:    newMetrics(),
 		queue:      make(chan *job, cfg.QueueDepth),
 		traceStart: time.Now(),
 	}
+	s.metrics = newMetrics(s.cache.Stats, s.QueueStats)
 	if cfg.RequestTrace != nil {
 		s.reqTrace = workload.NewTraceWriter(cfg.RequestTrace)
 	}
@@ -224,50 +225,74 @@ func (s *Server) QueueStats() (depth, capacity int) {
 	return len(s.queue), cap(s.queue)
 }
 
-// errSaturated is the admission queue's rejection.
-var errSaturated = errors.New("server: queue is full")
-
-// errDraining refuses work during shutdown.
-var errDraining = errors.New("server: draining")
-
-// enqueue admits a job to the bounded queue without blocking. It holds the
-// drain mutex across the send so a concurrent Shutdown can never close the
-// queue between the check and the send.
-func (s *Server) enqueue(j *job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return errDraining
-	}
-	select {
-	case s.queue <- j:
-		return nil
-	default:
-		return errSaturated
-	}
-}
-
-// runJob executes one admitted job on the worker's device.
+// runJob executes one admitted job on the worker's device: the lifecycle
+// both job kinds share. It accounts the queue wait, fails a job whose
+// deadline passed in the queue, runs the multiply or pipeline under the
+// job's deadline with a per-job trace recorder (the per-phase histograms
+// are fed from its profile either way), classifies failures, and settles
+// the job store, the metrics and the request trace.
 func (s *Server) runJob(j *job, workerGPU string) {
-	if j.preq != nil {
-		s.runPipelineJob(j, workerGPU)
-		return
-	}
 	start := time.Now()
 	queueWait := start.Sub(j.submitted)
-	s.metrics.addQueueWait(queueWait.Seconds())
+	s.metrics.queueWait.Observe(queueWait.Seconds())
+	fail := func(kind, msg string) {
+		s.jobs.fail(j, kind, msg)
+		s.metrics.failed.Add(1)
+		s.traceFailed(j, kind, queueWait)
+	}
 	if !start.Before(j.deadline) {
-		s.jobs.fail(j, FailTimeout, "deadline expired while queued")
-		s.metrics.addFailed()
-		s.traceFailed(j, FailTimeout, queueWait)
+		fail(FailTimeout, "deadline expired while queued")
 		return
 	}
 	s.jobs.setRunning(j)
 
-	// Every job runs traced: the per-phase Prometheus histograms are fed
-	// from the profile, and requests that set "profile" get it back in the
-	// result. The recorder is per-job, so concurrent workers never share one.
 	rec := blockreorg.NewTrace()
+	ctx, cancel := context.WithDeadline(context.Background(), j.deadline)
+	defer cancel()
+	var out *JobResult
+	var err error
+	if j.preq != nil {
+		out, err = s.runPipeline(ctx, j, workerGPU, rec)
+	} else {
+		out, err = s.runMultiply(ctx, j, workerGPU, rec)
+	}
+	if err != nil {
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			fail(FailTimeout, fmt.Sprintf("deadline exceeded after %s", time.Since(start).Round(time.Millisecond)))
+		case errors.Is(err, blockreorg.ErrDimensionMismatch),
+			errors.Is(err, blockreorg.ErrUnknownAlgorithm),
+			errors.Is(err, blockreorg.ErrInvalidOptions):
+			fail(FailClient, err.Error())
+		default:
+			fail(FailInternal, err.Error())
+		}
+		return
+	}
+
+	wall := time.Since(start)
+	profile := rec.Profile()
+	s.metrics.addPhases(profile)
+	out.WallSeconds = wall.Seconds()
+	out.QueueWaitSeconds = queueWait.Seconds()
+	label := out.Algorithm
+	if p := out.Pipeline; p != nil {
+		label = "pipeline/" + p.Workload
+		s.metrics.iterations.Observe(float64(p.Iterations), p.Workload)
+		s.metrics.pipelinePlanHits.Add(float64(p.PlanHits))
+		s.metrics.pipelinePlanMisses.Add(float64(p.PlanMisses))
+	}
+	if j.req.Profile || (j.preq != nil && j.preq.Profile) {
+		out.Profile = profile
+	}
+	s.jobs.finish(j, out)
+	s.metrics.completed.Add(1)
+	s.metrics.jobSeconds.Observe(wall.Seconds(), label)
+	s.traceDone(j, out, profile)
+}
+
+// runMultiply runs one multiply job through the plan cache.
+func (s *Server) runMultiply(ctx context.Context, j *job, workerGPU string, rec *blockreorg.Trace) (*JobResult, error) {
 	opts := blockreorg.Options{
 		Algorithm:   blockreorg.Algorithm(j.req.Algorithm),
 		GPU:         blockreorg.GPU(j.req.GPU),
@@ -294,35 +319,13 @@ func (s *Server) runJob(j *job, workerGPU string) {
 	if cacheable {
 		opts.Plan = s.cache.Bind(key, j.a, j.b)
 	}
-
-	ctx, cancel := context.WithDeadline(context.Background(), j.deadline)
-	defer cancel()
 	res, err := blockreorg.MultiplyContext(ctx, j.a, j.b, opts)
 	if err != nil {
-		s.metrics.addFailed()
-		kind := FailInternal
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			kind = FailTimeout
-			s.jobs.fail(j, FailTimeout, fmt.Sprintf("deadline exceeded after %s", time.Since(start).Round(time.Millisecond)))
-		case errors.Is(err, blockreorg.ErrDimensionMismatch),
-			errors.Is(err, blockreorg.ErrUnknownAlgorithm),
-			errors.Is(err, blockreorg.ErrInvalidOptions):
-			kind = FailClient
-			s.jobs.fail(j, FailClient, err.Error())
-		default:
-			s.jobs.fail(j, FailInternal, err.Error())
-		}
-		s.traceFailed(j, kind, queueWait)
-		return
+		return nil, err
 	}
 	if cacheable {
 		s.cache.Put(key, res.ReusablePlan())
 	}
-
-	wall := time.Since(start)
-	profile := rec.Profile()
-	s.metrics.addPhases(profile)
 	out := &JobResult{
 		Algorithm:        string(res.Algorithm),
 		Device:           res.Device,
@@ -337,18 +340,11 @@ func (s *Server) runJob(j *job, workerGPU string) {
 		GFLOPS:           res.GFLOPS,
 		PlanCacheHit:     res.PlanReused,
 		Plan:             res.Plan,
-		WallSeconds:      wall.Seconds(),
-		QueueWaitSeconds: queueWait.Seconds(),
-	}
-	if j.req.Profile {
-		out.Profile = profile
 	}
 	if j.req.ReturnValues && res.C != nil {
 		out.Values = PayloadFromCSR(res.C)
 	}
-	s.jobs.finish(j, out)
-	s.metrics.addCompleted(string(res.Algorithm), wall.Seconds())
-	s.traceDone(j, out, profile, string(res.Algorithm), res.Device, res.TotalSeconds)
+	return out, nil
 }
 
 // --- HTTP handlers ---
@@ -374,8 +370,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, s.cache.Stats(), len(s.queue), s.cfg.QueueDepth)
+	w.Header().Set("Content-Type", prom.ContentType)
+	_ = prom.Write(w, s.metrics.Gather()) // the scraper went away; nothing to report to
 }
 
 // matrixInfo is the listing entry for a registered matrix.
@@ -479,32 +475,49 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	s.admit(w, s.jobs.add(&job{a: a, b: b, fpA: fpA, fpB: fpB, req: req, deadline: s.deadline(req.TimeoutMillis)}))
+}
+
+// deadline resolves a request's timeout_ms: 0 selects the server default,
+// and the server maximum caps it.
+func (s *Server) deadline(timeoutMillis int64) time.Time {
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+	if timeoutMillis > 0 {
+		timeout = min(time.Duration(timeoutMillis)*time.Millisecond, s.cfg.MaxTimeout)
+	}
+	return time.Now().Add(timeout)
+}
+
+// admit enqueues a job either submit handler built and answers: 202 with
+// its poll URL, 503 while draining, or 429 with Retry-After when the queue
+// is full. The drain mutex is held across the non-blocking send, so a
+// concurrent Shutdown can never close the queue between the check and the
+// send.
+func (s *Server) admit(w http.ResponseWriter, j *job) {
+	s.mu.Lock()
+	draining, queued := s.draining, false
+	if !draining {
+		select {
+		case s.queue <- j:
+			queued = true
+		default:
 		}
 	}
-
-	j := s.jobs.add(a, b, fpA, fpB, req, time.Now().Add(timeout))
-	if err := s.enqueue(j); err != nil {
+	s.mu.Unlock()
+	switch {
+	case queued:
+		s.metrics.submitted.Add(1)
+		writeJSON(w, http.StatusAccepted, map[string]string{"job": j.id, "url": "/v1/jobs/" + j.id})
+	case draining:
 		s.jobs.remove(j.id)
-		if errors.Is(err, errDraining) {
-			writeError(w, http.StatusServiceUnavailable, "draining")
-			return
-		}
-		s.metrics.addRejected()
+		writeError(w, http.StatusServiceUnavailable, "draining")
+	default:
+		s.jobs.remove(j.id)
+		s.metrics.rejected.Add(1)
 		s.traceRejected(j)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "queue is full (%d jobs)", s.cfg.QueueDepth)
-		return
 	}
-	s.metrics.addSubmitted()
-	writeJSON(w, http.StatusAccepted, map[string]string{
-		"job": j.id,
-		"url": "/v1/jobs/" + j.id,
-	})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
