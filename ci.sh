@@ -21,10 +21,13 @@
 #   7. bench smoke    — every benchmark once with -benchmem, so a change
 #                      that breaks a measured path (or its setup) fails
 #                      here instead of silently disappearing from the
-#                      perf record, plus a dense-vs-auto accumulator run
-#                      of the spgemm CLI whose products must compare
-#                      byte-identical. Runs on every host: it checks that
-#                      the paths work and agree, and records no timings
+#                      perf record, plus one spgemm CLI run per accumulator
+#                      (auto, dense, hash, sort) whose four products must
+#                      compare byte-identical — auto sends few rows of a
+#                      narrow operand through hash or sort, so each forced
+#                      path gets its own end-to-end check. Runs on every
+#                      host: it checks that the paths work and agree, and
+#                      records no timings
 #   8. graphrun smoke — genmat generates a small R-MAT network and graphrun
 #                      clusters it end to end, so the CLI wiring from file
 #                      input through the pipeline engine stays exercised
@@ -96,13 +99,17 @@ trap 'rm -rf "$smoke_dir"' EXIT
 echo "==> bench smoke (every benchmark once)"
 go test -run '^$' -bench . -benchtime 1x -benchmem ./...
 
-echo "==> accumulator smoke (spgemm -accum dense vs auto, byte-identical products)"
-go run ./cmd/spgemm -dataset youtube -scale 64 -accum dense -o "$smoke_dir/c_dense.mtx"
-go run ./cmd/spgemm -dataset youtube -scale 64 -accum auto -o "$smoke_dir/c_auto.mtx"
-if ! cmp -s "$smoke_dir/c_dense.mtx" "$smoke_dir/c_auto.mtx"; then
-    echo "accumulator strategies disagree: -accum dense and -accum auto wrote different products" >&2
-    exit 1
-fi
+echo "==> accumulator smoke (spgemm -accum auto/dense/hash/sort, byte-identical products)"
+go build -o "$smoke_dir/spgemm" ./cmd/spgemm
+for accum in auto dense hash sort; do
+    "$smoke_dir/spgemm" -dataset youtube -scale 64 -accum "$accum" -o "$smoke_dir/c_$accum.mtx"
+done
+for accum in auto hash sort; do
+    if ! cmp -s "$smoke_dir/c_dense.mtx" "$smoke_dir/c_$accum.mtx"; then
+        echo "accumulator strategies disagree: -accum dense and -accum $accum wrote different products" >&2
+        exit 1
+    fi
+done
 
 echo "==> graphrun smoke (genmat R-MAT -> MCL clustering)"
 go run ./cmd/genmat -kind rmat -n 256 -nnz 1024 -seed 7 -o "$smoke_dir/net.mtx"

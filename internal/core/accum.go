@@ -4,15 +4,15 @@ import (
 	"github.com/blockreorg/blockreorg/sparse"
 )
 
-// AccumPlan is a plan's resolved merge-strategy assignment: one accumulator
-// kind per output row, chosen once at plan-build time from the row-wise
+// AccumPlan is a plan's resolved merge-strategy assignment as the simulated
+// device runs it: one accumulator kind per output row, chosen once at
+// plan-build time through sparse.SelectAccumulator from the row-wise
 // intermediate populations (Limit.RowWork) the symbolic sweeps already
-// produced. Both layers consume it — the functional executor dispatches each
-// row's merge through Rows[i], and the gpusim merge kernel prices each row
-// under its strategy — so the simulated cost model and the host path always
-// describe the same selection. The assignment depends only on the operand
-// structure and the requested kind, so rebound plans (Rebind) keep it, and
-// plan-cache hits reuse the selection without re-deciding.
+// produced. The gpusim merge kernel prices each row under Rows[i]. The host
+// merge does not read it: it resolves sparse.AccumAuto with its own
+// measured rule, and the accum_rows_* trace counters count what it merged.
+// The assignment depends only on the operand structure and the requested
+// kind, so rebound plans (Rebind) keep it.
 type AccumPlan struct {
 	// Requested is the kind the caller asked for; Rows holds the per-row
 	// resolution (Requested itself unless it was sparse.AccumAuto).

@@ -71,6 +71,12 @@ type Plan struct {
 	// Params.Accumulator and Limit.RowWork. Structure-only like RowNNZ, so
 	// rebound plans keep their selection.
 	Accum *AccumPlan
+
+	// Sim memoizes the simulated expansion and merge kernels per device.
+	// It is held by pointer, so a rebound copy shares it with the plan it
+	// came from and every later hit on the same device reuses one
+	// simulation.
+	Sim *SimMemo
 }
 
 // BuildPlan runs the full Block Reorganizer preprocessing for C = A×B.
@@ -168,6 +174,7 @@ func BuildPlanTraced(a *sparse.CSR, acsc *sparse.CSC, b *sparse.CSR, rowWork []i
 		Cls: cls, Split: split, Gather: gather, Limit: limit,
 		RowNNZ: rowNNZ, NNZC: nnzc,
 		Accum: BuildAccumPlan(p.Accumulator, limit.RowWork, b.Cols),
+		Sim:   &SimMemo{},
 	}
 	plan.RecordTrace(rec)
 	return plan, nil
@@ -331,11 +338,6 @@ func (p *Plan) RecordTrace(rec *trace.Recorder) {
 	rec.Add(trace.CounterLimitedRows, int64(st.LimitedRows))
 	rec.Add(trace.CounterFlops, st.TotalWork)
 	rec.Add(trace.CounterNNZC, p.NNZC)
-	if p.Accum != nil {
-		rec.Add(trace.CounterAccumDenseRows, p.Accum.Counts.Dense)
-		rec.Add(trace.CounterAccumHashRows, p.Accum.Counts.Hash)
-		rec.Add(trace.CounterAccumSortRows, p.Accum.Counts.Sort)
-	}
 	rec.Set(trace.GaugeAlpha, p.Params.Alpha)
 	rec.Set(trace.GaugeBeta, p.Params.Beta)
 	rec.Set(trace.GaugeLimitExtraShm, float64(p.Limit.ExtraSharedMem))

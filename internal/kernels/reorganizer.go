@@ -1,6 +1,9 @@
 package kernels
 
 import (
+	"fmt"
+	"reflect"
+
 	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/gpusim"
 	"github.com/blockreorg/blockreorg/sparse"
@@ -82,8 +85,6 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 			return nil, err
 		}
 	}
-	rowNNZ := pc.RowNNZ
-
 	rep := &gpusim.Report{Device: opts.Device.Name}
 	// Host-side preprocessing: B-Splitting runs on the CPU in the paper
 	// (copying dominator vectors into A′ and building the mapper array);
@@ -95,28 +96,16 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 	}
 	rep.HostSeconds = hostSeconds(int64(splitNNZ))
 
-	// The dominator pairs live in the temporary matrices A′/B′ and launch
-	// as their own kernel, exactly as the paper's implementation copies
-	// them out; everything else shares the main expansion launch.
-	domKernel, restKernel := reorganizedExpansionKernels(plan)
-	var kernels []*gpusim.Kernel
 	if !reused {
 		// One preprocessing sweep computes both the block-wise and the
 		// row-wise nnz estimates. A reused plan already carries them, so
 		// the sweep is not launched — the serving layer's cache win.
-		kernels = append(kernels,
-			precalcKernel("precalc(block+row nnz)", plan.ACSC.Cols+a.NNZ()))
+		if err := runKernels(sim, rep, opts.Trace,
+			precalcKernel("precalc(block+row nnz)", plan.ACSC.Cols+a.NNZ())); err != nil {
+			return nil, err
+		}
 	}
-	if len(domKernel.Blocks) > 0 {
-		kernels = append(kernels, domKernel)
-	}
-	kernels = append(kernels,
-		restKernel,
-		mergeKernel("merge(b-limiting)", plan.Limit.RowWork, rowNNZ,
-			mergeReadMatrixForm, plan.Limit.Limited, plan.Limit.ExtraSharedMem,
-			plan.Accum),
-	)
-	if err := runKernels(sim, rep, opts.Trace, kernels...); err != nil {
+	if err := simulatePlan(sim, rep, plan, opts); err != nil {
 		return nil, err
 	}
 
@@ -127,18 +116,73 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 		prod.NNZC = pc.NNZC
 		return prod, nil
 	}
-	// The numeric result comes from the host engine: the plan's per-row
-	// accumulator resolves exactly as plan.Accum.Rows does, and the plan
-	// already recorded the strategy counts (RecordTrace), so the engine
-	// must not add its own.
+	// The numeric result comes from the host engine, which resolves the
+	// plan's requested accumulator with its own rule and counts the rows
+	// it merged per strategy.
 	c, err := sparse.MultiplyConfigured(a, b, executor(opts), opts.Trace,
-		sparse.MulConfig{Accum: plan.Params.Accumulator, RowNNZ: pc.RowNNZ, SkipCounters: true})
+		sparse.MulConfig{Accum: plan.Params.Accumulator, RowNNZ: pc.RowNNZ})
 	if err != nil {
 		return nil, err
 	}
 	prod.C = c
 	prod.NNZC = int64(c.NNZ())
 	return prod, nil
+}
+
+// simulatePlan appends the plan's expansion and merge kernel results to
+// rep. Those kernels read only the plan's structure-only fields and the
+// device, so their results are memoized on the plan (plan.Sim): a rebound
+// plan on a device it has already run on appends the stored results
+// without simulating — a plan-cache hit pays for no simulation at all.
+// Paranoid mode simulates anyway and fails, naming the kernel, when the
+// memo disagrees with the fresh run.
+func simulatePlan(sim *gpusim.Simulator, rep *gpusim.Report, plan *core.Plan, opts Options) error {
+	memo, hit := plan.Sim.Load(opts.Device)
+	if hit && !paranoid(opts) {
+		rep.Kernels = append(rep.Kernels, memo...)
+		return nil
+	}
+	// The dominator pairs live in the temporary matrices A′/B′ and launch
+	// as their own kernel, exactly as the paper's implementation copies
+	// them out; everything else shares the main expansion launch.
+	domKernel, restKernel := reorganizedExpansionKernels(plan)
+	var kernels []*gpusim.Kernel
+	if len(domKernel.Blocks) > 0 {
+		kernels = append(kernels, domKernel)
+	}
+	kernels = append(kernels,
+		restKernel,
+		mergeKernel("merge(b-limiting)", plan.Limit.RowWork, plan.RowNNZ,
+			mergeReadMatrixForm, plan.Limit.Limited, plan.Limit.ExtraSharedMem,
+			plan.Accum),
+	)
+	fresh := &gpusim.Report{}
+	if err := runKernels(sim, fresh, opts.Trace, kernels...); err != nil {
+		return err
+	}
+	if hit {
+		if err := auditSimMemo(memo, fresh.Kernels); err != nil {
+			return err
+		}
+	} else {
+		plan.Sim.Store(opts.Device, fresh.Kernels)
+	}
+	rep.Kernels = append(rep.Kernels, fresh.Kernels...)
+	return nil
+}
+
+// auditSimMemo fails unless the memoized results equal a fresh simulation
+// of the same kernels, field for field.
+func auditSimMemo(memo, fresh []*gpusim.KernelResult) error {
+	if len(memo) != len(fresh) {
+		return fmt.Errorf("kernels: simulation memo holds %d kernels, a fresh run launched %d", len(memo), len(fresh))
+	}
+	for i, res := range fresh {
+		if !reflect.DeepEqual(memo[i], res) {
+			return fmt.Errorf("kernels: simulation memo for kernel %q differs from a fresh run", res.Name)
+		}
+	}
+	return nil
 }
 
 // reorganizedExpansionKernels turns the plan's block structure into two

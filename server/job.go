@@ -199,7 +199,8 @@ type JobStatus struct {
 }
 
 // job is the internal unit of work. The resolved operands are pinned at
-// admission time so a poll never races a registry change, and the
+// admission time so a poll never races a registry change, and dropped when
+// the job turns terminal, so a finished job keeps only its result; the
 // fingerprints ride along for the plan-cache key. Mutable fields are
 // guarded by the owning store's mutex. A job is either a multiply (preq
 // nil, req populated) or a pipeline run (preq set, b nil); both flow
@@ -264,6 +265,7 @@ func (s *jobStore) finish(j *job, res *JobResult) {
 	defer s.mu.Unlock()
 	j.state = StateDone
 	j.result = res
+	j.dropOperands()
 	close(j.completed)
 }
 
@@ -274,7 +276,23 @@ func (s *jobStore) fail(j *job, kind, msg string) {
 	j.state = StateFailed
 	j.errKind = kind
 	j.errMsg = msg
+	j.dropOperands()
 	close(j.completed)
+}
+
+// dropOperands releases what a terminal job no longer needs: the resolved
+// operand matrices and the inline payloads they were decoded from. The
+// store's mutex is held, and the request-trace record, the last reader,
+// has been written.
+func (j *job) dropOperands() {
+	j.a, j.b = nil, nil
+	j.req.A.COO = nil
+	if j.req.B != nil {
+		j.req.B.COO = nil
+	}
+	if j.preq != nil {
+		j.preq.A.COO = nil
+	}
 }
 
 // status snapshots a job for the API.

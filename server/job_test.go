@@ -51,3 +51,37 @@ func FuzzCOOPayloadToCSR(f *testing.F) {
 		}
 	})
 }
+
+// TestTerminalJobsDropOperands checks that a job stops pinning its operands
+// once it is terminal: a finished multiply, a failed multiply and a
+// finished pipeline run each keep neither the resolved matrices nor the
+// inline payloads they were decoded from.
+func TestTerminalJobsDropOperands(t *testing.T) {
+	a := testNetwork(t, 200, 2000, 3)
+	s, ts := newTestServer(t, Config{Workers: 1}, nil)
+
+	ids := map[string]string{
+		submit(t, ts.URL, MultiplyRequest{
+			A: Operand{COO: PayloadFromCSR(a)}, B: &Operand{COO: PayloadFromCSR(a)},
+		}): StateDone,
+		submit(t, ts.URL, MultiplyRequest{
+			A: Operand{COO: PayloadFromCSR(a)}, Accumulator: "radix",
+		}): StateFailed,
+		submitPipeline(t, ts.URL, PipelineRequest{
+			A: Operand{COO: PayloadFromCSR(a)}, Workload: "power",
+		}): StateDone,
+	}
+	for id, want := range ids {
+		if st := pollDone(t, ts.URL, id); st.State != want {
+			t.Fatalf("job %s: state %s (%s), want %s", id, st.State, st.Error, want)
+		}
+		s.jobs.mu.Lock()
+		j := s.jobs.jobs[id]
+		pinned := j.a != nil || j.b != nil || j.req.A.COO != nil ||
+			(j.req.B != nil && j.req.B.COO != nil) || (j.preq != nil && j.preq.A.COO != nil)
+		s.jobs.mu.Unlock()
+		if pinned {
+			t.Fatalf("%s job %s still holds its operands", want, id)
+		}
+	}
+}

@@ -230,15 +230,17 @@ func (s *Server) QueueStats() (depth, capacity int) {
 // deadline passed in the queue, runs the multiply or pipeline under the
 // job's deadline with a per-job trace recorder (the per-phase histograms
 // are fed from its profile either way), classifies failures, and settles
-// the job store, the metrics and the request trace.
+// the request trace, the job store and the metrics. The trace record comes
+// first: it is the last reader of the operands the store drops when the
+// job turns terminal.
 func (s *Server) runJob(j *job, workerGPU string) {
 	start := time.Now()
 	queueWait := start.Sub(j.submitted)
 	s.metrics.queueWait.Observe(queueWait.Seconds())
 	fail := func(kind, msg string) {
+		s.traceFailed(j, kind, queueWait)
 		s.jobs.fail(j, kind, msg)
 		s.metrics.failed.Add(1)
-		s.traceFailed(j, kind, queueWait)
 	}
 	if !start.Before(j.deadline) {
 		fail(FailTimeout, "deadline expired while queued")
@@ -285,10 +287,10 @@ func (s *Server) runJob(j *job, workerGPU string) {
 	if j.req.Profile || (j.preq != nil && j.preq.Profile) {
 		out.Profile = profile
 	}
+	s.traceDone(j, out, profile)
 	s.jobs.finish(j, out)
 	s.metrics.completed.Add(1)
 	s.metrics.jobSeconds.Observe(wall.Seconds(), label)
-	s.traceDone(j, out, profile)
 }
 
 // runMultiply runs one multiply job through the plan cache.

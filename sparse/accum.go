@@ -25,9 +25,12 @@ import (
 //
 // AccumAuto picks per row from the upper-bound intermediate population the
 // symbolic phase already computes (and plans stash as Limit.RowWork), so
-// the choice costs nothing extra. Every kind produces bit-identical output:
-// dense and hash add each column's products in stream order, and the sort
-// path's stable sort preserves stream order among duplicates.
+// the choice costs nothing extra. Two resolvers read it: SelectAccumulator
+// assigns the rows the simulated merge kernel prices, and the host merge
+// (RowMerger.ProductRow) applies its own measured rule. Every kind
+// produces bit-identical output: dense and hash add each column's products
+// in stream order, and the sort path's stable sort preserves stream order
+// among duplicates.
 type AccumulatorKind uint8
 
 // Accumulator strategies. The zero value is AccumAuto: callers that leave
@@ -72,10 +75,11 @@ func ParseAccumulator(s string) (AccumulatorKind, error) {
 	return AccumAuto, fmt.Errorf("sparse: unknown accumulator %q (want auto, dense, hash or sort)", s)
 }
 
-// Auto-selection thresholds (see DESIGN §15). Both layers — the host merge
-// engines and the gpusim merge cost model — resolve AccumAuto through
-// SelectAccumulator, so a plan's per-class counts describe exactly what the
-// functional path runs.
+// Auto-selection thresholds (see DESIGN §15). The gpusim merge cost model
+// resolves AccumAuto through SelectAccumulator, which is what a plan's
+// per-class counts (core.AccumPlan) record; the host merge resolves it
+// through hostAccumulator, which shares both thresholds and adds the
+// host-only ones below.
 const (
 	// SortRowMax is the upper-bound intermediate population at or below
 	// which a row sort-combines: at these sizes the products fit a handful
@@ -90,11 +94,31 @@ const (
 	HashColsFactor = 8
 )
 
-// SelectAccumulator resolves the effective strategy for one row: kind
-// itself unless it is AccumAuto, in which case the row's upper-bound
-// intermediate population (upper) is weighed against the output dimension
-// (cols). upper is an upper bound on the merged population — the symbolic
-// phase's row work — so the hash table it sizes never overflows.
+// Host-only thresholds of hostAccumulator. The dense accumulator and its
+// marker cost 16 bytes per output column, so the operand's width decides
+// whether that scratch stays in cache.
+const (
+	// hostSortMinCols is the output dimension from which a row whose
+	// products are nearly all distinct sort-combines: from 2^14 columns
+	// (256 KiB of dense scratch) a scatter into the dense vector misses
+	// cache, and with nothing to combine the dense path must still sort
+	// every touched column, so sorting the products directly is cheaper.
+	hostSortMinCols = 1 << 14
+	// hostDistinctShift bounds "nearly all distinct": at most one product
+	// in 2^hostDistinctShift duplicates an earlier column.
+	hostDistinctShift = 5
+	// hostHashMinCols is the output dimension from which the remaining
+	// short rows hash: from 2^20 columns the dense scratch is 16 MiB per
+	// worker, and a row-sized table keeps the working set in cache.
+	hostHashMinCols = 1 << 20
+)
+
+// SelectAccumulator resolves the effective strategy for one row as the
+// gpusim merge cost model prices it: kind itself unless it is AccumAuto,
+// in which case the row's upper-bound intermediate population (upper) is
+// weighed against the output dimension (cols). upper is an upper bound on
+// the merged population — the symbolic phase's row work — so the hash
+// table it sizes never overflows.
 func SelectAccumulator(kind AccumulatorKind, upper int64, cols int) AccumulatorKind {
 	if kind != AccumAuto {
 		return kind
@@ -103,6 +127,31 @@ func SelectAccumulator(kind AccumulatorKind, upper int64, cols int) AccumulatorK
 	case upper <= SortRowMax:
 		return AccumSort
 	case upper*HashColsFactor < int64(cols):
+		return AccumHash
+	default:
+		return AccumDense
+	}
+}
+
+// hostAccumulator resolves the strategy the host merge runs for one row:
+// kind itself unless it is AccumAuto. upper is the row's intermediate
+// product count and nnz its merged population, 0 when unknown. The rule
+// comes from timing each strategy per row-size bin on the Table II grid
+// and on R-MAT operands (DESIGN §15): tiny rows sort-combine, as in
+// SelectAccumulator; so do rows of wide operands with next to nothing to
+// combine; short rows of very wide operands hash; everything else goes
+// dense, which on a host CPU beats a probe per product while its scratch
+// stays in cache.
+func hostAccumulator(kind AccumulatorKind, upper int64, nnz, cols int) AccumulatorKind {
+	if kind != AccumAuto {
+		return kind
+	}
+	switch {
+	case upper <= SortRowMax:
+		return AccumSort
+	case cols >= hostSortMinCols && (upper-int64(nnz))<<hostDistinctShift <= int64(nnz):
+		return AccumSort
+	case cols >= hostHashMinCols && upper*HashColsFactor < int64(cols):
 		return AccumHash
 	default:
 		return AccumDense
@@ -234,17 +283,18 @@ func HashTableSlots(upper int64) int {
 const fibMul = 0x9E3779B97F4A7C15
 
 // ProductRow computes row i of A×B under the given strategy (resolved
-// through SelectAccumulator when kind is AccumAuto) and appends the merged
+// through hostAccumulator when kind is AccumAuto) and appends the merged
 // row — column-sorted, duplicate-free — to outIdx/outVal. upper is the
 // row's intermediate product count, the symbolic upper bound that sizes the
-// scratch and drives auto-selection. The output is bit-identical across
-// strategies.
-func (m *RowMerger) ProductRow(kind AccumulatorKind, a, b *CSR, i int, upper int64,
+// scratch; nnz is the row's exact merged population, or 0 when the caller
+// does not know it. Both drive auto-selection. The output is bit-identical
+// across strategies.
+func (m *RowMerger) ProductRow(kind AccumulatorKind, a, b *CSR, i int, upper int64, nnz int,
 	outIdx []int, outVal []float64) ([]int, []float64) {
 	if upper == 0 || a.Ptr[i] == a.Ptr[i+1] {
 		return outIdx, outVal
 	}
-	switch SelectAccumulator(kind, upper, m.cols) {
+	switch hostAccumulator(kind, upper, nnz, m.cols) {
 	case AccumHash:
 		m.Counts.Hash++
 		return m.hashProductRow(a, b, i, upper, outIdx, outVal)

@@ -60,6 +60,157 @@ func TestSelectAccumulatorThresholds(t *testing.T) {
 	}
 }
 
+// TestHostAccumulatorRule pins the host merge's resolution of AccumAuto:
+// tiny rows sort; rows with next to nothing to combine sort once the
+// operand is wide enough for dense scratch to miss cache; short rows hash
+// only on operands at least hostHashMinCols wide; everything else goes
+// dense. Explicit kinds always pass through.
+func TestHostAccumulatorRule(t *testing.T) {
+	const (
+		narrow = 10_000
+		mid    = hostSortMinCols
+		wide   = hostHashMinCols
+	)
+	cases := []struct {
+		kind  AccumulatorKind
+		upper int64
+		nnz   int
+		cols  int
+		want  AccumulatorKind
+	}{
+		// Explicit requests pass through whatever the row looks like.
+		{AccumDense, 1, 1, wide, AccumDense},
+		{AccumHash, 1 << 30, 1, narrow, AccumHash},
+		{AccumSort, 1 << 30, 1, narrow, AccumSort},
+		// Tiny rows sort-combine at every width, nnz known or not.
+		{AccumAuto, 1, 0, narrow, AccumSort},
+		{AccumAuto, SortRowMax, 0, wide, AccumSort},
+		// Narrow operands: everything past SortRowMax goes dense, even
+		// rows the model would hash and rows with nothing to combine.
+		{AccumAuto, SortRowMax + 1, 0, narrow, AccumDense},
+		{AccumAuto, SortRowMax + 1, SortRowMax + 1, narrow, AccumDense},
+		{AccumAuto, narrow/HashColsFactor - 1, 10, narrow, AccumDense},
+		// From hostSortMinCols, rows whose duplicates are at most one in
+		// 32 of their products sort; more duplicates, or an unknown nnz,
+		// keep the dense path.
+		{AccumAuto, 66, 64, mid, AccumSort},
+		{AccumAuto, 67, 64, mid, AccumDense},
+		{AccumAuto, 66, 64, mid - 1, AccumDense},
+		{AccumAuto, 66, 0, mid, AccumDense},
+		// From hostHashMinCols, short rows with duplicates hash...
+		{AccumAuto, SortRowMax + 1, 8, wide, AccumHash},
+		{AccumAuto, wide/HashColsFactor - 1, 8, wide, AccumHash},
+		{AccumAuto, SortRowMax + 1, 8, wide - 1, AccumDense},
+		// ...and rows whose footprint rivals the dimension stay dense.
+		{AccumAuto, wide / HashColsFactor, 8, wide, AccumDense},
+		// SelectAccumulator (the model's rule) still hashes the narrow
+		// case above: the two resolvers differ by design.
+	}
+	for _, c := range cases {
+		if got := hostAccumulator(c.kind, c.upper, c.nnz, c.cols); got != c.want {
+			t.Errorf("hostAccumulator(%v, upper %d, nnz %d, cols %d) = %v, want %v",
+				c.kind, c.upper, c.nnz, c.cols, got, c.want)
+		}
+	}
+	if got := SelectAccumulator(AccumAuto, narrow/HashColsFactor-1, narrow); got != AccumHash {
+		t.Errorf("SelectAccumulator no longer hashes short rows of narrow operands: %v", got)
+	}
+}
+
+// TestHostAutoHashesWideOperands is the hash path's reason to exist on the
+// host: on an operand 2^20 columns wide, whose dense accumulator would be
+// 16 MiB per worker, short rows with duplicates merge through a row-sized
+// table. Auto must take that path without ever acquiring the O(Cols) dense
+// scratch, and its product must equal the dense one bit for bit.
+func TestHostAutoHashesWideOperands(t *testing.T) {
+	const (
+		rows  = 64
+		mid   = 48
+		cols  = 1 << 20
+		perB  = 12 // entries per B row
+		perA  = 6  // entries per A row: 72 products per row, well past SortRowMax
+		share = 16 // B rows draw from a column pool spread over the width, so products collide
+	)
+	rng := testRNG(31)
+	a := NewCSR(rows, mid)
+	for i := 0; i < rows; i++ {
+		seen := map[int]bool{}
+		var idx []int
+		for len(idx) < perA {
+			if k := rng.IntN(mid); !seen[k] {
+				seen[k] = true
+				idx = append(idx, k)
+			}
+		}
+		insertionSortInts(idx)
+		for _, k := range idx {
+			a.Idx = append(a.Idx, k)
+			a.Val = append(a.Val, rng.Float64()*2-1)
+		}
+		a.Ptr[i+1] = len(a.Idx)
+	}
+	pool := make([]int, share)
+	for p := range pool {
+		pool[p] = rng.IntN(cols)
+	}
+	b := NewCSR(mid, cols)
+	for k := 0; k < mid; k++ {
+		seen := map[int]bool{}
+		var idx []int
+		for len(idx) < perB {
+			if j := pool[rng.IntN(share)]; !seen[j] {
+				seen[j] = true
+				idx = append(idx, j)
+			}
+		}
+		insertionSortInts(idx)
+		val := make([]float64, len(idx))
+		for v := range val {
+			val[v] = rng.Float64()*2 - 1
+		}
+		b.AppendRow(k, idx, val)
+	}
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	upper, err := IntermediateRowNNZ(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowNNZ, err := SymbolicRowNNZ(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewRowMerger(cols)
+	defer m.Release()
+	for i := 0; i < rows; i++ {
+		m.ProductRow(AccumAuto, a, b, i, upper[i], rowNNZ[i], nil, nil)
+	}
+	if m.Counts.Hash != rows || m.Counts.Dense != 0 || m.Counts.Sort != 0 {
+		t.Fatalf("auto merged %+v on a %d-column operand, want all %d rows by hash", m.Counts, cols, rows)
+	}
+	if m.acc != nil || m.marker != nil {
+		t.Fatalf("auto acquired dense scratch (%d + %d entries) for short rows of a wide operand",
+			len(m.acc), len(m.marker))
+	}
+
+	want, err := MultiplyConfigured(a, b, nil, nil, MulConfig{Accum: AccumDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MultiplyConfigured(a, b, nil, nil, MulConfig{Accum: AccumAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want, 0) {
+		t.Fatal("auto product on a wide operand is not bit-identical to dense")
+	}
+}
+
 func TestHashTableSlots(t *testing.T) {
 	for upper := int64(0); upper < 5000; upper++ {
 		slots := HashTableSlots(upper)
@@ -129,8 +280,8 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 		{9, 9, 9, 9, 9, 9},    // one column, all duplicates
 		{3, 1, 2, 1, 3, 1, 0}, // small with duplicates
 		make([]int, 33),       // just past SortRowMax
-		make([]int, 1000),     // hash-sized under auto
-		make([]int, 3*cols),   // wider than the dimension: dense under auto
+		make([]int, 1000),     // hash-sized under SelectAccumulator
+		make([]int, 3*cols),   // wider than the dimension: dense under both rules
 	}
 	for i := 4; i < len(streams); i++ {
 		for k := range streams[i] {
@@ -152,7 +303,7 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 
 		for _, kind := range allAccumKinds {
 			m := NewRowMerger(cols)
-			gotIdx, gotVal := m.ProductRow(kind, a, b, 0, int64(len(idx)), nil, nil)
+			gotIdx, gotVal := m.ProductRow(kind, a, b, 0, int64(len(idx)), 0, nil, nil)
 			bitIdenticalRows(t, kind.String(), wantIdx, gotIdx, wantVal, gotVal)
 			if len(idx) == 0 {
 				if m.Counts != (AccumCounts{}) {
@@ -202,8 +353,8 @@ func TestProductRowStrategiesBitIdentical(t *testing.T) {
 		oracle := NewRowMerger(b.Cols)
 		m := NewRowMerger(b.Cols)
 		for i := 0; i < a.Rows; i++ {
-			wantIdx, wantVal := oracle.ProductRow(AccumDense, a, b, i, upper[i], nil, nil)
-			gotIdx, gotVal := m.ProductRow(kind, a, b, i, upper[i], nil, nil)
+			wantIdx, wantVal := oracle.ProductRow(AccumDense, a, b, i, upper[i], 0, nil, nil)
+			gotIdx, gotVal := m.ProductRow(kind, a, b, i, upper[i], 0, nil, nil)
 			bitIdenticalRows(t, kind.String(), wantIdx, gotIdx, wantVal, gotVal)
 		}
 		oracle.Release()

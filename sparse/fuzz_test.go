@@ -97,15 +97,15 @@ func FuzzReadBinary(f *testing.F) {
 // engine's historical sort-merge. Bytes decode as (column, value) pairs
 // over a small column space so duplicates are the common case; the
 // seed corpus pins the hostile shapes — empty rows, all-duplicate rows,
-// and streams long enough to cross the auto-selector's sort and hash
-// thresholds into every strategy.
+// and streams long enough to leave the auto-selector's sort path. Every
+// strategy also runs forced, so each merge path sees every input.
 func FuzzAccumulatorMerge(f *testing.F) {
 	f.Add([]byte{})                             // empty row
 	f.Add([]byte{7, 1})                         // singleton
 	f.Add([]byte{9, 1, 9, 2, 9, 3, 9, 4})       // one column, all duplicates
 	f.Add([]byte{3, 1, 0, 2, 3, 3, 1, 4, 0, 5}) // small, interleaved duplicates
 	long := make([]byte, 0, 2*(SortRowMax+1))
-	for i := 0; i <= SortRowMax; i++ { // past SortRowMax: hash under auto
+	for i := 0; i <= SortRowMax; i++ { // past SortRowMax: off the sort path
 		long = append(long, byte(i%5), byte(i+1))
 	}
 	f.Add(long)
@@ -130,7 +130,7 @@ func FuzzAccumulatorMerge(f *testing.F) {
 		a, b := streamOperands(idx, val, cols)
 		for _, kind := range allAccumKinds {
 			m := NewRowMerger(cols)
-			gotIdx, gotVal := m.ProductRow(kind, a, b, 0, int64(n), nil, nil)
+			gotIdx, gotVal := m.ProductRow(kind, a, b, 0, int64(n), 0, nil, nil)
 			if len(gotIdx) != len(wantIdx) {
 				t.Fatalf("%v: %d entries, want %d", kind, len(gotIdx), len(wantIdx))
 			}

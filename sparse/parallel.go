@@ -21,15 +21,11 @@ type MulConfig struct {
 	// precompute layers already paid for it. Ignored unless its length is
 	// exactly a.Rows. The caller keeps ownership.
 	RowNNZ []int
-	// SkipCounters suppresses the accum_rows_* trace counters, for
-	// callers whose plan already recorded the identical per-class counts
-	// (the Block Reorganizer, via Plan.RecordTrace).
-	SkipCounters bool
 }
 
-// recordAccumCounts publishes one run's per-strategy row counts.
-func recordAccumCounts(rec *trace.Recorder, cfg MulConfig, counts AccumCounts) {
-	if cfg.SkipCounters || !rec.Enabled() {
+// recordAccumCounts publishes the rows one run merged per strategy.
+func recordAccumCounts(rec *trace.Recorder, counts AccumCounts) {
+	if !rec.Enabled() {
 		return
 	}
 	rec.Add(trace.CounterAccumDenseRows, counts.Dense)
@@ -69,8 +65,7 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 	}
 	// Work-weighted chunking: split rows so each chunk holds a similar
 	// number of intermediate products. The same per-row upper bounds
-	// drive the accumulator selector, so both layers (host engine, cost
-	// model) classify rows identically.
+	// drive the host accumulator selector.
 	workStart := rec.Now()
 	rowWork := parallel.GetInt64s(a.Rows)
 	defer parallel.PutInt64s(rowWork)
@@ -134,7 +129,7 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 		mg := NewRowMerger(b.Cols)
 		for i := r.Lo; i < r.Hi; i++ {
 			dstIdx, dstVal := c.Row(i)
-			outIdx, _ := mg.ProductRow(cfg.Accum, a, b, i, rowWork[i],
+			outIdx, _ := mg.ProductRow(cfg.Accum, a, b, i, rowWork[i], rowNNZ[i],
 				dstIdx[0:0:len(dstIdx)], dstVal[0:0:len(dstVal)])
 			if len(outIdx) != len(dstIdx) {
 				mu.Lock()
@@ -154,7 +149,7 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 	if badRow >= 0 {
 		return nil, fmt.Errorf("sparse: row %d merged to a population different from its symbolic size", badRow)
 	}
-	recordAccumCounts(rec, cfg, counts)
+	recordAccumCounts(rec, counts)
 	return c, nil
 }
 
