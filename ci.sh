@@ -10,9 +10,12 @@
 #   4. vet allowlist  — blockreorg-vet -json diffed against the committed
 #                      vet_allowlist.json (empty), so any new finding fails
 #                      the build with a parseable, file:line diagnostic
-#   5. go test -race — the invariant-heavy packages under the race detector,
-#                      with BLOCKREORG_PARANOID=1 so every multiplication in
-#                      those suites runs the deep sanitizer layer
+#   5. go test -race — the invariant-heavy packages, plus the two spgemmd
+#                      clients (spgemmload's live runner fires one goroutine
+#                      per request; spgemmctl polls jobs), under the race
+#                      detector, with BLOCKREORG_PARANOID=1 so every
+#                      multiplication in those suites runs the deep
+#                      sanitizer layer
 #   6. examples       — every runnable Example function executes with its
 #                      Output pinned, and every example program compiles,
 #                      so the documented code paths cannot drift from the
@@ -85,7 +88,8 @@ fi
 rm -f "$vet_json"
 
 echo "==> go test -race (paranoid)"
-BLOCKREORG_PARANOID=1 go test -race . ./internal/core/... ./internal/gpusim/... ./internal/kernels/... ./internal/trace/... ./internal/prom/... ./sparse/... ./server/... ./pipeline/... ./workload/... ./ooc/...
+BLOCKREORG_PARANOID=1 go test -race . ./internal/core/... ./internal/gpusim/... ./internal/kernels/... ./internal/trace/... ./internal/prom/... ./sparse/... ./server/... ./pipeline/... ./workload/... ./ooc/... \
+    ./cmd/spgemmload/... ./cmd/spgemmctl/...
 
 echo "==> examples (godoc Examples + example programs)"
 go test -run Example ./...

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"net/http"
 	"time"
 
 	"github.com/blockreorg/blockreorg/server/cluster"
@@ -29,7 +31,7 @@ func (c *client) cluster(args []string) error {
 // clusterStatus prints the router's view of the fleet.
 func (c *client) clusterStatus() error {
 	var st cluster.ClusterStatus
-	if err := c.getJSON("/cluster/status", &st); err != nil {
+	if err := c.api().Do(context.Background(), http.MethodGet, "/cluster/status", nil, &st); err != nil {
 		return err
 	}
 	c.printClusterStatus(&st)
@@ -76,7 +78,7 @@ func (c *client) clusterDrain(args []string) error {
 	var out struct {
 		Status cluster.ClusterStatus `json:"status"`
 	}
-	if err := c.postJSON("/cluster/drain", req, &out); err != nil {
+	if err := c.api().Do(context.Background(), http.MethodPost, "/cluster/drain", req, &out); err != nil {
 		return err
 	}
 	if *rolling {
@@ -98,7 +100,7 @@ func (c *client) clusterUncordon(args []string) error {
 	if *instance == "" {
 		return fmt.Errorf("cluster uncordon needs -instance")
 	}
-	if err := c.postJSON("/cluster/uncordon", map[string]any{"instance": *instance}, nil); err != nil {
+	if err := c.api().Do(context.Background(), http.MethodPost, "/cluster/uncordon", map[string]any{"instance": *instance}, nil); err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "%s back in rotation\n", *instance)

@@ -20,8 +20,7 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -68,53 +67,17 @@ func main() {
 	}
 }
 
-// client wraps the HTTP conversation with one spgemmd instance.
+// client runs the verbs against one spgemmd instance or cluster router.
 type client struct {
 	base string
 	out  io.Writer
 }
 
-// getJSON decodes a GET response into v, surfacing the server's error
-// envelope on non-2xx statuses.
-func (c *client) getJSON(path string, v any) error {
-	resp, err := http.Get(c.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, v)
-}
+// api is the typed wire client for c.base.
+func (c *client) api() *server.Client { return &server.Client{Base: c.base} }
 
-// postJSON posts body and decodes the response into v.
-func (c *client) postJSON(path string, body, v any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(c.base+path, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, v)
-}
-
-// decodeResponse maps non-2xx statuses to errors via the envelope.
-func decodeResponse(resp *http.Response, v any) error {
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var envelope struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&envelope) == nil && envelope.Error != "" {
-			return fmt.Errorf("%s: %s", resp.Status, envelope.Error)
-		}
-		return fmt.Errorf("server returned %s", resp.Status)
-	}
-	if v == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
+// pollInterval is how often multiply and pipeline poll their job.
+const pollInterval = 50 * time.Millisecond
 
 func (c *client) matrices() error {
 	var listing struct {
@@ -126,7 +89,7 @@ func (c *client) matrices() error {
 			Fingerprint string `json:"fingerprint"`
 		} `json:"matrices"`
 	}
-	if err := c.getJSON("/v1/matrices", &listing); err != nil {
+	if err := c.api().Do(context.Background(), http.MethodGet, "/v1/matrices", nil, &listing); err != nil {
 		return err
 	}
 	if len(listing.Matrices) == 0 {
@@ -153,15 +116,11 @@ func (c *client) upload(args []string) error {
 	if err != nil {
 		return err
 	}
-	var info struct {
-		Name        string `json:"name"`
-		Fingerprint string `json:"fingerprint"`
-	}
-	req := map[string]any{"name": *name, "coo": cooPayload(m)}
-	if err := c.postJSON("/v1/matrices", req, &info); err != nil {
+	fp, err := c.api().Register(context.Background(), *name, m)
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(c.out, "registered %s (%dx%d, nnz=%d, fp=%s)\n", info.Name, m.Rows, m.Cols, m.NNZ(), info.Fingerprint)
+	fmt.Fprintf(c.out, "registered %s (%dx%d, nnz=%d, fp=%s)\n", *name, m.Rows, m.Cols, m.NNZ(), fp)
 	return nil
 }
 
@@ -175,12 +134,6 @@ func readMatrixFile(path string) (*sparse.CSR, error) {
 	default:
 		return nil, fmt.Errorf("%s: unknown matrix format (want .mtx or .csrb)", path)
 	}
-}
-
-// cooPayload converts a CSR for the wire.
-func cooPayload(m *sparse.CSR) *server.COOPayload {
-	coo := m.ToCOO()
-	return &server.COOPayload{Rows: coo.Rows, Cols: coo.Cols, I: coo.I, J: coo.J, V: coo.V}
 }
 
 func (c *client) multiply(args []string) error {
@@ -212,33 +165,50 @@ func (c *client) multiply(args []string) error {
 	if *b != "" {
 		req.B = &server.Operand{Name: *b}
 	}
-	var accepted struct {
-		Job string `json:"job"`
-	}
-	if err := c.postJSON("/v1/multiply", req, &accepted); err != nil {
-		return err
-	}
-	fmt.Fprintf(c.out, "job %s accepted\n", accepted.Job)
-
-	st, err := c.poll(accepted.Job)
+	ctx := context.Background()
+	accepted, err := c.api().Multiply(ctx, &req)
 	if err != nil {
 		return err
 	}
-	if st.State == server.StateFailed {
-		return fmt.Errorf("job %s failed (%s): %s", st.ID, st.ErrorKind, st.Error)
+	st, err := c.wait(ctx, accepted)
+	if err != nil {
+		return err
 	}
 	c.printResult(st.Result)
-	if *outFile != "" && st.Result.Values != nil {
-		coo := sparse.NewCOO(st.Result.Values.Rows, st.Result.Values.Cols, len(st.Result.Values.I))
-		for k := range st.Result.Values.I {
-			coo.Add(st.Result.Values.I[k], st.Result.Values.J[k], st.Result.Values.V[k])
-		}
-		if err := sparse.WriteMatrixMarketFile(*outFile, coo.ToCSR()); err != nil {
+	if *outFile != "" {
+		if err := writeValues(*outFile, st.Result); err != nil {
 			return err
 		}
 		fmt.Fprintf(c.out, "product written to %s\n", *outFile)
 	}
 	return nil
+}
+
+// wait announces an accepted job and polls it to completion; a failed job
+// is an error.
+func (c *client) wait(ctx context.Context, accepted *server.Accepted) (*server.JobStatus, error) {
+	fmt.Fprintf(c.out, "job %s accepted\n", accepted.Job)
+	st, err := c.api().Wait(ctx, accepted.Job, pollInterval)
+	if err != nil {
+		return nil, err
+	}
+	if st.State == server.StateFailed {
+		return nil, fmt.Errorf("job %s failed (%s): %s", st.ID, st.ErrorKind, st.Error)
+	}
+	return st, nil
+}
+
+// writeValues validates the matrix a job returned and writes it as Matrix
+// Market. Nothing is written when the payload is missing or invalid.
+func writeValues(path string, r *server.JobResult) error {
+	if r == nil || r.Values == nil {
+		return fmt.Errorf("the server returned no values to write")
+	}
+	m, err := r.Values.ToCSR()
+	if err != nil {
+		return fmt.Errorf("the server returned an invalid matrix: %w", err)
+	}
+	return sparse.WriteMatrixMarketFile(path, m)
 }
 
 func (c *client) pipeline(args []string) error {
@@ -286,28 +256,18 @@ func (c *client) pipeline(args []string) error {
 		Profile:       *profile,
 		TimeoutMillis: timeout.Milliseconds(),
 	}
-	var accepted struct {
-		Job string `json:"job"`
-	}
-	if err := c.postJSON("/v1/pipeline", req, &accepted); err != nil {
-		return err
-	}
-	fmt.Fprintf(c.out, "job %s accepted\n", accepted.Job)
-
-	st, err := c.poll(accepted.Job)
+	ctx := context.Background()
+	accepted, err := c.api().Pipeline(ctx, &req)
 	if err != nil {
 		return err
 	}
-	if st.State == server.StateFailed {
-		return fmt.Errorf("job %s failed (%s): %s", st.ID, st.ErrorKind, st.Error)
+	st, err := c.wait(ctx, accepted)
+	if err != nil {
+		return err
 	}
 	c.printPipelineResult(st.Result)
-	if *outFile != "" && st.Result.Values != nil {
-		coo := sparse.NewCOO(st.Result.Values.Rows, st.Result.Values.Cols, len(st.Result.Values.I))
-		for k := range st.Result.Values.I {
-			coo.Add(st.Result.Values.I[k], st.Result.Values.J[k], st.Result.Values.V[k])
-		}
-		if err := sparse.WriteMatrixMarketFile(*outFile, coo.ToCSR()); err != nil {
+	if *outFile != "" {
+		if err := writeValues(*outFile, st.Result); err != nil {
 			return err
 		}
 		fmt.Fprintf(c.out, "result written to %s\n", *outFile)
@@ -344,20 +304,6 @@ func (c *client) printPipelineResult(r *server.JobResult) {
 		}
 	}
 	fmt.Fprintf(c.out, "  wall %.3fs\n", r.WallSeconds)
-}
-
-// poll waits for a job to reach a terminal state.
-func (c *client) poll(id string) (*server.JobStatus, error) {
-	for {
-		var st server.JobStatus
-		if err := c.getJSON("/v1/jobs/"+id, &st); err != nil {
-			return nil, err
-		}
-		if st.State == server.StateDone || st.State == server.StateFailed {
-			return &st, nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }
 
 // printResult renders a completed job's profile.
@@ -397,8 +343,8 @@ func (c *client) job(args []string) error {
 	if *id == "" {
 		return fmt.Errorf("job needs -id")
 	}
-	var st server.JobStatus
-	if err := c.getJSON("/v1/jobs/"+*id, &st); err != nil {
+	st, err := c.api().Job(context.Background(), *id)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "job %s: %s\n", st.ID, st.State)
@@ -410,14 +356,5 @@ func (c *client) job(args []string) error {
 }
 
 func (c *client) metrics() error {
-	resp, err := http.Get(c.base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("server returned %s", resp.Status)
-	}
-	_, err = io.Copy(c.out, resp.Body)
-	return err
+	return c.api().Metrics(context.Background(), c.out)
 }

@@ -208,8 +208,7 @@ func cmdRun(args []string) error {
 		}()
 	}
 
-	client := &workload.Client{Base: base}
-	records, err := workload.Run(context.Background(), client, reqs, workload.RunOptions{
+	records, err := run(context.Background(), &server.Client{Base: base}, reqs, runOptions{
 		Speed:          *speed,
 		RequestTimeout: *timeout,
 	})

@@ -436,9 +436,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		copyResponse(w, resp, inst.name)
 		return
 	}
-	var accepted struct {
-		Job string `json:"job"`
-	}
+	var accepted server.Accepted
 	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil || accepted.Job == "" {
 		rt.release(idx, work)
 		writeError(w, http.StatusBadGateway, "instance %s: unparseable accept response", inst.name)

@@ -17,7 +17,10 @@
 //     shaped the plan;
 //   - Server — request admission (bounded queue, per-request deadlines,
 //     429 on saturation), the worker pool, job tracking, graceful drain,
-//     and the /healthz and /metrics endpoints.
+//     and the /healthz and /metrics endpoints;
+//   - Client — the typed client for the HTTP API, used by spgemmctl and
+//     spgemmload: one method per endpoint over the wire types defined
+//     here, with non-2xx answers returned as a *StatusError.
 //
 // # Observability
 //

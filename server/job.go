@@ -198,6 +198,13 @@ type JobStatus struct {
 	Result    *JobResult `json:"result,omitempty"`
 }
 
+// Accepted is the body of a 202 answer to POST /v1/multiply and
+// POST /v1/pipeline: the job id and the URL to poll it at.
+type Accepted struct {
+	Job string `json:"job"`
+	URL string `json:"url"`
+}
+
 // job is the internal unit of work. The resolved operands are pinned at
 // admission time so a poll never races a registry change, and dropped when
 // the job turns terminal, so a finished job keeps only its result; the

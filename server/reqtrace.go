@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/blockreorg/blockreorg/internal/trace"
@@ -23,19 +22,9 @@ func (s *Server) traceRecord(rec workload.Record) {
 	if s.reqTrace == nil {
 		return
 	}
-	rec.ArrivalSeconds = workloadRound(rec.ArrivalSeconds)
+	rec.ArrivalSeconds = workload.Round6(rec.ArrivalSeconds)
 	_ = s.reqTrace.Append(rec)
 	_ = s.reqTrace.Flush()
-}
-
-// workloadRound rounds trace times to microsecond precision, matching the
-// report layer's rounding.
-func workloadRound(v float64) float64 {
-	r := math.Round(v*1e6) / 1e6
-	if r == 0 {
-		return 0
-	}
-	return r
 }
 
 // traceJob builds the fields shared by every outcome of a job: arrival
@@ -66,23 +55,33 @@ func (s *Server) traceFailed(j *job, kind string, queueWait time.Duration) {
 	}
 	rec := s.traceJob(j)
 	rec.Outcome = workload.FailedOutcome(kind)
-	rec.QueueWaitSeconds = workloadRound(queueWait.Seconds())
+	rec.QueueWaitSeconds = workload.Round6(queueWait.Seconds())
 	s.traceRecord(rec)
 }
 
-// traceDone records a completed job with its timing evidence: queue wait,
-// execution wall, the gpusim prediction (the result's simulated total;
-// zero for pipeline runs), and the host phase breakdown.
+// traceDone records a completed job.
 func (s *Server) traceDone(j *job, out *JobResult, profile *trace.Profile) {
 	if s.reqTrace == nil {
 		return
 	}
 	rec := s.traceJob(j)
+	FillDoneRecord(&rec, out, profile)
+	s.traceRecord(rec)
+}
+
+// FillDoneRecord sets the fields of a completed request's trace record
+// from its job result and host phase profile: outcome, resolved algorithm
+// and device, queue wait, execution wall, the gpusim prediction (the
+// result's simulated total; zero for pipeline runs), plan reuse, and the
+// per-phase seconds. The server's recorder and spgemmload's live runner
+// both build their done records through it, so the two traces of one
+// request agree.
+func FillDoneRecord(rec *workload.Record, out *JobResult, profile *trace.Profile) {
 	rec.Outcome = workload.OutcomeDone
 	rec.Algorithm = out.Algorithm
 	rec.GPU = out.Device
-	rec.QueueWaitSeconds = workloadRound(out.QueueWaitSeconds)
-	rec.ExecSeconds = workloadRound(out.WallSeconds)
+	rec.QueueWaitSeconds = workload.Round6(out.QueueWaitSeconds)
+	rec.ExecSeconds = workload.Round6(out.WallSeconds)
 	rec.PredictedSeconds = out.TotalSeconds
 	rec.PlanCacheHit = out.PlanCacheHit
 	if profile != nil && len(profile.Phases) > 0 {
@@ -91,7 +90,6 @@ func (s *Server) traceDone(j *job, out *JobResult, profile *trace.Profile) {
 			rec.Phases[p.Phase] += p.Seconds
 		}
 	}
-	s.traceRecord(rec)
 }
 
 // traceRejected records an admission-queue rejection (429). The request

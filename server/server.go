@@ -509,7 +509,7 @@ func (s *Server) admit(w http.ResponseWriter, j *job) {
 	switch {
 	case queued:
 		s.metrics.submitted.Add(1)
-		writeJSON(w, http.StatusAccepted, map[string]string{"job": j.id, "url": "/v1/jobs/" + j.id})
+		writeJSON(w, http.StatusAccepted, Accepted{Job: j.id, URL: "/v1/jobs/" + j.id})
 	case draining:
 		s.jobs.remove(j.id)
 		writeError(w, http.StatusServiceUnavailable, "draining")

@@ -76,21 +76,21 @@ func calibratePairs(class string, pred, meas []float64) CalibrationClass {
 		}
 	}
 	n := float64(len(pred))
-	row.MeanPredictedSeconds = round6(sumP / n)
-	row.MeanMeasuredSeconds = round6(sumM / n)
-	row.MAPE = round6(ape / n)
+	row.MeanPredictedSeconds = Round6(sumP / n)
+	row.MeanMeasuredSeconds = Round6(sumM / n)
+	row.MAPE = Round6(ape / n)
 	ratio := 0.0
 	if sumPP > 0 {
 		ratio = sumPM / sumPP
 	}
-	row.Ratio = round6(ratio)
+	row.Ratio = Round6(ratio)
 	var fape float64
 	for i := range pred {
 		if meas[i] > 0 {
 			fape += math.Abs(ratio*pred[i]-meas[i]) / meas[i]
 		}
 	}
-	row.FittedMAPE = round6(fape / n)
+	row.FittedMAPE = Round6(fape / n)
 	// Pearson r.
 	if len(pred) >= 2 {
 		meanP, meanM := sumP/n, sumM/n
@@ -102,7 +102,7 @@ func calibratePairs(class string, pred, meas []float64) CalibrationClass {
 			varM += dm * dm
 		}
 		if varP > 0 && varM > 0 {
-			row.PearsonR = round6(cov / math.Sqrt(varP*varM))
+			row.PearsonR = Round6(cov / math.Sqrt(varP*varM))
 		}
 	}
 	return row

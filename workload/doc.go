@@ -11,10 +11,12 @@
 //   - Compile turns a Spec into a deterministic seeded request stream:
 //     the same spec and seed always yield the same arrival times and the
 //     same operand structures, so two load runs are comparable.
-//   - A Runner issues the stream against a live spgemmd over HTTP and
-//     collects one Record per request; spgemmd itself can append the same
-//     Records server-side (spgemmd -trace-out). Records are append-only
-//     JSONL — the trace format shared by every verb.
+//   - The live runner in cmd/spgemmload issues the stream against a
+//     spgemmd and collects one Record per request; spgemmd itself can
+//     append the same Records server-side (spgemmd -trace-out). Records
+//     are append-only JSONL — the trace format shared by every verb. This
+//     package does no I/O over the network: the server imports it for
+//     the record types, so it cannot import the server's client.
 //   - Replay re-enacts a recorded trace through a deterministic virtual
 //     queueing model (N workers, FIFO queue, recorded service times) at
 //     original or scaled arrival tempo — capacity what-ifs without

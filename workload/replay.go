@@ -82,7 +82,7 @@ func Replay(recs []Record, opts ReplayOptions) ([]Record, error) {
 	for i := range in {
 		r := in[i] // copy
 		t := r.ArrivalSeconds / opts.Speed
-		r.ArrivalSeconds = round6(t)
+		r.ArrivalSeconds = Round6(t)
 		service := r.ExecSeconds
 		if jitter != nil {
 			service *= 1 + opts.ServiceJitter*(2*jitter.Float64()-1)
@@ -125,8 +125,8 @@ func Replay(recs []Record, opts ReplayOptions) ([]Record, error) {
 		}
 		avail[w] = start + service
 		starts = append(starts, start)
-		r.QueueWaitSeconds = round6(start - t)
-		r.ExecSeconds = round6(service)
+		r.QueueWaitSeconds = Round6(start - t)
+		r.ExecSeconds = Round6(service)
 		r.Seq = len(out)
 		out = append(out, r)
 	}

@@ -15,13 +15,13 @@ func syntheticTrace() []Record {
 			class = "batch"
 		}
 		r := Record{
-			ArrivalSeconds:   round6(float64(i) * 0.05),
+			ArrivalSeconds:   Round6(float64(i) * 0.05),
 			Class:            class,
 			Kind:             "multiply",
 			Outcome:          OutcomeDone,
 			QueueWaitSeconds: 0.002,
-			ExecSeconds:      round6(0.03 + 0.001*float64(i%7)),
-			PredictedSeconds: round6(0.01 + 0.0005*float64(i%7)),
+			ExecSeconds:      Round6(0.03 + 0.001*float64(i%7)),
+			PredictedSeconds: Round6(0.01 + 0.0005*float64(i%7)),
 			PlanCacheHit:     i%2 == 0,
 			Phases: map[string]float64{
 				"expansion": 0.01, "merge": 0.01,

@@ -10,7 +10,7 @@ import (
 // FitnessReport is the scored outcome of a trace: per-class latency
 // breakdowns, SLO verdicts, an overall fitness in [0, 1], and — when the
 // trace carries predictions — the simulator calibration. Every float is
-// rounded (see round6), so identical inputs render byte-identically; the
+// rounded (see Round6), so identical inputs render byte-identically; the
 // JSON field set is a stable schema pinned by a golden-file test and the
 // ci.sh smoke gate.
 type FitnessReport struct {

@@ -5,10 +5,11 @@ import (
 	"sort"
 )
 
-// round6 rounds to microsecond-scale precision. Every float in a report
-// passes through it, so re-rendering the same inputs is byte-identical —
-// the property the replay determinism gate pins.
-func round6(v float64) float64 {
+// Round6 rounds to microsecond-scale precision. Every float in a report
+// and every time in a trace record passes through it, so re-rendering the
+// same inputs is byte-identical — the property the replay determinism
+// gate pins.
+func Round6(v float64) float64 {
 	r := math.Round(v*1e6) / 1e6
 	if r == 0 {
 		return 0 // normalize -0
@@ -56,11 +57,11 @@ func quantilesOf(vs []float64) Quantiles {
 		sum += v
 	}
 	return Quantiles{
-		P50:  round6(rank(0.50)),
-		P95:  round6(rank(0.95)),
-		P99:  round6(rank(0.99)),
-		Max:  round6(s[len(s)-1]),
-		Mean: round6(sum / float64(len(s))),
+		P50:  Round6(rank(0.50)),
+		P95:  Round6(rank(0.95)),
+		P99:  Round6(rank(0.99)),
+		Max:  Round6(s[len(s)-1]),
+		Mean: Round6(sum / float64(len(s))),
 	}
 }
 
@@ -161,7 +162,7 @@ func scoreClass(slo SLOSpec, latency Quantiles, errorRate float64) *SLOReport {
 			}
 		}
 	}
-	rep.Score = round6(rep.Score)
+	rep.Score = Round6(rep.Score)
 	return rep
 }
 
@@ -188,10 +189,10 @@ func buildClassReport(class string, recs []*Record, spec *ClassSpec) ClassReport
 		}
 	}
 	if rep.Count > 0 {
-		rep.ErrorRate = round6(float64(rep.Failed+rep.Rejected) / float64(rep.Count))
+		rep.ErrorRate = Round6(float64(rep.Failed+rep.Rejected) / float64(rep.Count))
 	}
 	if rep.Completed > 0 {
-		rep.PlanHitRate = round6(float64(hits) / float64(rep.Completed))
+		rep.PlanHitRate = Round6(float64(hits) / float64(rep.Completed))
 	}
 	rep.Latency = quantilesOf(latency)
 	rep.QueueWait = quantilesOf(queue)
@@ -232,7 +233,7 @@ func Score(recs []Record, spec *Spec, source string) *FitnessReport {
 	rep := &FitnessReport{
 		Source:          source,
 		Requests:        len(recs),
-		DurationSeconds: round6(maxArrival),
+		DurationSeconds: Round6(maxArrival),
 	}
 	if spec != nil {
 		rep.Spec = spec.Name
@@ -261,10 +262,10 @@ func Score(recs []Record, spec *Spec, source string) *FitnessReport {
 		weights += cr.Weight
 	}
 	if weights > 0 {
-		rep.Fitness = round6(weighted / weights)
+		rep.Fitness = Round6(weighted / weights)
 	}
 	if completed > 0 {
-		rep.PlanHitRate = round6(float64(planHits) / float64(completed))
+		rep.PlanHitRate = Round6(float64(planHits) / float64(completed))
 	}
 	if cal := Calibrate(recs); cal != nil {
 		rep.Calibration = cal

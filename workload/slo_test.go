@@ -117,7 +117,7 @@ func TestScore(t *testing.T) {
 	if b.Count != 3 || b.Completed != 1 || b.Failed != 1 || b.Rejected != 1 || b.Weight != 2 {
 		t.Fatalf("batch report = %+v", b)
 	}
-	if b.ErrorRate != round6(2.0/3.0) {
+	if b.ErrorRate != Round6(2.0/3.0) {
 		t.Fatalf("batch error rate = %g", b.ErrorRate)
 	}
 	if b.SLO != nil {
@@ -134,7 +134,7 @@ func TestScore(t *testing.T) {
 	}
 	// Fitness is the weighted mean: batch scores 1 − error_rate, weight 2;
 	// interactive scores 1, weight 1.
-	want := round6((2*(1-round6(2.0/3.0)) + 1) / 3)
+	want := Round6((2*(1-Round6(2.0/3.0)) + 1) / 3)
 	if math.Abs(rep.Fitness-want) > 1e-12 {
 		t.Fatalf("fitness = %g, want %g", rep.Fitness, want)
 	}
@@ -142,8 +142,8 @@ func TestScore(t *testing.T) {
 		t.Fatal("calibration present without predictions")
 	}
 	// Top-level plan hit rate spans all classes: 1 hit over 3 completions.
-	if rep.PlanHitRate != round6(1.0/3.0) {
-		t.Fatalf("plan hit rate = %g, want %g", rep.PlanHitRate, round6(1.0/3.0))
+	if rep.PlanHitRate != Round6(1.0/3.0) {
+		t.Fatalf("plan hit rate = %g, want %g", rep.PlanHitRate, Round6(1.0/3.0))
 	}
 
 	// A nil spec still produces statistics, unweighted and verdict-free.
@@ -160,13 +160,13 @@ func TestScore(t *testing.T) {
 }
 
 func TestRound6(t *testing.T) {
-	if round6(0.1234567) != 0.123457 {
-		t.Fatalf("round6 = %v", round6(0.1234567))
+	if Round6(0.1234567) != 0.123457 {
+		t.Fatalf("Round6 = %v", Round6(0.1234567))
 	}
-	if v := round6(math.Copysign(0, -1) * 1); math.Signbit(v) {
-		t.Fatal("round6 kept -0")
+	if v := Round6(math.Copysign(0, -1) * 1); math.Signbit(v) {
+		t.Fatal("Round6 kept -0")
 	}
-	if round6(-1e-9) != 0 {
-		t.Fatalf("round6(-1e-9) = %v", round6(-1e-9))
+	if Round6(-1e-9) != 0 {
+		t.Fatalf("Round6(-1e-9) = %v", Round6(-1e-9))
 	}
 }
