@@ -25,10 +25,12 @@
 #                      that breaks a measured path (or its setup) fails
 #                      here instead of silently disappearing from the
 #                      perf record, plus one spgemm CLI run per accumulator
-#                      (auto, dense, hash, sort) whose four products must
-#                      compare byte-identical — auto sends few rows of a
-#                      narrow operand through hash or sort, so each forced
-#                      path gets its own end-to-end check. Runs on every
+#                      (auto, dense, hash, sort) on youtube and on harbor
+#                      whose four products must compare byte-identical —
+#                      auto sends few rows of a narrow operand through hash
+#                      or sort, so each forced path gets its own end-to-end
+#                      check, and the two datasets take the dense path's
+#                      sort-fallback and bitmap-sweep emits. Runs on every
 #                      host: it checks that the paths work and agree, and
 #                      records no timings
 #   8. graphrun smoke — genmat generates a small R-MAT network and graphrun
@@ -105,14 +107,20 @@ go test -run '^$' -bench . -benchtime 1x -benchmem ./...
 
 echo "==> accumulator smoke (spgemm -accum auto/dense/hash/sort, byte-identical products)"
 go build -o "$smoke_dir/spgemm" ./cmd/spgemm
-for accum in auto dense hash sort; do
-    "$smoke_dir/spgemm" -dataset youtube -scale 64 -accum "$accum" -o "$smoke_dir/c_$accum.mtx"
-done
-for accum in auto hash sort; do
-    if ! cmp -s "$smoke_dir/c_dense.mtx" "$smoke_dir/c_$accum.mtx"; then
-        echo "accumulator strategies disagree: -accum dense and -accum $accum wrote different products" >&2
-        exit 1
-    fi
+# youtube's rows are mostly too sparse for their bitmap span, so its dense
+# rows emit through the sort fallback; harbor's are dense enough to be
+# swept out of the bitmap. Together they hold both dense emit branches.
+for ds in youtube:64 harbor:32; do
+    name=${ds%:*} scale=${ds#*:}
+    for accum in auto dense hash sort; do
+        "$smoke_dir/spgemm" -dataset "$name" -scale "$scale" -accum "$accum" -o "$smoke_dir/c_${name}_$accum.mtx"
+    done
+    for accum in auto hash sort; do
+        if ! cmp -s "$smoke_dir/c_${name}_dense.mtx" "$smoke_dir/c_${name}_$accum.mtx"; then
+            echo "accumulator strategies disagree on $name: -accum dense and -accum $accum wrote different products" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "==> graphrun smoke (genmat R-MAT -> MCL clustering)"

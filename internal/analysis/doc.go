@@ -49,7 +49,7 @@
 //     discarded or not invoked on every path to return — the profile's
 //     sums-to-wall invariant depends on balanced spans.
 //   - poolreturn: an arena buffer (parallel.GetFloats/GetInts/
-//     GetIntsZeroed/GetInt64s) not released through the matching Put on
+//     GetIntsZeroed/GetInt64s/GetUint64sZeroed) not released through the matching Put on
 //     every path out of the function; returning the buffer itself hands
 //     ownership to the caller and is accepted.
 //   - filehandle: a file opened with os.Open/Create/OpenFile/CreateTemp

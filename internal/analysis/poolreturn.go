@@ -8,13 +8,13 @@ import (
 
 // PoolReturnAnalyzer tracks arena lifetimes: a buffer taken from the
 // shared scratch arenas (parallel.GetFloats, GetInts, GetIntsZeroed,
-// GetInt64s) must flow back through the matching Put on every path out
-// of the function. The scratchmake rule polices how scratch is acquired;
-// this one generalizes it to when it is released — the early-return and
-// error paths where leaks actually hide. A leaked buffer is not a
-// correctness bug (the GC reclaims it) but it silently degrades the pool
-// back to per-call allocation, which is exactly the regression the
-// arenas exist to prevent.
+// GetInt64s, GetUint64sZeroed) must flow back through the matching Put on
+// every path out of the function. The scratchmake rule polices how
+// scratch is acquired; this one generalizes it to when it is released —
+// the early-return and error paths where leaks actually hide. A leaked
+// buffer is not a correctness bug (the GC reclaims it) but it silently
+// degrades the pool back to per-call allocation, which is exactly the
+// regression the arenas exist to prevent.
 //
 // Releases the CFG walk accepts: a Put call naming the buffer (deferred
 // or direct), and a return statement mentioning the buffer (ownership
@@ -30,10 +30,11 @@ func PoolReturnAnalyzer() *Analyzer {
 
 // putFor maps each arena getter to its required releaser.
 var putFor = map[string]string{
-	"GetFloats":     "PutFloats",
-	"GetInts":       "PutInts",
-	"GetIntsZeroed": "PutInts",
-	"GetInt64s":     "PutInt64s",
+	"GetFloats":        "PutFloats",
+	"GetInts":          "PutInts",
+	"GetIntsZeroed":    "PutInts",
+	"GetInt64s":        "PutInt64s",
+	"GetUint64sZeroed": "PutUint64s",
 }
 
 func runPoolReturn(p *Pass) []Finding {

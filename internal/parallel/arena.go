@@ -8,10 +8,11 @@ import (
 )
 
 // The arenas pool the scratch every numeric phase needs — dense float64
-// accumulators, int marker/index arrays, int64 workload vectors — in
-// size-classed sync.Pools shared by the whole process. Class c holds
-// slices of capacity exactly 1<<c, so a recycled buffer is never smaller
-// than a fresh one of its class and waste is bounded at 2x.
+// accumulators, int marker/index arrays, int64 workload vectors, uint64
+// occupancy bitmaps — in size-classed sync.Pools shared by the whole
+// process. Class c holds slices of capacity exactly 1<<c, so a recycled
+// buffer is never smaller than a fresh one of its class and waste is
+// bounded at 2x.
 //
 // Contract: Get* buffers have the requested length and ARBITRARY
 // contents (a previous user's data, or poison under Paranoid mode —
@@ -20,11 +21,13 @@ import (
 // variants, which clear explicitly.
 
 // Poison values written into recycled buffers under Paranoid mode. They
-// are chosen to be loud: NaN propagates through any arithmetic, and the
-// int poison is far outside any valid index or count.
+// are chosen to be loud: NaN propagates through any arithmetic, the int
+// poison is far outside any valid index or count, and an all-ones word
+// marks every bit of a bitmap as set.
 const (
-	PoisonInt   = math.MinInt64 + 0x5151
-	PoisonInt32 = math.MinInt32 + 0x51
+	PoisonInt    = math.MinInt64 + 0x5151
+	PoisonInt32  = math.MinInt32 + 0x51
+	PoisonUint64 = math.MaxUint64
 )
 
 // PoisonFloat returns the float64 poison (NaN; a function because NaN is
@@ -51,41 +54,45 @@ func sizeClass(n int) int {
 
 const numClasses = 48 // 2^47 elements is far beyond host memory
 
-var (
-	floatPools [numClasses]sync.Pool
-	intPools   [numClasses]sync.Pool
-	int64Pools [numClasses]sync.Pool
-
+// arena is the size-classed pool of one element type.
+type arena[T any] struct {
 	// The class pools hold *[]T so sync.Pool never boxes. The header
-	// objects themselves are recycled through these side pools — a naive
-	// Put(&s) would heap-allocate one fresh header per return-to-pool,
-	// charging the arenas an allocation on every round trip. Pointers box
-	// into interface{} without allocating, so the steady state is
+	// objects themselves are recycled through headers — a naive Put(&s)
+	// would heap-allocate one fresh header per return-to-pool, charging
+	// the arena an allocation on every round trip. Pointers box into
+	// interface{} without allocating, so the steady state is
 	// allocation-free in both directions.
-	floatHeaders sync.Pool
-	intHeaders   sync.Pool
-	int64Headers sync.Pool
+	classes [numClasses]sync.Pool
+	headers sync.Pool
+}
+
+var (
+	floatArena  arena[float64]
+	intArena    arena[int]
+	int64Arena  arena[int64]
+	uint64Arena arena[uint64]
 )
 
-// GetFloats returns a []float64 of length n with arbitrary contents.
-func GetFloats(n int) []float64 {
+// get returns a []T of length n with arbitrary contents.
+func (a *arena[T]) get(n int) []T {
 	stats.arenaGets.Add(1)
 	c := sizeClass(n)
 	if !poolingDisabled.Load() {
-		if v := floatPools[c].Get(); v != nil {
-			h := v.(*[]float64)
+		if v := a.classes[c].Get(); v != nil {
+			h := v.(*[]T)
 			s := (*h)[:n]
 			*h = nil
-			floatHeaders.Put(h)
+			a.headers.Put(h)
 			return s
 		}
 	}
 	stats.arenaNews.Add(1)
-	return make([]float64, n, 1<<c)
+	return make([]T, n, 1<<c)
 }
 
-// PutFloats recycles a buffer obtained from GetFloats.
-func PutFloats(s []float64) {
+// put recycles a buffer obtained from get, filling it with poison first
+// under Paranoid mode.
+func (a *arena[T]) put(s []T, poison T) {
 	if cap(s) == 0 || poolingDisabled.Load() {
 		return
 	}
@@ -95,35 +102,26 @@ func PutFloats(s []float64) {
 	}
 	s = s[:cap(s)]
 	if poisoning() {
-		nan := PoisonFloat()
 		for i := range s {
-			s[i] = nan
+			s[i] = poison
 		}
 	}
-	h, _ := floatHeaders.Get().(*[]float64)
+	h, _ := a.headers.Get().(*[]T)
 	if h == nil {
-		h = new([]float64)
+		h = new([]T)
 	}
 	*h = s
-	floatPools[c].Put(h)
+	a.classes[c].Put(h)
 }
 
+// GetFloats returns a []float64 of length n with arbitrary contents.
+func GetFloats(n int) []float64 { return floatArena.get(n) }
+
+// PutFloats recycles a buffer obtained from GetFloats.
+func PutFloats(s []float64) { floatArena.put(s, PoisonFloat()) }
+
 // GetInts returns a []int of length n with arbitrary contents.
-func GetInts(n int) []int {
-	stats.arenaGets.Add(1)
-	c := sizeClass(n)
-	if !poolingDisabled.Load() {
-		if v := intPools[c].Get(); v != nil {
-			h := v.(*[]int)
-			s := (*h)[:n]
-			*h = nil
-			intHeaders.Put(h)
-			return s
-		}
-	}
-	stats.arenaNews.Add(1)
-	return make([]int, n, 1<<c)
-}
+func GetInts(n int) []int { return intArena.get(n) }
 
 // GetIntsZeroed returns a zeroed []int of length n — the shape marker
 // sweeps need (0 = untouched).
@@ -134,64 +132,21 @@ func GetIntsZeroed(n int) []int {
 }
 
 // PutInts recycles a buffer obtained from GetInts.
-func PutInts(s []int) {
-	if cap(s) == 0 || poolingDisabled.Load() {
-		return
-	}
-	c := sizeClass(cap(s))
-	if cap(s) != 1<<c {
-		return
-	}
-	s = s[:cap(s)]
-	if poisoning() {
-		for i := range s {
-			s[i] = PoisonInt
-		}
-	}
-	h, _ := intHeaders.Get().(*[]int)
-	if h == nil {
-		h = new([]int)
-	}
-	*h = s
-	intPools[c].Put(h)
-}
+func PutInts(s []int) { intArena.put(s, PoisonInt) }
 
 // GetInt64s returns a []int64 of length n with arbitrary contents.
-func GetInt64s(n int) []int64 {
-	stats.arenaGets.Add(1)
-	c := sizeClass(n)
-	if !poolingDisabled.Load() {
-		if v := int64Pools[c].Get(); v != nil {
-			h := v.(*[]int64)
-			s := (*h)[:n]
-			*h = nil
-			int64Headers.Put(h)
-			return s
-		}
-	}
-	stats.arenaNews.Add(1)
-	return make([]int64, n, 1<<c)
-}
+func GetInt64s(n int) []int64 { return int64Arena.get(n) }
 
 // PutInt64s recycles a buffer obtained from GetInt64s.
-func PutInt64s(s []int64) {
-	if cap(s) == 0 || poolingDisabled.Load() {
-		return
-	}
-	c := sizeClass(cap(s))
-	if cap(s) != 1<<c {
-		return
-	}
-	s = s[:cap(s)]
-	if poisoning() {
-		for i := range s {
-			s[i] = PoisonInt
-		}
-	}
-	h, _ := int64Headers.Get().(*[]int64)
-	if h == nil {
-		h = new([]int64)
-	}
-	*h = s
-	int64Pools[c].Put(h)
+func PutInt64s(s []int64) { int64Arena.put(s, PoisonInt) }
+
+// GetUint64sZeroed returns a zeroed []uint64 of length n — the shape an
+// occupancy bitmap needs (every bit clear).
+func GetUint64sZeroed(n int) []uint64 {
+	s := uint64Arena.get(n)
+	clear(s)
+	return s
 }
+
+// PutUint64s recycles a buffer obtained from GetUint64sZeroed.
+func PutUint64s(s []uint64) { uint64Arena.put(s, PoisonUint64) }

@@ -162,6 +162,19 @@ func TestArenaRoundTrip(t *testing.T) {
 		t.Fatalf("GetInt64s(33) has length %d", len(w))
 	}
 	PutInt64s(w)
+
+	b := GetUint64sZeroed(17)
+	for k := range b {
+		b[k] = PoisonUint64
+	}
+	PutUint64s(b)
+	b = GetUint64sZeroed(17)
+	for k := range b {
+		if b[k] != 0 {
+			t.Fatalf("GetUint64sZeroed returned dirty word at %d: %#x", k, b[k])
+		}
+	}
+	PutUint64s(b)
 }
 
 func TestArenaPoison(t *testing.T) {

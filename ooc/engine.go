@@ -202,6 +202,8 @@ func (e *Engine) Multiply(a, b *sparse.CSR) (*sparse.CSR, error) {
 		return nil, err
 	}
 	result := sparse.NewCSR(a.Rows, b.Cols)
+	result.Idx = make([]int, 0, g.nnz)
+	result.Val = make([]float64, 0, g.nnz)
 	row := 0
 	err = e.merge(g, int64(b.Cols), func(_ int, panel *sparse.CSR) error {
 		for r := 0; r < panel.Rows; r++ {
@@ -382,6 +384,8 @@ func (e *Engine) reshard(b source) (cuts []int64, paths []string, err error) {
 type tileGrid struct {
 	aCuts, bCuts []int64
 	spill        [][]string
+	// nnz counts the entries of every spilled tile: the product's nnz.
+	nnz int64
 }
 
 // removeSpills deletes every spill file the grid still references.
@@ -505,6 +509,7 @@ func (e *Engine) tile(g *tileGrid, I, J int, aPanel *sparse.CSR, fpA uint64, bPa
 		return err
 	}
 	g.spill[I][J] = path
+	g.nnz += int64(res.C.NNZ())
 	e.noteSpilled(tb)
 	d = time.Since(t0)
 	e.stats.SpillSeconds += d.Seconds()
@@ -571,11 +576,15 @@ func (e *Engine) mergePanel(g *tileGrid, I int, cols int64, emit func(int, *spar
 	panelBytes := csrBytesFor(rowsI, panelNNZ)
 	e.acct.Grab(panelBytes)
 	defer e.acct.Release(panelBytes)
+	// The panel holds exactly the bytes charged above: its arrays are
+	// reserved at panelNNZ and each tile's row segment appends straight
+	// into them, with no growth and no staging copy. The column offset is
+	// applied in the stream's row buffer, which is ours until the next
+	// NextRow; AppendRow extends row r by one segment per tile.
 	panel := sparse.NewCSR(int(rowsI), int(cols))
-	idxBuf := make([]int, 0, 256)
-	valBuf := make([]float64, 0, 256)
+	panel.Idx = make([]int, 0, panelNNZ)
+	panel.Val = make([]float64, 0, panelNNZ)
 	for r := 0; r < int(rowsI); r++ {
-		idxBuf, valBuf = idxBuf[:0], valBuf[:0]
 		for J := 0; J < nJ; J++ {
 			idx, val, err := streams[J].NextRow()
 			if err != nil {
@@ -583,11 +592,10 @@ func (e *Engine) mergePanel(g *tileGrid, I int, cols int64, emit func(int, *spar
 			}
 			off := int(g.bCuts[J])
 			for k := range idx {
-				idxBuf = append(idxBuf, idx[k]+off)
-				valBuf = append(valBuf, val[k])
+				idx[k] += off
 			}
+			panel.AppendRow(r, idx, val)
 		}
-		panel.AppendRow(r, idxBuf, valBuf)
 	}
 	if err := emit(I, panel); err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/blockreorg/blockreorg"
@@ -122,6 +123,71 @@ func TestMultiplyBitIdenticalRandom(t *testing.T) {
 			t.Fatalf("seed %d: out-of-core product differs from sparse.Multiply", seed)
 		}
 		e.Close()
+	}
+}
+
+// The panel merge holds exactly the bytes it charges: every merged panel
+// is reserved at its nnz and never grows past it, and the assembled
+// product is reserved at the product's nnz. Both stay bit-identical to
+// the in-memory engine.
+func TestMergedPanelsArePreSized(t *testing.T) {
+	a, b, want := testOperands(t)
+	e, err := New(Options{Budget: 100 << 10, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	cuts, paths, err := e.reshard(memSource{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.bKey, e.bCuts, e.bPaths = b, cuts, paths
+	flops, err := outEstimate(memSource{a}, memSource{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := e.tiles(memSource{a}, flops, cuts, paths)
+	defer g.removeSpills()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.aCuts) < 3 || len(g.bCuts) < 3 {
+		t.Fatalf("grid %dx%d does not merge several tiles per panel", len(g.aCuts)-1, len(g.bCuts)-1)
+	}
+	var nnz int
+	err = e.merge(g, int64(b.Cols), func(I int, panel *sparse.CSR) error {
+		if cap(panel.Idx) != panel.NNZ() || cap(panel.Val) != panel.NNZ() {
+			t.Errorf("panel %d holds %d entries in arrays of capacity %d and %d",
+				I, panel.NNZ(), cap(panel.Idx), cap(panel.Val))
+		}
+		lo := int(g.aCuts[I])
+		for r := 0; r < panel.Rows; r++ {
+			gi, gv := panel.Row(r)
+			wi, wv := want.Row(lo + r)
+			if !slices.Equal(gi, wi) || !slices.Equal(gv, wv) {
+				t.Errorf("panel %d row %d differs from the in-memory product", I, r)
+			}
+		}
+		nnz += panel.NNZ()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nnz != want.NNZ() || g.nnz != int64(nnz) {
+		t.Fatalf("panels hold %d entries and the grid counted %d, want %d", nnz, g.nnz, want.NNZ())
+	}
+
+	got, err := e.Multiply(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want, 0) {
+		t.Fatal("out-of-core product differs bitwise from the in-memory engine")
+	}
+	if cap(got.Idx) != got.NNZ() || cap(got.Val) != got.NNZ() {
+		t.Fatalf("product holds %d entries in arrays of capacity %d and %d",
+			got.NNZ(), cap(got.Idx), cap(got.Val))
 	}
 }
 

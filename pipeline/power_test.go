@@ -132,6 +132,36 @@ func TestPowerIterateOutOfCorePlanHits(t *testing.T) {
 	}
 }
 
+// TestPowerIterateCollapseOutOfCoreBitIdentical runs the collapse chain —
+// a sparse, growing iterate projected onto the boolean semiring every
+// step — through the out-of-core engine under a budget that spills and
+// merges several tiles per panel, and requires the in-memory result bit
+// for bit.
+func TestPowerIterateCollapseOutOfCoreBitIdentical(t *testing.T) {
+	a := randomCSR(testRNG(6), 160, 160, 0.02)
+	const k = 4
+	po := PowerOptions{Collapse: true}
+	want, err := PowerIterate(context.Background(), a, k, po, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := blockreorg.NewTrace()
+	got, err := PowerIterate(context.Background(), a, k, po,
+		Options{MemBudget: 16 << 10, SpillDir: t.TempDir(), Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.M.Equal(want.M, 0) || got.M.NNZ() == 0 {
+		t.Fatalf("out-of-core collapse chain (%d entries) differs bitwise from the in-memory run (%d)",
+			got.M.NNZ(), want.M.NNZ())
+	}
+	p := rec.Profile()
+	if tiles := p.Counter("ooc_tiles"); tiles < 4*int64(got.Iterations) || p.Counter("ooc_bytes_spilled") == 0 {
+		t.Fatalf("out-of-core collapse chain ran %d tiles over %d iterations and spilled %d bytes, want a grid that spills",
+			tiles, got.Iterations, p.Counter("ooc_bytes_spilled"))
+	}
+}
+
 func TestPowerIterateOutOfCoreRejectsOtherAlgorithms(t *testing.T) {
 	a := randomCSR(testRNG(4), 16, 16, 0.5)
 	_, err := PowerIterate(context.Background(), a, 3, PowerOptions{},

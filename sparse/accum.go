@@ -13,10 +13,12 @@ import (
 // the spGEMM literature (Gao et al.'s survey, OpSparse) shows no single
 // structure wins every row shape:
 //
-//   - AccumDense stamps a marker array and accumulates into a dense
-//     O(Cols) vector — unbeatable when the row's footprint is a large
-//     fraction of the output dimension, wasteful cache traffic when a long
-//     sparse row scatters a few hundred updates across a huge vector.
+//   - AccumDense accumulates into a dense O(Cols) vector, marks first
+//     touches in a one-bit-per-column occupancy bitmap and emits the row
+//     in column order by sweeping that bitmap — unbeatable when the row's
+//     footprint is a large fraction of the output dimension, wasteful
+//     cache traffic when a long sparse row scatters a few hundred updates
+//     across a huge vector.
 //   - AccumHash accumulates into an open-addressing table sized from the
 //     row's upper-bound population, keeping the working set proportional
 //     to the row instead of the matrix.
@@ -94,23 +96,30 @@ const (
 	HashColsFactor = 8
 )
 
-// Host-only thresholds of hostAccumulator. The dense accumulator and its
-// marker cost 16 bytes per output column, so the operand's width decides
-// whether that scratch stays in cache.
+// Host-only thresholds of hostAccumulator and the dense path's emit rule.
+// The dense accumulator costs 8 bytes per output column plus one bit of
+// occupancy, so the operand's width decides whether that scratch stays in
+// cache and whether a row can be swept out of the bitmap in column order.
 const (
-	// hostSortMinCols is the output dimension from which a row whose
-	// products are nearly all distinct sort-combines: from 2^14 columns
-	// (256 KiB of dense scratch) a scatter into the dense vector misses
-	// cache, and with nothing to combine the dense path must still sort
-	// every touched column, so sorting the products directly is cheaper.
-	hostSortMinCols = 1 << 14
+	// sweepSpanShift sets the dense path's emit rule: a row is swept out
+	// of the occupancy bitmap when the words spanning its touched columns
+	// number at most 2^sweepSpanShift per touched column, and sorts its
+	// touched list otherwise. Timed per words-per-column bin on youtube
+	// and R-MAT operands, the sweep wins up to 4–8 words per column and
+	// loses from 16.
+	sweepSpanShift = 3
 	// hostDistinctShift bounds "nearly all distinct": at most one product
-	// in 2^hostDistinctShift duplicates an earlier column.
+	// in 2^hostDistinctShift duplicates an earlier column. Such a row
+	// sort-combines when the whole bitmap is too wide for the dense path
+	// to sweep it (more than 2^sweepSpanShift words per merged column):
+	// the dense path would sort its touched columns anyway, after a
+	// scatter that gains nothing.
 	hostDistinctShift = 5
-	// hostHashMinCols is the output dimension from which the remaining
-	// short rows hash: from 2^20 columns the dense scratch is 16 MiB per
-	// worker, and a row-sized table keeps the working set in cache.
-	hostHashMinCols = 1 << 20
+	// hostHashMinCols is the output dimension from which short rows
+	// hash: from 2^21 columns the dense scratch is 16 MiB per worker, and
+	// a row-sized table keeps the working set in cache and bounds what a
+	// very wide operand acquires.
+	hostHashMinCols = 1 << 21
 )
 
 // SelectAccumulator resolves the effective strategy for one row as the
@@ -138,10 +147,10 @@ func SelectAccumulator(kind AccumulatorKind, upper int64, cols int) AccumulatorK
 // product count and nnz its merged population, 0 when unknown. The rule
 // comes from timing each strategy per row-size bin on the Table II grid
 // and on R-MAT operands (DESIGN §15): tiny rows sort-combine, as in
-// SelectAccumulator; so do rows of wide operands with next to nothing to
-// combine; short rows of very wide operands hash; everything else goes
-// dense, which on a host CPU beats a probe per product while its scratch
-// stays in cache.
+// SelectAccumulator; so do rows with next to nothing to combine that the
+// dense path could not sweep; short rows of very wide operands hash;
+// everything else goes dense, which on a host CPU beats a probe per
+// product and, swept out of its bitmap, a sort per row.
 func hostAccumulator(kind AccumulatorKind, upper int64, nnz, cols int) AccumulatorKind {
 	if kind != AccumAuto {
 		return kind
@@ -149,7 +158,7 @@ func hostAccumulator(kind AccumulatorKind, upper int64, nnz, cols int) Accumulat
 	switch {
 	case upper <= SortRowMax:
 		return AccumSort
-	case cols >= hostSortMinCols && (upper-int64(nnz))<<hostDistinctShift <= int64(nnz):
+	case cols>>6 > nnz<<sweepSpanShift && (upper-int64(nnz))<<hostDistinctShift <= int64(nnz):
 		return AccumSort
 	case cols >= hostHashMinCols && upper*HashColsFactor < int64(cols):
 		return AccumHash
@@ -175,9 +184,9 @@ func (c *AccumCounts) add(other AccumCounts) {
 
 // RowMerger is the pluggable accumulation engine behind the host numeric
 // engine's row loop (MultiplyConfigured). One merger serves one goroutine;
-// scratch — dense accumulator, marker array, hash table, pair buffers — is
-// drawn lazily from the internal/parallel arenas on first use per strategy
-// and returned by Release. Output rows are appended to caller-provided
+// scratch — dense accumulator, occupancy bitmap, hash table, pair
+// buffers — is drawn lazily from the internal/parallel arenas on first use
+// per strategy and returned by Release. Output rows are appended to caller-provided
 // slices (CombineRow's contract), so the engine passes capped three-index
 // slices and writes straight into each row's final slot.
 type RowMerger struct {
@@ -185,13 +194,13 @@ type RowMerger struct {
 	// Counts tallies the rows merged per strategy since construction.
 	Counts AccumCounts
 
-	// Dense accumulator scratch: acc holds partial sums, marker carries
-	// the stamp of the row that last touched each column (stamps are
-	// per-merger monotonic, so the arrays never need re-zeroing between
-	// rows or even between matrices).
-	acc    []float64
-	marker []int
-	stamp  int
+	// Dense accumulator scratch: acc holds partial sums and occupied
+	// holds one bit per output column, set on a row's first touch of that
+	// column. Every row clears the bits it set before it returns, so the
+	// bitmap is all zero between rows and is never re-zeroed between rows
+	// or even between matrices.
+	acc      []float64
+	occupied []uint64
 
 	// Hash accumulator scratch: open addressing with linear probing over
 	// power-of-two tables; hKeys holds column indices (-1 = empty).
@@ -216,7 +225,7 @@ func NewRowMerger(cols int) *RowMerger {
 // afterwards.
 func (m *RowMerger) Release() {
 	parallel.PutFloats(m.acc)
-	parallel.PutInts(m.marker)
+	parallel.PutUint64s(m.occupied)
 	parallel.PutInts(m.hKeys)
 	parallel.PutFloats(m.hVals)
 	parallel.PutInts(m.pIdx)
@@ -225,12 +234,11 @@ func (m *RowMerger) Release() {
 	*m = RowMerger{}
 }
 
-// ensureDense acquires the dense accumulator and marker arrays.
+// ensureDense acquires the dense accumulator and its occupancy bitmap.
 func (m *RowMerger) ensureDense() {
 	if m.acc == nil {
 		m.acc = parallel.GetFloats(m.cols)
-		m.marker = parallel.GetIntsZeroed(m.cols)
-		m.stamp = 0
+		m.occupied = parallel.GetUint64sZeroed((m.cols + 63) / 64)
 	}
 }
 
@@ -307,8 +315,12 @@ func (m *RowMerger) ProductRow(kind AccumulatorKind, a, b *CSR, i int, upper int
 	}
 }
 
-// denseProductRow is the marker-stamped dense accumulation — the engine's
-// original strategy, kept verbatim as the bit-identity oracle shape.
+// denseProductRow accumulates into the dense vector, marking each
+// column's first touch in the occupancy bitmap. A row whose touched
+// columns are dense enough in their word span is emitted by sweeping
+// those bitmap words in order, clearing each as it goes: column order
+// comes for free at O(words + nnz). A row too sparse for its span sorts
+// its touched-column list instead and clears only its own bits.
 func (m *RowMerger) denseProductRow(a, b *CSR, i int, upper int64,
 	outIdx []int, outVal []float64) ([]int, []float64) {
 	m.ensureDense()
@@ -317,25 +329,38 @@ func (m *RowMerger) denseProductRow(a, b *CSR, i int, upper int64,
 		bound = m.cols
 	}
 	m.ensurePairs(bound)
-	m.stamp++
-	stamp := m.stamp
-	acc, marker := m.acc, m.marker
+	acc, occ := m.acc, m.occupied
 	touched := m.pIdx[:0]
+	lo, hi := m.cols, 0
 	for ka := a.Ptr[i]; ka < a.Ptr[i+1]; ka++ {
 		k := a.Idx[ka]
 		av := a.Val[ka]
 		for kb := b.Ptr[k]; kb < b.Ptr[k+1]; kb++ {
 			j := b.Idx[kb]
-			if marker[j] != stamp {
-				marker[j] = stamp
+			if bit := uint64(1) << (uint(j) & 63); occ[j>>6]&bit == 0 {
+				occ[j>>6] |= bit
 				acc[j] = 0
 				touched = append(touched, j)
+				lo, hi = min(lo, j), max(hi, j)
 			}
 			acc[j] += av * b.Val[kb]
 		}
 	}
+	if hi>>6-lo>>6 < len(touched)<<sweepSpanShift {
+		for w := lo >> 6; w <= hi>>6; w++ {
+			word := occ[w]
+			occ[w] = 0
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 | bits.TrailingZeros64(word)
+				outIdx = append(outIdx, j)
+				outVal = append(outVal, acc[j])
+			}
+		}
+		return outIdx, outVal
+	}
 	insertionSortInts(touched)
 	for _, j := range touched {
+		occ[j>>6] &^= uint64(1) << (uint(j) & 63)
 		outIdx = append(outIdx, j)
 		outVal = append(outVal, acc[j])
 	}
@@ -372,8 +397,10 @@ func (m *RowMerger) hashProductRow(a, b *CSR, i int, upper int64,
 					break
 				}
 				if kj < 0 {
+					// The column's sum starts at +0, as in the dense
+					// path, so a lone -0 product merges to +0.
 					keys[pos] = j
-					vals[pos] = av * b.Val[kb]
+					vals[pos] = 0 + av*b.Val[kb]
 					touched = append(touched, j)
 					slots = append(slots, pos)
 					break

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/bits"
 	"strings"
 	"testing"
@@ -62,13 +63,13 @@ func TestSelectAccumulatorThresholds(t *testing.T) {
 
 // TestHostAccumulatorRule pins the host merge's resolution of AccumAuto:
 // tiny rows sort; rows with next to nothing to combine sort once the
-// operand is wide enough for dense scratch to miss cache; short rows hash
-// only on operands at least hostHashMinCols wide; everything else goes
-// dense. Explicit kinds always pass through.
+// operand is too wide for the dense path to sweep them out of its bitmap;
+// short rows hash only on operands at least hostHashMinCols wide;
+// everything else goes dense. Explicit kinds always pass through.
 func TestHostAccumulatorRule(t *testing.T) {
 	const (
 		narrow = 10_000
-		mid    = hostSortMinCols
+		mid    = 1 << 14 // 256 bitmap words: 8 per column of a 32-column row
 		wide   = hostHashMinCols
 	)
 	cases := []struct {
@@ -90,13 +91,16 @@ func TestHostAccumulatorRule(t *testing.T) {
 		{AccumAuto, SortRowMax + 1, 0, narrow, AccumDense},
 		{AccumAuto, SortRowMax + 1, SortRowMax + 1, narrow, AccumDense},
 		{AccumAuto, narrow/HashColsFactor - 1, 10, narrow, AccumDense},
-		// From hostSortMinCols, rows whose duplicates are at most one in
-		// 32 of their products sort; more duplicates, or an unknown nnz,
-		// keep the dense path.
-		{AccumAuto, 66, 64, mid, AccumSort},
-		{AccumAuto, 67, 64, mid, AccumDense},
-		{AccumAuto, 66, 64, mid - 1, AccumDense},
-		{AccumAuto, 66, 0, mid, AccumDense},
+		// Rows whose duplicates are at most one in 32 of their products
+		// sort while the bitmap holds more than 8 words per merged
+		// column; more duplicates, a denser bitmap or an unknown nnz keep
+		// the dense path.
+		{AccumAuto, 33, 32, mid, AccumDense}, // exactly 8 words per column
+		{AccumAuto, 33, 32, mid + 64, AccumSort},
+		{AccumAuto, 66, 64, 2*mid + 64, AccumSort},
+		{AccumAuto, 66, 64, 2 * mid, AccumDense},
+		{AccumAuto, 34, 32, 2 * mid, AccumDense}, // two duplicates in 34
+		{AccumAuto, 66, 0, 4 * mid, AccumDense},
 		// From hostHashMinCols, short rows with duplicates hash...
 		{AccumAuto, SortRowMax + 1, 8, wide, AccumHash},
 		{AccumAuto, wide/HashColsFactor - 1, 8, wide, AccumHash},
@@ -118,7 +122,7 @@ func TestHostAccumulatorRule(t *testing.T) {
 }
 
 // TestHostAutoHashesWideOperands is the hash path's reason to exist on the
-// host: on an operand 2^20 columns wide, whose dense accumulator would be
+// host: on an operand 2^21 columns wide, whose dense accumulator would be
 // 16 MiB per worker, short rows with duplicates merge through a row-sized
 // table. Auto must take that path without ever acquiring the O(Cols) dense
 // scratch, and its product must equal the dense one bit for bit.
@@ -126,7 +130,7 @@ func TestHostAutoHashesWideOperands(t *testing.T) {
 	const (
 		rows  = 64
 		mid   = 48
-		cols  = 1 << 20
+		cols  = hostHashMinCols
 		perB  = 12 // entries per B row
 		perA  = 6  // entries per A row: 72 products per row, well past SortRowMax
 		share = 16 // B rows draw from a column pool spread over the width, so products collide
@@ -193,9 +197,9 @@ func TestHostAutoHashesWideOperands(t *testing.T) {
 	if m.Counts.Hash != rows || m.Counts.Dense != 0 || m.Counts.Sort != 0 {
 		t.Fatalf("auto merged %+v on a %d-column operand, want all %d rows by hash", m.Counts, cols, rows)
 	}
-	if m.acc != nil || m.marker != nil {
-		t.Fatalf("auto acquired dense scratch (%d + %d entries) for short rows of a wide operand",
-			len(m.acc), len(m.marker))
+	if m.acc != nil || m.occupied != nil {
+		t.Fatalf("auto acquired dense scratch (%d + %d words) for short rows of a wide operand",
+			len(m.acc), len(m.occupied))
 	}
 
 	want, err := MultiplyConfigured(a, b, nil, nil, MulConfig{Accum: AccumDense})
@@ -242,7 +246,7 @@ func bitIdenticalRows(t *testing.T, label string, wantIdx, gotIdx []int, wantVal
 		if gotIdx[k] != wantIdx[k] {
 			t.Fatalf("%s: entry %d has column %d, want %d", label, k, gotIdx[k], wantIdx[k])
 		}
-		if gotVal[k] != wantVal[k] {
+		if math.Float64bits(gotVal[k]) != math.Float64bits(wantVal[k]) {
 			t.Fatalf("%s: entry %d at column %d holds %v, want %v (not bit-identical)",
 				label, k, gotIdx[k], gotVal[k], wantVal[k])
 		}
@@ -314,6 +318,50 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 					si, kind, m.Counts)
 			}
 			m.Release()
+		}
+	}
+}
+
+// TestNegativeZeroMergesToPositiveZero pins the sign of a column whose
+// only products are -0 (-1 times an explicit zero, or a negative product
+// that underflows): every accumulator starts a column's sum at +0, as
+// sparse.Multiply does, so the merged entry is +0 under all four kinds.
+// The B rows cover both dense emit branches: a narrow row the bitmap
+// sweep emits, and columns 0 and 4096 of a 4097-column operand, 64 words
+// apart, which the sort fallback emits.
+func TestNegativeZeroMergesToPositiveZero(t *testing.T) {
+	cases := []struct {
+		name string
+		av   float64
+		cols int
+		bIdx []int
+		bVal []float64
+	}{
+		{"explicit zero, sweep", -1, 40, []int{17}, []float64{0}},
+		{"underflow, sweep", -1e-200, 40, []int{3, 4}, []float64{1e-200, 0}},
+		{"explicit zero, sort fallback", -1, 4097, []int{0, 4096}, []float64{0, 0}},
+		{"underflow, sort fallback", 1e-200, 4097, []int{0, 4096}, []float64{-1e-200, 0}},
+	}
+	for _, c := range cases {
+		a := NewCSR(1, 1)
+		a.AppendRow(0, []int{0}, []float64{c.av})
+		b := NewCSR(1, c.cols)
+		b.AppendRow(0, c.bIdx, c.bVal)
+		want, err := Multiply(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range want.Val {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: Multiply entry %d is %v, want +0", c.name, k, v)
+			}
+		}
+		for _, kind := range allAccumKinds {
+			got, err := MultiplyConfigured(a, b, nil, nil, MulConfig{Accum: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bitIdenticalRows(t, c.name+"/"+kind.String(), want.Idx, got.Idx, want.Val, got.Val)
 		}
 	}
 }

@@ -292,7 +292,8 @@ func mergeRowEntries(srcI []int, srcV []float64, dstI []int, dstV []float64, lo,
 }
 
 // CombineRow sorts one row's (idx, val) entry pairs in place by column
-// index, merges duplicate columns by addition, and appends the combined
+// index, merges duplicate columns by addition starting from +0 (so a
+// column holding only -0 entries merges to +0), and appends the combined
 // entries to outIdx/outVal, returning the extended slices.
 //
 // It is the single merge primitive behind SortRows (and therefore every
@@ -304,7 +305,7 @@ func CombineRow(idx []int, val []float64, outIdx []int, outVal []float64) ([]int
 	sortRowEntries(idx, val)
 	for k := 0; k < len(idx); {
 		j := idx[k]
-		v := val[k]
+		v := 0 + val[k]
 		k++
 		for k < len(idx) && idx[k] == j {
 			v += val[k]

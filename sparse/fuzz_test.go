@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -95,9 +96,14 @@ func FuzzReadBinary(f *testing.F) {
 // accumulator strategy — replayed through ProductRow as the product row of
 // streamOperands — and requires bit-identical output to CombineRow, the
 // engine's historical sort-merge. Bytes decode as (column, value) pairs
-// over a small column space so duplicates are the common case; the
-// seed corpus pins the hostile shapes — empty rows, all-duplicate rows,
-// and streams long enough to leave the auto-selector's sort path. Every
+// over 256 columns spread 16 apart, so duplicates are the common case and
+// a row's bitmap span can be wide enough for the dense path's sort
+// fallback; column byte 255 stands for the last column, the lone bit in
+// the last word of the occupancy bitmap, and value byte 0x80 for -0, so
+// signed zeros are compared too. The seed corpus pins the hostile shapes —
+// empty rows, all-duplicate rows, streams long enough to leave the
+// auto-selector's sort path, and rows that land on each of the dense
+// path's emit branches (the bitmap sweep and the sort fallback). Every
 // strategy also runs forced, so each merge path sees every input.
 func FuzzAccumulatorMerge(f *testing.F) {
 	f.Add([]byte{})                             // empty row
@@ -114,15 +120,33 @@ func FuzzAccumulatorMerge(f *testing.F) {
 		wide = append(wide, byte(i), byte(i%7+1))
 	}
 	f.Add(wide)
+	// Dense emit by bitmap sweep: the top 17 words hold 64 touched
+	// columns, through the last one, with a -0 product and a -0
+	// duplicate among them.
+	sweep := make([]byte, 0, 2*67)
+	for i := 0; i < 64; i++ {
+		sweep = append(sweep, byte(192+i), byte(i%9+1))
+	}
+	sweep = append(sweep, 250, 0x80, 255, 0x80, 255, 0x80)
+	f.Add(sweep)
+	// Dense emit by sort fallback: the first and last columns, 64 words
+	// apart, the last holding only -0 products.
+	f.Add([]byte{255, 0x80, 0, 3, 255, 0x80, 0, 4, 255, 0x80})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		const cols = 257 // not a power of two: exercises table wraparound
+		const cols = 16*256 + 1 // not a power of two: exercises table wraparound
 		n := len(in) / 2
 		idx := make([]int, n)
 		val := make([]float64, n)
 		for k := 0; k < n; k++ {
-			idx[k] = int(in[2*k]) % cols
+			idx[k] = 16 * int(in[2*k])
+			if in[2*k] == 255 {
+				idx[k] = cols - 1
+			}
 			val[k] = float64(int8(in[2*k+1])) / 8
+			if in[2*k+1] == 0x80 {
+				val[k] = math.Copysign(0, -1)
+			}
 		}
 		wi := append([]int(nil), idx...)
 		wv := append([]float64(nil), val...)
@@ -135,7 +159,7 @@ func FuzzAccumulatorMerge(f *testing.F) {
 				t.Fatalf("%v: %d entries, want %d", kind, len(gotIdx), len(wantIdx))
 			}
 			for k := range wantIdx {
-				if gotIdx[k] != wantIdx[k] || gotVal[k] != wantVal[k] {
+				if gotIdx[k] != wantIdx[k] || math.Float64bits(gotVal[k]) != math.Float64bits(wantVal[k]) {
 					t.Fatalf("%v: entry %d = (%d, %v), want (%d, %v)",
 						kind, k, gotIdx[k], gotVal[k], wantIdx[k], wantVal[k])
 				}

@@ -153,9 +153,22 @@ func (m *CSR) ColSums() []float64 {
 // PowElements raises every stored value to the power p in place: the
 // Hadamard power M∘ᵖ that MCL's inflation applies before renormalizing.
 // Exponentiating negative entries to fractional powers produces NaN, which
-// a following Prune drops; p = 1 is a no-op.
+// a following Prune drops; p = 1 is a no-op. p = 2, MCL's default
+// inflation, squares by multiplying wherever the square is a finite
+// normal number, where v*v and math.Pow(v, 2) agree to the bit; NaN,
+// ±Inf, overflow and subnormal or zero squares keep math.Pow.
 func (m *CSR) PowElements(p float64) {
-	if p == 1 {
+	switch p {
+	case 1:
+		return
+	case 2:
+		for k, v := range m.Val {
+			if r := v * v; r >= 0x1p-1022 && r <= math.MaxFloat64 {
+				m.Val[k] = r
+			} else {
+				m.Val[k] = math.Pow(v, 2)
+			}
+		}
 		return
 	}
 	for k := range m.Val {

@@ -290,6 +290,39 @@ func TestPowElementsIdentityPower(t *testing.T) {
 	}
 }
 
+// TestPowElementsSquareMatchesPow pins the p = 2 fast path to math.Pow
+// bit for bit on every class of value: NaN payloads, signed zeros and
+// infinities, subnormals, values whose square underflows into or just past
+// the subnormal range, values whose square overflows, and random normals
+// across the exponent range.
+func TestPowElementsSquareMatchesPow(t *testing.T) {
+	vals := []float64{
+		math.NaN(), math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1040,
+		0x1p-511, -0x1p-511, 0x1p-512, 0x1.6a09e667f3bcdp-512, 0x1.6a09e667f3bccp-512,
+		0x1p-537, 0x1.8p-530, 1e-160, 1e-200, -1e-170,
+		math.MaxFloat64, -math.MaxFloat64, 0x1p512, 0x1.fffffffffffffp511, 1.3407807929942596e154, -1e155,
+		1, -1, 0.5, 3, math.Pi, -math.E,
+	}
+	rng := testRNG(5)
+	for i := 0; i < 20000; i++ {
+		// Uniform exponents cover the normal, subnormal-square and
+		// overflow ranges alike.
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+		vals = append(vals, math.Ldexp(1+rng.Float64(), rng.IntN(80)-560))
+	}
+	m := &CSR{Rows: 1, Cols: len(vals), Ptr: []int{0, len(vals)}, Idx: make([]int, len(vals)),
+		Val: append([]float64(nil), vals...)}
+	m.PowElements(2)
+	for k, v := range vals {
+		if want := math.Pow(v, 2); math.Float64bits(m.Val[k]) != math.Float64bits(want) {
+			t.Fatalf("PowElements(2) of %v (%#x) = %v (%#x), math.Pow gives %v (%#x)",
+				v, math.Float64bits(v), m.Val[k], math.Float64bits(m.Val[k]), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestPruneDropsExplicitZerosAndNaNs(t *testing.T) {
 	// Explicit zeros (e.g. cancellation upstream) must never survive, even
 	// with a negative tolerance, and NaNs are dropped too.
