@@ -33,16 +33,19 @@
 #                      sort-fallback and bitmap-sweep emits. Runs on every
 #                      host: it checks that the paths work and agree, and
 #                      records no timings
-#   8. graphrun smoke — genmat generates a small R-MAT network and graphrun
+#   8. fuzz smoke     — FuzzDecodeRequest runs for 10 s past its seed corpus:
+#                      spgemmd's request decoder must agree with
+#                      encoding/json on whatever the fuzzer makes
+#   9. graphrun smoke — genmat generates a small R-MAT network and graphrun
 #                      clusters it end to end, so the CLI wiring from file
 #                      input through the pipeline engine stays exercised
-#   9. spgemmload smoke — a tiny workload spec drives an in-process spgemmd
+#  10. spgemmload smoke — a tiny workload spec drives an in-process spgemmd
 #                      for under a second, records the request trace, replays
 #                      it virtually, and validates the fitness report against
 #                      the committed schema golden, so the serving loop
 #                      (admission, queue-wait accounting, trace record/replay,
 #                      SLO scoring) stays exercised end to end
-#  10. cluster smoke  — spgemmd starts as a 2-instance cluster behind the
+#  11. cluster smoke  — spgemmd starts as a 2-instance cluster behind the
 #                      structure-affinity router, spgemmload drives a
 #                      structure-repeating spec at it over real HTTP, and
 #                      the gate asserts the router's affinity-hit counter
@@ -52,7 +55,7 @@
 #                      the fitness report still passes the schema golden —
 #                      so the routing and fleet-scrape paths of
 #                      docs/CLUSTER.md stay exercised end to end
-#  11. out-of-core smoke — genmat -stream writes a segmented R-MAT network,
+#  12. out-of-core smoke — genmat -stream writes a segmented R-MAT network,
 #                      graphrun powers it twice: once in memory, once under
 #                      a deliberately tiny -mem-budget (forcing a real tile
 #                      grid with spill and merge), and the two result files
@@ -122,6 +125,9 @@ for ds in youtube:64 harbor:32; do
         fi
     done
 done
+
+echo "==> fuzz smoke (request decoder against encoding/json)"
+go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./server
 
 echo "==> graphrun smoke (genmat R-MAT -> MCL clustering)"
 go run ./cmd/genmat -kind rmat -n 256 -nnz 1024 -seed 7 -o "$smoke_dir/net.mtx"

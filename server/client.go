@@ -123,7 +123,7 @@ func statusError(code int, body []byte) *StatusError {
 // the server recorded for it (%016x). A name already taken answers 409.
 func (c *Client) Register(ctx context.Context, name string, m *sparse.CSR) (string, error) {
 	var info matrixInfo
-	if err := c.Do(ctx, http.MethodPost, "/v1/matrices", registerRequest{Name: name, COO: PayloadFromCSR(m)}, &info); err != nil {
+	if err := c.Do(ctx, http.MethodPost, "/v1/matrices", RegisterRequest{Name: name, COO: PayloadFromCSR(m)}, &info); err != nil {
 		return "", err
 	}
 	return info.Fingerprint, nil

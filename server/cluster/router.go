@@ -489,12 +489,6 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// registerBody mirrors the instances' POST /v1/matrices schema.
-type registerBody struct {
-	Name string             `json:"name"`
-	COO  *server.COOPayload `json:"coo"`
-}
-
 // handleRegisterMatrix registers the matrix in the router's registry (the
 // routing source of truth for fingerprints) and broadcasts it to every
 // instance that does not share that registry, so a single upload makes the
@@ -509,8 +503,8 @@ func (rt *Router) handleRegisterMatrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	var req registerBody
-	if err := json.Unmarshal(raw, &req); err != nil {
+	var req server.RegisterRequest
+	if err := server.DecodeRequest(raw, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

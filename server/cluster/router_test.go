@@ -505,3 +505,29 @@ func TestClusterMetricsOversizeScrape(t *testing.T) {
 		t.Fatalf("i0 plan-cache hits = %v, want 0", v)
 	}
 }
+
+// TestRegisterRejectsUnknownFieldsLikeAnInstance: a registration body with
+// a misspelled key answers 400 from a lone spgemmd and from the router of
+// an in-process cluster, which decodes it itself because its instances
+// share its registry and never see the body.
+func TestRegisterRejectsUnknownFieldsLikeAnInstance(t *testing.T) {
+	body := []byte(`{"name":"net","coo":{"rows":1,"cols":1,"i":[0],"j":[0],"v":[1],"vals":[2]}}`)
+	srv, err := server.New(server.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone := httptest.NewServer(srv.Handler())
+	defer lone.Close()
+	_, routed := newTestCluster(t, 2, server.Config{Workers: 1}, Options{})
+	for _, base := range []string{lone.URL, routed.URL} {
+		resp, err := http.Post(base+"/v1/matrices", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field \"vals\"`) {
+			t.Errorf("%s: status %d (%s), want 400 naming the unknown field", base, resp.StatusCode, bytes.TrimSpace(msg))
+		}
+	}
+}

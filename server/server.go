@@ -404,8 +404,8 @@ func (s *Server) handleListMatrices(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"matrices": out})
 }
 
-// registerRequest is the body of POST /v1/matrices.
-type registerRequest struct {
+// RegisterRequest is the body of POST /v1/matrices.
+type RegisterRequest struct {
 	Name string      `json:"name"`
 	COO  *COOPayload `json:"coo"`
 }
@@ -415,7 +415,7 @@ func (s *Server) handleRegisterMatrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	var req registerRequest
+	var req RegisterRequest
 	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -530,12 +530,4 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// decodeBody parses a size-capped JSON request body into v, rejecting
-// unknown fields so client typos fail loudly.
-func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }

@@ -111,7 +111,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// Register the operand over the API.
 	var info matrixInfo
-	resp := postJSON(t, ts.URL+"/v1/matrices", registerRequest{Name: "net", COO: PayloadFromCSR(a)}, &info)
+	resp := postJSON(t, ts.URL+"/v1/matrices", RegisterRequest{Name: "net", COO: PayloadFromCSR(a)}, &info)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register: got status %d, want 201", resp.StatusCode)
 	}
@@ -121,7 +121,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Duplicate registration must be refused.
-	resp = postJSON(t, ts.URL+"/v1/matrices", registerRequest{Name: "net", COO: PayloadFromCSR(a)}, nil)
+	resp = postJSON(t, ts.URL+"/v1/matrices", RegisterRequest{Name: "net", COO: PayloadFromCSR(a)}, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate register: got status %d, want 409", resp.StatusCode)
 	}

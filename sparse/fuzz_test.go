@@ -2,7 +2,11 @@ package sparse
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -165,6 +169,94 @@ func FuzzAccumulatorMerge(f *testing.F) {
 				}
 			}
 			m.Release()
+		}
+	})
+}
+
+// FuzzOpenSegmented writes arbitrary bytes to a file and reads it back as
+// a segmented container through every reader: SniffContainer,
+// OpenSegmented, LoadPanel and StreamPanel on each panel, and
+// ReadSegmentedFile. Each must return an error or a valid matrix, never
+// panic, and allocate no more than a fixed multiple of the file's size
+// however large the header's counts. The seeds are small valid files on
+// both axes and the hostile corners of the format: truncation, a header
+// nnz or dimension the file cannot hold, a panel count past the file, and
+// index entries whose sizes overflow int64 arithmetic.
+func FuzzOpenSegmented(f *testing.F) {
+	m := NewCSR(3, 4)
+	m.Ptr = []int{0, 2, 2, 3}
+	m.Idx = []int{0, 3, 1}
+	m.Val = []float64{1, -2, 0.5}
+	encode := func(axis SegAxis, panel int64) []byte {
+		path := filepath.Join(f.TempDir(), "seed.csrs")
+		if err := WriteSegmentedFile(path, m, axis, panel); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	rows, cols := encode(SegRows, 2), encode(SegCols, 3)
+	f.Add(rows)
+	f.Add(cols)
+	f.Add(rows[:len(rows)-7])
+	f.Add([]byte("CSRS"))
+	f.Add([]byte("CSRB"))
+	f.Add([]byte{})
+	// set overwrites the little-endian int64 at off in a copy of data.
+	set := func(data []byte, off int, v uint64) []byte {
+		c := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(c[off:], v)
+		return c
+	}
+	const hdrRows, hdrCols, hdrNNZ, hdrPanels = 12, 20, 28, 36
+	indexOff := int(binary.LittleEndian.Uint64(rows[44:]))
+	f.Add(set(rows, hdrNNZ, 1<<40))                     // header nnz the panels do not hold
+	f.Add(set(rows, hdrPanels, 1<<40))                  // panel count past the file
+	f.Add(set(set(cols, hdrCols, 0), hdrPanels, 0))     // rows with no column panel
+	f.Add(set(set(cols, hdrRows, 1<<40), hdrCols, 0))   // ... and absurdly many of them
+	f.Add(set(rows, indexOff+16, 1<<62))                // panel nnz whose byte size wraps to 0
+	f.Add(set(rows, indexOff+24, 1<<63-8))              // panel offset near MaxInt64
+	f.Add(set(rows, indexOff+segIndexEntrySize+24, 52)) // second panel's payload over the first
+	f.Add(set(cols, hdrRows, 1<<61))                    // rows whose pointer bytes wrap
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "f.csrs")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		kind, err := SniffContainer(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (kind == "segmented") != bytes.HasPrefix(data, segMagic[:]) {
+			t.Fatalf("SniffContainer = %q for magic %q", kind, data[:min(4, len(data))])
+		}
+		if s, err := OpenSegmented(path); err == nil {
+			for i := range s.Panels() {
+				if p, err := s.LoadPanel(i); err == nil {
+					if err := p.CheckDeep(); err != nil {
+						t.Fatalf("LoadPanel(%d) accepted an invalid panel: %v", i, err)
+					}
+				}
+				pr, err := s.StreamPanel(i)
+				for err == nil {
+					_, _, err = pr.NextRow()
+				}
+			}
+			s.Close()
+		}
+		if m, err := ReadSegmentedFile(path); err == nil {
+			if err := m.CheckDeep(); err != nil {
+				t.Fatalf("ReadSegmentedFile accepted an invalid matrix: %v", err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+1<<20); got > limit {
+			t.Fatalf("reading a %d-byte file allocated %d bytes", len(data), got)
 		}
 	})
 }

@@ -89,24 +89,7 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 		symStart := rec.Now()
 		rowNNZ = parallel.GetInts(a.Rows)
 		defer parallel.PutInts(rowNNZ)
-		ex.ForEach(chunks, func(r parallel.Range) {
-			marker := parallel.GetIntsZeroed(b.Cols)
-			for i := r.Lo; i < r.Hi; i++ {
-				n := 0
-				for ka := a.Ptr[i]; ka < a.Ptr[i+1]; ka++ {
-					k := a.Idx[ka]
-					for kb := b.Ptr[k]; kb < b.Ptr[k+1]; kb++ {
-						j := b.Idx[kb]
-						if marker[j] != i+1 {
-							marker[j] = i + 1
-							n++
-						}
-					}
-				}
-				rowNNZ[i] = n
-			}
-			parallel.PutInts(marker)
-		})
+		symbolicRowsOn(rowNNZ, a, b, ex, chunks)
 		if rec.Enabled() {
 			var nnzc int64
 			for _, n := range rowNNZ {
@@ -171,16 +154,27 @@ func SymbolicRowNNZOn(a, b *CSR, ex *parallel.Executor) ([]int, error) {
 	intermediateRowWorkInto(rowWork, a, b, ex)
 	chunks := parallel.WeightedRanges(rowWork, 4*ex.Workers())
 	parallel.PutInt64s(rowWork)
+	symbolicRowsOn(counts, a, b, ex, chunks)
+	return counts, nil
+}
+
+// symbolicRowsOn is the marker sweep of the symbolic phase: it writes the
+// merged population of every row of A×B into counts, one chunk at a time
+// with a pooled marker array. Each product stamps its column with the
+// row's stamp unconditionally and counts the columns whose previous stamp
+// differed, which the compiler turns into a conditional move: the inner
+// loop has no data-dependent branch. A's and B's rows are walked as range
+// slices, so the inner loop bounds-checks only the marker.
+func symbolicRowsOn(counts []int, a, b *CSR, ex *parallel.Executor, chunks []parallel.Range) {
 	ex.ForEach(chunks, func(r parallel.Range) {
 		marker := parallel.GetIntsZeroed(b.Cols)
 		for i := r.Lo; i < r.Hi; i++ {
-			n := 0
-			for ka := a.Ptr[i]; ka < a.Ptr[i+1]; ka++ {
-				k := a.Idx[ka]
-				for kb := b.Ptr[k]; kb < b.Ptr[k+1]; kb++ {
-					j := b.Idx[kb]
-					if marker[j] != i+1 {
-						marker[j] = i + 1
+			stamp, n := i+1, 0
+			for _, k := range a.Idx[a.Ptr[i]:a.Ptr[i+1]] {
+				for _, j := range b.Idx[b.Ptr[k]:b.Ptr[k+1]] {
+					m := marker[j]
+					marker[j] = stamp
+					if m != stamp {
 						n++
 					}
 				}
@@ -189,7 +183,6 @@ func SymbolicRowNNZOn(a, b *CSR, ex *parallel.Executor) ([]int, error) {
 		}
 		parallel.PutInts(marker)
 	})
-	return counts, nil
 }
 
 // IntermediateRowNNZOn is IntermediateRowNNZ on an explicit executor with

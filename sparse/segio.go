@@ -99,13 +99,24 @@ type SegPanel struct {
 	Off int64
 }
 
+// payloadRows returns the number of rows the panel's pointer array spans.
+func (p SegPanel) payloadRows(h SegHeader) int64 {
+	if h.Axis == SegCols {
+		return h.Rows
+	}
+	return p.End - p.Start
+}
+
 // payloadBytes returns the byte length of the panel's on-disk body.
 func (p SegPanel) payloadBytes(h SegHeader) int64 {
-	extent := p.End - p.Start
-	if h.Axis == SegCols {
-		extent = h.Rows
-	}
-	return 8*(extent+1) + 16*p.NNZ
+	return 8*(p.payloadRows(h)+1) + 16*p.NNZ
+}
+
+// fits reports whether the panel's body fits in room bytes, checked
+// without computing a size that could overflow.
+func (p SegPanel) fits(h SegHeader, room int64) bool {
+	rows := p.payloadRows(h)
+	return rows < room/8 && p.NNZ <= (room-8*(rows+1))/16
 }
 
 // SegWriter streams panels into a segmented container. Create one with
@@ -133,6 +144,11 @@ func CreateSegmented(path string, axis SegAxis, rows, cols int64) (*SegWriter, e
 	}
 	if axis != SegRows && axis != SegCols {
 		return nil, fmt.Errorf("sparse: unknown segment axis %d", axis)
+	}
+	if axis == SegCols && cols == 0 && rows > 0 {
+		// Only a panel's pointer array stores the rows; the reader
+		// refuses a row count no file bytes back.
+		return nil, fmt.Errorf("sparse: a %dx0 matrix has no column panel to hold its rows", rows)
 	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -322,17 +338,22 @@ func newSegFile(f *os.File) (*SegFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.Panels < 0 || indexOff < segHeaderSize ||
-		indexOff+h.Panels*segIndexEntrySize > st.Size() ||
-		h.Panels > (st.Size()-segHeaderSize)/segIndexEntrySize {
+	if h.Panels < 0 || indexOff < segHeaderSize || indexOff > st.Size() ||
+		h.Panels > (st.Size()-indexOff)/segIndexEntrySize {
 		return nil, fmt.Errorf("%w: index out of bounds (unclosed writer?)", ErrSegmentedFormat)
+	}
+	if h.Axis == SegCols && h.Panels == 0 && h.Rows > 0 {
+		return nil, fmt.Errorf("%w: %d rows but no column panel", ErrSegmentedFormat, h.Rows)
 	}
 	s := &SegFile{f: f, size: st.Size(), h: h, index: make([]SegPanel, h.Panels)}
 	ibuf := make([]byte, h.Panels*segIndexEntrySize)
 	if _, err := f.ReadAt(ibuf, indexOff); err != nil {
 		return nil, fmt.Errorf("%w: truncated index: %v", ErrSegmentedFormat, err)
 	}
-	prev := int64(0)
+	// The payloads lie back to back, as the writer lays them, from the
+	// header to the index: every count a reader allocates by is then
+	// backed by bytes of the file.
+	prev, off, nnz := int64(0), int64(segHeaderSize), int64(0)
 	for i := range s.index {
 		e := ibuf[i*segIndexEntrySize:]
 		p := SegPanel{
@@ -342,14 +363,18 @@ func newSegFile(f *os.File) (*SegFile, error) {
 			Off:   int64(binary.LittleEndian.Uint64(e[24:])),
 		}
 		if p.Start != prev || p.End <= p.Start || p.End > h.extent() || p.NNZ < 0 ||
-			p.Off < segHeaderSize || p.Off+p.payloadBytes(h) > st.Size() {
+			p.Off != off || !p.fits(h, indexOff-off) {
 			return nil, fmt.Errorf("%w: panel %d index entry invalid", ErrSegmentedFormat, i)
 		}
-		prev = p.End
+		prev, off, nnz = p.End, off+p.payloadBytes(h), nnz+p.NNZ
 		s.index[i] = p
 	}
 	if prev != h.extent() {
 		return nil, fmt.Errorf("%w: panels cover [0,%d) of axis extent %d", ErrSegmentedFormat, prev, h.extent())
+	}
+	if off != indexOff || nnz != h.NNZ {
+		return nil, fmt.Errorf("%w: panels hold %d bytes and %d entries, header says %d and %d",
+			ErrSegmentedFormat, off-segHeaderSize, nnz, indexOff-segHeaderSize, h.NNZ)
 	}
 	return s, nil
 }
@@ -477,10 +502,7 @@ func (s *SegFile) StreamPanel(i int) (*PanelRows, error) {
 		return nil, fmt.Errorf("sparse: panel %d out of range [0,%d)", i, len(s.index))
 	}
 	p := s.index[i]
-	rows := p.End - p.Start
-	if s.h.Axis == SegCols {
-		rows = s.h.Rows
-	}
+	rows := p.payloadRows(s.h)
 	buf := make([]byte, 8*(rows+1))
 	if _, err := s.f.ReadAt(buf, p.Off); err != nil {
 		return nil, fmt.Errorf("%w: truncated panel %d: %v", ErrSegmentedFormat, i, err)

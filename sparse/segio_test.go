@@ -161,6 +161,12 @@ func TestSegmentedWriterRejectsMisuse(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "m.csrs")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("failed Close left the destination file behind")
 	}
+	// A column-axis file of a rows×0 matrix would have no panel to hold
+	// its rows, and the reader refuses one.
+	if w, err := CreateSegmented(filepath.Join(dir, "z.csrs"), SegCols, 5, 0); err == nil {
+		w.Discard()
+		t.Fatal("column-axis 5x0 matrix accepted")
+	}
 }
 
 func TestSegmentedRejectsUnclosedWriter(t *testing.T) {
