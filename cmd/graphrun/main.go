@@ -8,11 +8,11 @@
 //	graphrun -workload similarity -in net.mtx -measure cosine -mask new -o scores.mtx
 //	graphrun -workload power -in net.seg -k 4 -mem-budget 64M -profile
 //
-// Input is a Matrix Market file, a binary CSR container, or a segmented
-// container (genmat -stream) — the format is detected from the file
-// itself. The per-iteration table reports the iterate's population,
-// whether the iteration's multiply rebound a cached preprocessing plan,
-// the simulated device time, and the convergence measure. -profile adds
+// Input is a Matrix Market file or a segmented container (genmat -stream)
+// — sparse.ReadFile detects the format from the file itself. The
+// per-iteration table reports the iterate's population, whether the
+// iteration's multiply rebound a cached preprocessing plan, the simulated
+// device time, and the convergence measure. -profile adds
 // the phase breakdown: pipeline.* step spans plus the multiplies' own
 // phases, double-attributed by design (see internal/trace).
 //
@@ -44,7 +44,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 	fs.SetOutput(stderr)
 	var (
 		workload  = fs.String("workload", "mcl", "workload: power | mcl | similarity")
-		in        = fs.String("in", "", "input Matrix Market file (required)")
+		in        = fs.String("in", "", "input matrix file: Matrix Market or segmented container (required)")
 		symmetric = fs.Bool("symmetrize", false, "symmetrize the input (A + Aᵀ) before running")
 
 		k         = fs.Int("k", 2, "power: exponent / hop count")
@@ -83,7 +83,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintln(stderr, "graphrun:", err)
 		return 2
 	}
-	a, err := loadMatrix(*in)
+	a, err := sparse.ReadFile(*in)
 	if err != nil {
 		fmt.Fprintln(stderr, "graphrun:", err)
 		return 1
@@ -198,23 +198,6 @@ func printProfile(w io.Writer, p *blockreorg.Profile) {
 		fmt.Fprintf(w, "%-24s %.0f\n", "ooc_budget_bytes", p.Gauges["ooc_budget_bytes"])
 		fmt.Fprintf(w, "%-24s %.0f\n", "ooc_peak_tracked_bytes", p.Gauges["ooc_peak_tracked_bytes"])
 	}
-}
-
-// loadMatrix reads the input in whatever container it arrives: the two
-// binary formats are sniffed from their magic, anything else parses as
-// Matrix Market.
-func loadMatrix(path string) (*sparse.CSR, error) {
-	kind, err := sparse.SniffContainer(path)
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case "segmented":
-		return sparse.ReadSegmentedFile(path)
-	case "binary":
-		return sparse.ReadBinaryFile(path)
-	}
-	return sparse.ReadMatrixMarketFile(path)
 }
 
 // parseBytes parses a byte size with an optional K/M/G suffix (powers of

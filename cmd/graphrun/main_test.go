@@ -133,7 +133,7 @@ func TestGraphrunOutOfCoreMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(t.TempDir(), "full.seg")
-	if err := sparse.WriteSegmentedFile(seg, m, sparse.SegRows, 4); err != nil {
+	if err := sparse.WriteSegmentedFile(seg, m, 4); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()

@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		file    = flag.String("f", "", "Matrix Market file")
+		file    = flag.String("f", "", "matrix file: Matrix Market or segmented container")
 		dataset = flag.String("dataset", "", "Table II dataset name")
 		scale   = flag.Int("scale", 8, "dataset scale divisor (with -dataset)")
 		alpha   = flag.Float64("alpha", 0, "dominator threshold divisor (0 = paper default)")
@@ -51,7 +51,7 @@ func run(file, dataset string, scale int, alpha, beta float64, sms int, profile 
 		m, err = spec.Generate(scale)
 		name = dataset
 	case file != "":
-		m, err = sparse.ReadMatrixMarketFile(file)
+		m, err = sparse.ReadFile(file)
 	default:
 		return fmt.Errorf("provide -f FILE or -dataset NAME")
 	}

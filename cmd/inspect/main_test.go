@@ -29,6 +29,13 @@ func TestRunOnFile(t *testing.T) {
 	if err := run(path, "", 0, 20, 5, 80, true); err != nil {
 		t.Fatal(err)
 	}
+	seg := filepath.Join(t.TempDir(), "m.csrs")
+	if err := sparse.WriteSegmentedFile(seg, m, 128); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(seg, "", 0, 20, 5, 80, false); err != nil {
+		t.Fatal(err)
+	}
 	if err := run(filepath.Join(t.TempDir(), "missing.mtx"), "", 0, 0, 0, 30, false); err == nil {
 		t.Fatal("missing file accepted")
 	}

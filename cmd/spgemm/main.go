@@ -1,8 +1,8 @@
 // Command spgemm multiplies two sparse matrices with a chosen spGEMM
 // algorithm on a simulated GPU and prints the resulting profile.
 //
-// Inputs are Matrix Market files, or a named dataset from the paper's
-// Table II catalog generated on the fly:
+// Inputs are matrix files (Matrix Market or segmented containers), or a
+// named dataset from the paper's Table II catalog generated on the fly:
 //
 //	spgemm -a matrix.mtx -b other.mtx -alg Block-Reorganizer
 //	spgemm -dataset youtube -scale 16 -gpu "Tesla V100" -compare
@@ -23,8 +23,8 @@ import (
 
 func main() {
 	var (
-		aPath    = flag.String("a", "", "Matrix Market file for A")
-		bPath    = flag.String("b", "", "Matrix Market file for B (default: A, computing A²)")
+		aPath    = flag.String("a", "", "matrix file for A: Matrix Market or segmented container")
+		bPath    = flag.String("b", "", "matrix file for B (default: A, computing A²)")
 		dataset  = flag.String("dataset", "", "Table II dataset name to generate instead of reading files")
 		scale    = flag.Int("scale", 8, "dataset scale divisor (with -dataset)")
 		algName  = flag.String("alg", string(blockreorg.BlockReorganizer), "algorithm")
@@ -155,14 +155,14 @@ func loadOperands(aPath, bPath, dataset string, scale int) (a, b *sparse.CSR, er
 		}
 		return a, a, nil
 	case aPath != "":
-		a, err = sparse.ReadMatrixMarketFile(aPath)
+		a, err = sparse.ReadFile(aPath)
 		if err != nil {
 			return nil, nil, err
 		}
 		if bPath == "" {
 			return a, a, nil
 		}
-		b, err = sparse.ReadMatrixMarketFile(bPath)
+		b, err = sparse.ReadFile(bPath)
 		if err != nil {
 			return nil, nil, err
 		}

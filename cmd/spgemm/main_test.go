@@ -41,9 +41,11 @@ func TestLoadOperandsFiles(t *testing.T) {
 	if a != b || !a.Equal(m, 0) {
 		t.Fatal("single-file load wrong")
 	}
+	// B arrives as a segmented container: each operand's format is
+	// detected on its own.
 	n := m.Transpose()
-	pb := filepath.Join(dir, "b.mtx")
-	if err := sparse.WriteMatrixMarketFile(pb, n); err != nil {
+	pb := filepath.Join(dir, "b.csrs")
+	if err := sparse.WriteSegmentedFile(pb, n, 8); err != nil {
 		t.Fatal(err)
 	}
 	a, b, err = loadOperands(pa, pb, "", 0)

@@ -105,14 +105,14 @@ func (c *client) matrices() error {
 func (c *client) upload(args []string) error {
 	fs := flag.NewFlagSet("upload", flag.ContinueOnError)
 	name := fs.String("name", "", "name to register the matrix under")
-	file := fs.String("file", "", "matrix file (*.mtx or *.csrb)")
+	file := fs.String("file", "", "matrix file: Matrix Market or segmented container")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *name == "" || *file == "" {
 		return fmt.Errorf("upload needs -name and -file")
 	}
-	m, err := readMatrixFile(*file)
+	m, err := sparse.ReadFile(*file)
 	if err != nil {
 		return err
 	}
@@ -122,18 +122,6 @@ func (c *client) upload(args []string) error {
 	}
 	fmt.Fprintf(c.out, "registered %s (%dx%d, nnz=%d, fp=%s)\n", *name, m.Rows, m.Cols, m.NNZ(), fp)
 	return nil
-}
-
-// readMatrixFile loads an operand by extension.
-func readMatrixFile(path string) (*sparse.CSR, error) {
-	switch {
-	case strings.HasSuffix(path, ".mtx"):
-		return sparse.ReadMatrixMarketFile(path)
-	case strings.HasSuffix(path, ".csrb"):
-		return sparse.ReadBinaryFile(path)
-	default:
-		return nil, fmt.Errorf("%s: unknown matrix format (want .mtx or .csrb)", path)
-	}
 }
 
 func (c *client) multiply(args []string) error {

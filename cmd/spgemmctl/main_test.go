@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -53,6 +54,21 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "registered net") {
 		t.Fatalf("upload output: %q", out.String())
+	}
+	_, fp, _ := strings.Cut(out.String(), "fp=")
+	out.Reset()
+
+	// The same matrix as a multi-panel segmented container registers
+	// with the same structure fingerprint.
+	seg := filepath.Join(dir, "net.csrs")
+	if err := sparse.WriteSegmentedFile(seg, m, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.upload([]string{"-name", "netseg", "-file", seg}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "registered netseg") || fp == "" || !strings.Contains(out.String(), "fp="+fp) {
+		t.Fatalf("segmented upload output: %q, want fp=%s", out.String(), fp)
 	}
 	out.Reset()
 
@@ -169,8 +185,14 @@ func TestClientErrors(t *testing.T) {
 	if err := c.job([]string{"-id", "j-42"}); err == nil || !strings.Contains(err.Error(), "unknown job") {
 		t.Fatalf("unknown job error = %v", err)
 	}
-	if err := c.upload([]string{"-name", "x", "-file", "matrix.xls"}); err == nil || !strings.Contains(err.Error(), "unknown matrix format") {
-		t.Fatalf("bad extension error = %v", err)
+	// The format comes from the file's content, not its extension: a file
+	// of neither format fails with an error naming both.
+	junk := filepath.Join(t.TempDir(), "matrix.xls")
+	if err := os.WriteFile(junk, []byte("PK\x03\x04 not a matrix"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.upload([]string{"-name", "x", "-file", junk}); err == nil || !strings.Contains(err.Error(), "neither a segmented CSR container nor Matrix Market") {
+		t.Fatalf("unknown format error = %v", err)
 	}
 	if err := c.pipeline([]string{"-a", "x"}); err == nil {
 		t.Fatal("pipeline without -workload accepted")

@@ -40,7 +40,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8447", "listen address")
-		dataDir    = flag.String("data", "", "directory of *.mtx / *.csrb matrices to register at startup")
+		dataDir    = flag.String("data", "", "directory of *.mtx / *.csrs matrices to register at startup")
 		demo       = flag.Bool("demo", false, "register generated power-law demo networks")
 		workers    = flag.Int("workers", 2, "worker pool size (one simulated device each)")
 		gpus       = flag.String("gpus", "", "comma-separated device names assigned to workers round-robin (default TITAN Xp)")

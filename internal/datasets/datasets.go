@@ -141,10 +141,11 @@ func (s Spec) Generate(scale int) (*sparse.CSR, error) {
 	return rmat.Mesh(rows, rowNNZ, halfBand, s.Seed)
 }
 
-// GenerateCached materializes the stand-in through a binary disk cache in
-// dir: the first call generates and stores the matrix, later calls load it
-// (an order of magnitude faster for the large Stanford entries). An
-// unreadable or corrupt cache entry is regenerated and rewritten.
+// GenerateCached materializes the stand-in through a disk cache of
+// segmented containers in dir: the first call generates and stores the
+// matrix, later calls load it (an order of magnitude faster for the large
+// Stanford entries). An unreadable or corrupt cache entry is regenerated
+// and rewritten.
 func (s Spec) GenerateCached(scale int, dir string) (*sparse.CSR, error) {
 	if dir == "" {
 		return s.Generate(scale)
@@ -152,15 +153,15 @@ func (s Spec) GenerateCached(scale int, dir string) (*sparse.CSR, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, fmt.Sprintf("%s_s%d.csrb", s.Name, scale))
-	if m, err := sparse.ReadBinaryFile(path); err == nil {
+	path := filepath.Join(dir, fmt.Sprintf("%s_s%d.csrs", s.Name, scale))
+	if m, err := sparse.ReadFile(path); err == nil {
 		return m, nil
 	}
 	m, err := s.Generate(scale)
 	if err != nil {
 		return nil, err
 	}
-	if err := sparse.WriteBinaryFile(path, m); err != nil {
+	if err := sparse.WriteSegmentedFile(path, m, 0); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -248,7 +248,7 @@ func TestGenerateCached(t *testing.T) {
 	}
 	// A corrupt cache entry is regenerated, not trusted.
 	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 {
+	if err != nil || len(entries) != 1 || entries[0].Name() != "as-caida_s32.csrs" {
 		t.Fatalf("cache dir contents: %v, %v", entries, err)
 	}
 	path := filepath.Join(dir, entries[0].Name())

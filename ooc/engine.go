@@ -221,9 +221,9 @@ func (e *Engine) Multiply(a, b *sparse.CSR) (*sparse.CSR, error) {
 	return result, nil
 }
 
-// MultiplyFiles computes C = A×B where both operands are row-axis
-// segmented containers on disk and the result streams into a new row-axis
-// segmented container at outPath — no matrix is ever whole in memory.
+// MultiplyFiles computes C = A×B where both operands are segmented
+// containers on disk and the result streams into a new segmented
+// container at outPath — no matrix is ever whole in memory.
 // Row panels align to the stored panel boundaries, so generate the
 // operands with a stored panel size no larger than the intended grid's
 // (genmat -stream -panel).
@@ -239,9 +239,6 @@ func (e *Engine) MultiplyFiles(aPath, bPath, outPath string) error {
 	}
 	defer segB.Close()
 	ha, hb := segA.Header(), segB.Header()
-	if ha.Axis != sparse.SegRows || hb.Axis != sparse.SegRows {
-		return fmt.Errorf("%w: operands must be row-axis segmented containers", blockreorg.ErrInvalidOptions)
-	}
 	if ha.Cols != hb.Rows {
 		return fmt.Errorf("%w: cannot multiply %dx%d by %dx%d",
 			blockreorg.ErrDimensionMismatch, ha.Rows, ha.Cols, hb.Rows, hb.Cols)
@@ -269,7 +266,7 @@ func (e *Engine) MultiplyFiles(aPath, bPath, outPath string) error {
 	if err != nil {
 		return err
 	}
-	w, err := sparse.CreateSegmented(outPath, sparse.SegRows, ha.Rows, hb.Cols)
+	w, err := sparse.CreateSegmented(outPath, ha.Rows, hb.Cols)
 	if err != nil {
 		return err
 	}
@@ -287,9 +284,9 @@ func (e *Engine) MultiplyFiles(aPath, bPath, outPath string) error {
 	return nil
 }
 
-// writeEmptySegmented writes an all-zero rows×cols row-axis container.
+// writeEmptySegmented writes an all-zero rows×cols segmented container.
 func writeEmptySegmented(path string, rows, cols int64) error {
-	w, err := sparse.CreateSegmented(path, sparse.SegRows, rows, cols)
+	w, err := sparse.CreateSegmented(path, rows, cols)
 	if err != nil {
 		return err
 	}
@@ -309,7 +306,7 @@ func (e *Engine) finish() {
 	rec.Set(trace.GaugeOOCPeakBytes, float64(e.acct.Peak()))
 }
 
-// reshard streams B's rows once and scatters them into one row-axis
+// reshard streams B's rows once and scatters them into one segmented
 // scratch container per column panel, with column indices local to the
 // panel. The tile loop then loads B[:, J] with a single sequential read.
 func (e *Engine) reshard(b source) (cuts []int64, paths []string, err error) {
@@ -337,7 +334,7 @@ func (e *Engine) reshard(b source) (cuts []int64, paths []string, err error) {
 	}()
 	for J := 0; J < nJ; J++ {
 		path := e.scratchPath(fmt.Sprintf("b-col-%04d.seg", J))
-		w, werr := sparse.CreateSegmented(path, sparse.SegRows, rows, cuts[J+1]-cuts[J])
+		w, werr := sparse.CreateSegmented(path, rows, cuts[J+1]-cuts[J])
 		if werr != nil {
 			return nil, nil, werr
 		}
@@ -505,7 +502,7 @@ func (e *Engine) tile(g *tileGrid, I, J int, aPanel *sparse.CSR, fpA uint64, bPa
 
 	t0 = time.Now()
 	path := e.scratchPath(fmt.Sprintf("c-%04d-%04d.seg", I, J))
-	if err := sparse.WriteSegmentedFile(path, res.C, sparse.SegRows, 0); err != nil {
+	if err := sparse.WriteSegmentedFile(path, res.C, 0); err != nil {
 		return err
 	}
 	g.spill[I][J] = path

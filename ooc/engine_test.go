@@ -220,10 +220,10 @@ func TestMultiplyFilesBitIdentical(t *testing.T) {
 	// Stored panels bound the grid planner's cut granularity (a file cut
 	// must land on a stored panel boundary), so keep them fine relative
 	// to the budget's panel share.
-	if err := sparse.WriteSegmentedFile(aPath, a, sparse.SegRows, 32); err != nil {
+	if err := sparse.WriteSegmentedFile(aPath, a, 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := sparse.WriteSegmentedFile(bPath, b, sparse.SegRows, 32); err != nil {
+	if err := sparse.WriteSegmentedFile(bPath, b, 32); err != nil {
 		t.Fatal(err)
 	}
 	e, err := New(Options{Budget: 200 << 10, Dir: filepath.Join(dir, "scratch")})
@@ -379,10 +379,10 @@ func TestDegenerateOperands(t *testing.T) {
 	aPath := filepath.Join(dir, "a.seg")
 	bPath := filepath.Join(dir, "b.seg")
 	outPath := filepath.Join(dir, "c.seg")
-	if err := sparse.WriteSegmentedFile(aPath, sparse.NewCSR(5, 4), sparse.SegRows, 0); err != nil {
+	if err := sparse.WriteSegmentedFile(aPath, sparse.NewCSR(5, 4), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sparse.WriteSegmentedFile(bPath, sparse.NewCSR(4, 3), sparse.SegRows, 0); err != nil {
+	if err := sparse.WriteSegmentedFile(bPath, sparse.NewCSR(4, 3), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.MultiplyFiles(aPath, bPath, outPath); err != nil {

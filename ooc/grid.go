@@ -107,9 +107,9 @@ func (s memSource) rowFlops(bRowNNZ []int64) ([]int64, error) {
 	return out, nil
 }
 
-// fileSource serves panels of a row-axis segmented container. Row cuts
-// align to the stored panel boundaries, so a load is a sequence of whole
-// stored panels concatenated in memory.
+// fileSource serves panels of a segmented container. Row cuts align to
+// the stored panel boundaries, so a load is a sequence of whole stored
+// panels concatenated in memory.
 type fileSource struct {
 	seg *sparse.SegFile
 }

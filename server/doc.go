@@ -8,8 +8,8 @@
 // The pieces:
 //
 //   - Registry — named operand matrices, loaded from Matrix Market or
-//     binary CSR files or registered over the API, each carrying its
-//     structure fingerprint;
+//     segmented container files or registered over the API, each
+//     carrying its structure fingerprint;
 //   - the plan cache — a blockreorg.PlanCache (the LRU shared with the
 //     pipeline runner and the out-of-core engine) of reusable
 //     preprocessing plans, keyed by blockreorg.PlanKeyFor on the

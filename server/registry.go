@@ -82,10 +82,10 @@ func (r *Registry) Len() int {
 	return len(r.mats)
 }
 
-// LoadDir registers every matrix file in dir: *.mtx via the Matrix Market
-// reader and *.csrb via the binary CSR reader, each under its base name
-// without the extension. It returns the number of matrices loaded; the
-// first unreadable or invalid file aborts the load.
+// LoadDir registers every *.mtx and *.csrs file in dir, read by
+// sparse.ReadFile, each under its base name without the extension. It
+// returns the number of matrices loaded; the first unreadable or invalid
+// file aborts the load.
 func (r *Registry) LoadDir(dir string) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -96,20 +96,15 @@ func (r *Registry) LoadDir(dir string) (int, error) {
 		if e.IsDir() {
 			continue
 		}
-		var m *sparse.CSR
-		path := filepath.Join(dir, e.Name())
-		switch {
-		case strings.HasSuffix(e.Name(), ".mtx"):
-			m, err = sparse.ReadMatrixMarketFile(path)
-		case strings.HasSuffix(e.Name(), ".csrb"):
-			m, err = sparse.ReadBinaryFile(path)
-		default:
+		ext := filepath.Ext(e.Name())
+		if ext != ".mtx" && ext != ".csrs" {
 			continue
 		}
+		m, err := sparse.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			return loaded, fmt.Errorf("server: %s: %w", path, err)
+			return loaded, fmt.Errorf("server: %w", err)
 		}
-		name := strings.TrimSuffix(strings.TrimSuffix(e.Name(), ".mtx"), ".csrb")
+		name := strings.TrimSuffix(e.Name(), ext)
 		if _, err := r.Register(name, m); err != nil {
 			return loaded, err
 		}

@@ -49,11 +49,15 @@ func TestRegistryLoadDir(t *testing.T) {
 	if err := sparse.WriteMatrixMarketFile(filepath.Join(dir, "alpha.mtx"), a); err != nil {
 		t.Fatal(err)
 	}
-	if err := sparse.WriteBinaryFile(filepath.Join(dir, "beta.csrb"), b); err != nil {
+	if err := sparse.WriteSegmentedFile(filepath.Join(dir, "beta.csrs"), b, 8); err != nil {
 		t.Fatal(err)
 	}
-	// Files with foreign extensions are skipped, not errors.
+	// Files with foreign extensions, the retired flat binary format's
+	// included, are skipped, not errors.
 	if err := writeFile(t, filepath.Join(dir, "notes.txt"), "not a matrix"); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFile(t, filepath.Join(dir, "gamma.csrb"), "CSRB\x01\x00\x00\x00"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,7 +78,7 @@ func TestRegistryLoadDir(t *testing.T) {
 	}
 	mb, _ := r.Get("beta")
 	if !mb.M.Equal(b, 0) {
-		t.Fatal("beta binary round-trip diverged")
+		t.Fatal("beta segmented round-trip diverged")
 	}
 }
 

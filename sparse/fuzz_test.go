@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
@@ -21,15 +20,19 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("")
 	f.Add("%%MatrixMarket matrix coordinate real general\n-1 2 1\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 9999\n1 1 1\n")
-	// Seeds mirroring the binary reader's corruption taxonomy: bad magic
-	// line, wrong declared size, truncated body, out-of-range index, and
-	// non-finite values (CheckDeep must reject the latter if the parser
-	// ever lets them through).
+	// Seeds for the corruption taxonomy: bad magic line, wrong declared
+	// size, truncated body, out-of-range index, and non-finite values
+	// (CheckDeep must reject the latter if the parser ever lets them
+	// through).
 	f.Add("%%NotMatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 NaN\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 +Inf\n")
+	// Size lines that once sized allocations before any entry was read:
+	// rows past 32-bit indices, and an nnz no body could hold.
+	f.Add("%%MatrixMarket matrix coordinate real general\n4611686018427387904 1 0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 4611686018427387904\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		m, err := ReadMatrixMarket(strings.NewReader(in))
 		if err != nil {
@@ -40,58 +43,6 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		}
 		if err := m.CheckDeep(); err != nil {
 			t.Fatalf("parser accepted a deeply invalid matrix: %v", err)
-		}
-	})
-}
-
-// FuzzReadBinary feeds arbitrary bytes to the binary CSR reader with the
-// same contract. The seed corpus replays every corruption case from
-// TestBinaryRejectsCorruption so the fuzzer starts at the known-hostile
-// corners of the format instead of rediscovering them.
-func FuzzReadBinary(f *testing.F) {
-	m := NewCSR(2, 2)
-	m.Idx = []int{0, 1}
-	m.Val = []float64{1, 2}
-	m.Ptr = []int{0, 1, 2}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, m); err != nil {
-		f.Fatal(err)
-	}
-	good := buf.Bytes()
-	f.Add(good)
-	f.Add([]byte("CSRB"))
-	f.Add([]byte{})
-
-	// binio_test.go corruption cases as seeds.
-	mutate := func(fn func([]byte)) []byte {
-		c := append([]byte(nil), good...)
-		fn(c)
-		return c
-	}
-	f.Add(mutate(func(c []byte) { c[0] = 'X' })) // bad magic
-	f.Add(mutate(func(c []byte) { c[4] = 99 }))  // bad version
-	f.Add(good[:len(good)-5])                    // truncated
-	f.Add(mutate(func(c []byte) {                // corrupt ptr: second entry
-		c[4+4+24+8] = 0xFF
-		c[4+4+24+9] = 0xFF
-	}))
-	// Absurd header: rows = 2^60, from TestBinaryRejectsAbsurdHeader.
-	absurd := append([]byte(nil), binMagic[:]...)
-	absurd = append(absurd, 1, 0, 0, 0)
-	absurd = append(absurd, 0, 0, 0, 0, 0, 0, 0, 16)
-	absurd = append(absurd, make([]byte, 16)...)
-	f.Add(absurd)
-
-	f.Fuzz(func(t *testing.T, in []byte) {
-		m, err := ReadBinary(bytes.NewReader(in))
-		if err != nil {
-			return
-		}
-		if err := m.Validate(); err != nil {
-			t.Fatalf("binary reader accepted an invalid matrix: %v", err)
-		}
-		if err := m.CheckDeep(); err != nil {
-			t.Fatalf("binary reader accepted a deeply invalid matrix: %v", err)
 		}
 	})
 }
@@ -174,53 +125,51 @@ func FuzzAccumulatorMerge(f *testing.F) {
 }
 
 // FuzzOpenSegmented writes arbitrary bytes to a file and reads it back as
-// a segmented container through every reader: SniffContainer,
-// OpenSegmented, LoadPanel and StreamPanel on each panel, and
-// ReadSegmentedFile. Each must return an error or a valid matrix, never
-// panic, and allocate no more than a fixed multiple of the file's size
-// however large the header's counts. The seeds are small valid files on
-// both axes and the hostile corners of the format: truncation, a header
-// nnz or dimension the file cannot hold, a panel count past the file, and
-// index entries whose sizes overflow int64 arithmetic.
+// a segmented container through every reader: OpenSegmented, LoadPanel
+// and StreamPanel on each panel, and ReadSegmentedFile. Each must return
+// an error or a valid matrix, never panic, and allocate no more than a
+// fixed multiple of the file's size however large the header's counts.
+// The seeds are small valid files and the hostile corners of the format:
+// truncation, an axis word other than row panels, a header nnz or row
+// count the file cannot hold, a panel count past the file, and index
+// entries whose sizes overflow int64 arithmetic.
 func FuzzOpenSegmented(f *testing.F) {
 	m := NewCSR(3, 4)
 	m.Ptr = []int{0, 2, 2, 3}
 	m.Idx = []int{0, 3, 1}
 	m.Val = []float64{1, -2, 0.5}
-	encode := func(axis SegAxis, panel int64) []byte {
-		path := filepath.Join(f.TempDir(), "seed.csrs")
-		if err := WriteSegmentedFile(path, m, axis, panel); err != nil {
-			f.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return data
+	path := filepath.Join(f.TempDir(), "seed.csrs")
+	if err := WriteSegmentedFile(path, m, 2); err != nil {
+		f.Fatal(err)
 	}
-	rows, cols := encode(SegRows, 2), encode(SegCols, 3)
-	f.Add(rows)
-	f.Add(cols)
-	f.Add(rows[:len(rows)-7])
-	f.Add([]byte("CSRS"))
-	f.Add([]byte("CSRB"))
-	f.Add([]byte{})
+	rows, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
 	// set overwrites the little-endian int64 at off in a copy of data.
 	set := func(data []byte, off int, v uint64) []byte {
 		c := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint64(c[off:], v)
 		return c
 	}
-	const hdrRows, hdrCols, hdrNNZ, hdrPanels = 12, 20, 28, 36
+	const hdrAxis, hdrRows, hdrNNZ, hdrPanels = 8, 12, 28, 36
 	indexOff := int(binary.LittleEndian.Uint64(rows[44:]))
+	f.Add(rows)
+	cols := append([]byte(nil), rows...)
+	binary.LittleEndian.PutUint32(cols[hdrAxis:], 1) // the retired column-panel axis
+	f.Add(cols)
+	f.Add(rows[:len(rows)-7])
+	f.Add([]byte("CSRS"))
+	f.Add([]byte("CSRB"))
+	f.Add([]byte{})
 	f.Add(set(rows, hdrNNZ, 1<<40))                     // header nnz the panels do not hold
 	f.Add(set(rows, hdrPanels, 1<<40))                  // panel count past the file
-	f.Add(set(set(cols, hdrCols, 0), hdrPanels, 0))     // rows with no column panel
-	f.Add(set(set(cols, hdrRows, 1<<40), hdrCols, 0))   // ... and absurdly many of them
+	f.Add(set(rows, hdrPanels, 0))                      // rows with no panel
+	f.Add(set(set(rows, hdrPanels, 0), hdrRows, 1<<40)) // ... and absurdly many of them
 	f.Add(set(rows, indexOff+16, 1<<62))                // panel nnz whose byte size wraps to 0
 	f.Add(set(rows, indexOff+24, 1<<63-8))              // panel offset near MaxInt64
 	f.Add(set(rows, indexOff+segIndexEntrySize+24, 52)) // second panel's payload over the first
-	f.Add(set(cols, hdrRows, 1<<61))                    // rows whose pointer bytes wrap
+	f.Add(set(rows, indexOff+8, 1<<61))                 // panel rows whose pointer bytes wrap
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "f.csrs")
 		if err := os.WriteFile(path, data, 0o600); err != nil {
@@ -228,13 +177,6 @@ func FuzzOpenSegmented(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		kind, err := SniffContainer(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (kind == "segmented") != bytes.HasPrefix(data, segMagic[:]) {
-			t.Fatalf("SniffContainer = %q for magic %q", kind, data[:min(4, len(data))])
-		}
 		if s, err := OpenSegmented(path); err == nil {
 			for i := range s.Panels() {
 				if p, err := s.LoadPanel(i); err == nil {

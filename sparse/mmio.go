@@ -20,11 +20,18 @@ import (
 // ErrMatrixMarket is wrapped by all Matrix Market parse errors.
 var ErrMatrixMarket = errors.New("sparse: invalid Matrix Market input")
 
+// mmReserveMax caps the entries ReadMatrixMarket reserves from the size
+// line's nnz before reading any of them.
+const mmReserveMax = 1 << 20
+
+// mmBufferSize is ReadMatrixMarket's read buffer.
+const mmBufferSize = 1 << 20
+
 // ReadMatrixMarket parses a sparse matrix in Matrix Market coordinate
 // format. Pattern matrices get unit values; symmetric matrices are expanded
 // to full storage (mirror entries added for off-diagonal elements).
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, mmBufferSize)
 
 	header, err := br.ReadString('\n')
 	if err != nil {
@@ -32,7 +39,9 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	fields := strings.Fields(strings.ToLower(header))
 	if len(fields) < 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
-		return nil, fmt.Errorf("%w: bad banner %q", ErrMatrixMarket, strings.TrimSpace(header))
+		// A binary file has no line structure: quote only its start.
+		banner := strings.TrimSpace(header)
+		return nil, fmt.Errorf("%w: bad banner %q", ErrMatrixMarket, banner[:min(len(banner), 64)])
 	}
 	if fields[2] != "coordinate" {
 		return nil, fmt.Errorf("%w: unsupported container %q (only coordinate)", ErrMatrixMarket, fields[2])
@@ -68,8 +77,13 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("%w: negative size", ErrMatrixMarket)
 	}
+	if rows > math.MaxInt32 || cols > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: size %dx%d exceeds 32-bit indices", ErrMatrixMarket, rows, cols)
+	}
 
-	coo := NewCOO(rows, cols, nnz)
+	// The size line is untrusted: reserve at most mmReserveMax entries up
+	// front and let append grow past it as entries actually arrive.
+	coo := NewCOO(rows, cols, min(nnz, mmReserveMax))
 	read := 0
 	for read < nnz {
 		line, err := br.ReadString('\n')

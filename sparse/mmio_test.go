@@ -107,3 +107,19 @@ func TestMatrixMarketDuplicatesMerged(t *testing.T) {
 		t.Fatalf("duplicates not merged: nnz=%d at(0,0)=%g", m.NNZ(), m.At(0, 0))
 	}
 }
+
+// TestMatrixMarketRejectsOversizedHeader pins the size-line bounds: rows
+// past 32-bit indices are refused, and an nnz the body does not back
+// reserves nothing proportional to it, so both fail with an error rather
+// than a makeslice panic.
+func TestMatrixMarketRejectsOversizedHeader(t *testing.T) {
+	for _, in := range []string{
+		"%%MatrixMarket matrix coordinate real general\n4611686018427387904 1 0\n",
+		"%%MatrixMarket matrix coordinate real general\n1 1 4611686018427387904\n",
+		"%%MatrixMarket matrix coordinate real general\n1 2147483648 0\n",
+	} {
+		if _, err := ReadMatrixMarket(strings.NewReader(in)); !errors.Is(err, ErrMatrixMarket) {
+			t.Errorf("%q: want ErrMatrixMarket, got %v", in, err)
+		}
+	}
+}

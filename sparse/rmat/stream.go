@@ -34,7 +34,7 @@ import (
 const streamKey = 0x524d5453
 
 // Stream writes an n×n R-MAT matrix with nnz placed edges to path in the
-// segmented container format (sparse.SegRows axis), panel rows per panel.
+// segmented container format, panel rows per panel.
 // Duplicate edges merge by addition within their panel — panels partition
 // the rows, so the result is exactly what the in-memory generator's
 // duplicate merge produces — which may leave the stored nnz slightly
@@ -57,7 +57,7 @@ func Stream(path string, n, nnz int64, p Params, seed uint64, panel int64) error
 	if panel&(panel-1) != 0 {
 		return fmt.Errorf("rmat: stream panel %d must be a power of two", panel)
 	}
-	w, err := sparse.CreateSegmented(path, sparse.SegRows, n, n)
+	w, err := sparse.CreateSegmented(path, n, n)
 	if err != nil {
 		return err
 	}

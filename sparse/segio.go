@@ -10,33 +10,32 @@ import (
 	"os"
 )
 
-// Segmented CSR container: the on-disk format of the out-of-core engine.
-// Where the flat binary container (binio.go) stores one CSR body that a
-// reader must swallow whole, the segmented container stores the matrix as
-// an ordered sequence of panels — row panels (a range of rows, all
-// columns) or column panels (all rows, a range of columns) — each an
-// independently loadable CSR blob, plus a trailing panel index so any
-// panel is reachable with one seek and no scan of the file. All counts
-// and offsets are int64: the format is meant for matrices whose CSR
-// exceeds physical RAM, where 32-bit element counts are the first thing
-// to break.
+// Segmented CSR container: the one binary matrix format, used by the
+// out-of-core engine, the R-MAT stream generator and the dataset cache.
+// It stores the matrix as an ordered sequence of row panels (a range of
+// rows, all columns), each an independently loadable CSR blob, plus a
+// trailing panel index so any panel is reachable with one seek and no
+// scan of the file. All counts and offsets are int64: the format is meant
+// for matrices whose CSR exceeds physical RAM, where 32-bit element
+// counts are the first thing to break.
 //
 // Layout (little endian):
 //
-//	magic "CSRS" | version u32 | axis u32
+//	magic "CSRS" | version u32 | axis u32 (0: row panels)
 //	rows i64 | cols i64 | nnz i64 | panels i64 | indexOff i64
 //	panel payloads...
 //	index at indexOff: panels × { start i64 | end i64 | nnz i64 | off i64 }
 //
-// Each panel payload is a local CSR body:
+// Each panel payload is a local CSR body over rows [start, end) with
+// global column indices:
 //
-//	ptr (extent+1) × i64 | idx nnz_p × i64 | val nnz_p × f64
+//	ptr (end−start+1) × i64 | idx nnz_p × i64 | val nnz_p × f64
 //
-// where extent is end−start rows (row axis, column indices global) or the
-// full row count (column axis, column indices local to the panel). Panels
-// are contiguous, ascending, and cover the axis exactly; the header's
-// panels/nnz/indexOff fields are patched when the writer closes, so a
-// crashed writer leaves a file whose panel count of −1 never parses.
+// Panels are contiguous, ascending, and cover the rows exactly; the
+// header's panels/nnz/indexOff fields are patched when the writer closes,
+// so a crashed writer leaves a file whose panel count of −1 never parses.
+// The axis word once also allowed column panels (1); the writer stores 0
+// and the reader rejects any other value.
 
 var segMagic = [4]byte{'C', 'S', 'R', 'S'}
 
@@ -51,47 +50,17 @@ const segIndexEntrySize = 4 * 8
 // ErrSegmentedFormat is wrapped by all segmented-container parse errors.
 var ErrSegmentedFormat = errors.New("sparse: invalid segmented CSR data")
 
-// SegAxis selects the partitioning axis of a segmented container.
-type SegAxis uint32
-
-const (
-	// SegRows partitions by row panels: each panel holds a contiguous
-	// row range with global column indices.
-	SegRows SegAxis = 0
-	// SegCols partitions by column panels: each panel holds every row
-	// restricted to a contiguous column range, with column indices local
-	// to the panel (subtract nothing; add Start to globalize).
-	SegCols SegAxis = 1
-)
-
-func (a SegAxis) String() string {
-	if a == SegCols {
-		return "cols"
-	}
-	return "rows"
-}
-
 // SegHeader is the fixed-size header of a segmented container.
 type SegHeader struct {
-	Axis   SegAxis
 	Rows   int64
 	Cols   int64
 	NNZ    int64
 	Panels int64
 }
 
-// extent returns the length of the partitioned axis.
-func (h SegHeader) extent() int64 {
-	if h.Axis == SegCols {
-		return h.Cols
-	}
-	return h.Rows
-}
-
 // SegPanel is one entry of the panel index.
 type SegPanel struct {
-	// Start and End bound the panel's extent on the partitioned axis,
-	// half-open.
+	// Start and End bound the panel's rows, half-open.
 	Start, End int64
 	// NNZ is the panel's stored entry count.
 	NNZ int64
@@ -99,28 +68,20 @@ type SegPanel struct {
 	Off int64
 }
 
-// payloadRows returns the number of rows the panel's pointer array spans.
-func (p SegPanel) payloadRows(h SegHeader) int64 {
-	if h.Axis == SegCols {
-		return h.Rows
-	}
-	return p.End - p.Start
-}
-
 // payloadBytes returns the byte length of the panel's on-disk body.
-func (p SegPanel) payloadBytes(h SegHeader) int64 {
-	return 8*(p.payloadRows(h)+1) + 16*p.NNZ
+func (p SegPanel) payloadBytes() int64 {
+	return 8*(p.End-p.Start+1) + 16*p.NNZ
 }
 
 // fits reports whether the panel's body fits in room bytes, checked
 // without computing a size that could overflow.
-func (p SegPanel) fits(h SegHeader, room int64) bool {
-	rows := p.payloadRows(h)
+func (p SegPanel) fits(room int64) bool {
+	rows := p.End - p.Start
 	return rows < room/8 && p.NNZ <= (room-8*(rows+1))/16
 }
 
 // SegWriter streams panels into a segmented container. Create one with
-// CreateSegmented, append panels in axis order, and Close. The writer
+// CreateSegmented, append row panels in order, and Close. The writer
 // holds O(panels) index memory and O(1) payload memory beyond the panel
 // being appended — it never sees the whole matrix.
 type SegWriter struct {
@@ -135,20 +96,12 @@ type SegWriter struct {
 }
 
 // CreateSegmented opens a segmented-container writer for a rows×cols
-// matrix partitioned along axis. The file is written to path atomically:
-// payloads stream into path+".tmp" and the rename happens only when
-// Close succeeds. On any error path call Discard to clean up.
-func CreateSegmented(path string, axis SegAxis, rows, cols int64) (*SegWriter, error) {
+// matrix. The file is written to path atomically: payloads stream into
+// path+".tmp" and the rename happens only when Close succeeds. On any
+// error path call Discard to clean up.
+func CreateSegmented(path string, rows, cols int64) (*SegWriter, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("sparse: negative dimension %dx%d", rows, cols)
-	}
-	if axis != SegRows && axis != SegCols {
-		return nil, fmt.Errorf("sparse: unknown segment axis %d", axis)
-	}
-	if axis == SegCols && cols == 0 && rows > 0 {
-		// Only a panel's pointer array stores the rows; the reader
-		// refuses a row count no file bytes back.
-		return nil, fmt.Errorf("sparse: a %dx0 matrix has no column panel to hold its rows", rows)
 	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -158,7 +111,7 @@ func CreateSegmented(path string, axis SegAxis, rows, cols int64) (*SegWriter, e
 	w := &SegWriter{
 		f: f, bw: bufio.NewWriterSize(f, 1<<20),
 		path: path, tmp: tmp,
-		h: SegHeader{Axis: axis, Rows: rows, Cols: cols},
+		h: SegHeader{Rows: rows, Cols: cols},
 	}
 	// Placeholder header; panels/nnz/indexOff are patched by Close.
 	if err := w.writeHeader(-1, -1, -1); err != nil {
@@ -175,7 +128,6 @@ func (w *SegWriter) writeHeader(panels, nnz, indexOff int64) error {
 	var buf [segHeaderSize]byte
 	copy(buf[0:4], segMagic[:])
 	binary.LittleEndian.PutUint32(buf[4:8], segVersion)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(w.h.Axis))
 	for i, v := range []int64{w.h.Rows, w.h.Cols, nnz, panels, indexOff} {
 		binary.LittleEndian.PutUint64(buf[12+8*i:], uint64(v))
 	}
@@ -183,11 +135,9 @@ func (w *SegWriter) writeHeader(panels, nnz, indexOff int64) error {
 	return err
 }
 
-// AppendPanel writes the next panel, covering [start, end) on the
-// partitioned axis. Panels must be appended in order, contiguously from
-// 0; Close verifies they cover the axis exactly. The panel matrix m is a
-// (end−start)×cols slab for the row axis, or a rows×(end−start) slab with
-// local column indices for the column axis.
+// AppendPanel writes the next panel, the (end−start)×cols slab m of rows
+// [start, end). Panels must be appended in order, contiguously from 0;
+// Close verifies they cover the rows exactly.
 func (w *SegWriter) AppendPanel(start, end int64, m *CSR) error {
 	if w.closed {
 		return fmt.Errorf("sparse: AppendPanel on closed segmented writer")
@@ -196,17 +146,13 @@ func (w *SegWriter) AppendPanel(start, end int64, m *CSR) error {
 	if n := len(w.index); n > 0 {
 		prev = w.index[n-1].End
 	}
-	if start != prev || end <= start || end > w.h.extent() {
-		return fmt.Errorf("sparse: panel [%d,%d) out of order (previous end %d, axis extent %d)",
-			start, end, prev, w.h.extent())
+	if start != prev || end <= start || end > w.h.Rows {
+		return fmt.Errorf("sparse: panel [%d,%d) out of order (previous end %d, %d rows)",
+			start, end, prev, w.h.Rows)
 	}
-	wantRows, wantCols := end-start, w.h.Cols
-	if w.h.Axis == SegCols {
-		wantRows, wantCols = w.h.Rows, end-start
-	}
-	if int64(m.Rows) != wantRows || int64(m.Cols) != wantCols {
+	if int64(m.Rows) != end-start || int64(m.Cols) != w.h.Cols {
 		return fmt.Errorf("sparse: panel [%d,%d) has shape %dx%d, want %dx%d",
-			start, end, m.Rows, m.Cols, wantRows, wantCols)
+			start, end, m.Rows, m.Cols, end-start, w.h.Cols)
 	}
 	var u64 [8]byte
 	put := func(v uint64) error {
@@ -231,14 +177,14 @@ func (w *SegWriter) AppendPanel(start, end int64, m *CSR) error {
 	}
 	pan := SegPanel{Start: start, End: end, NNZ: int64(m.NNZ()), Off: w.off}
 	w.index = append(w.index, pan)
-	w.off += pan.payloadBytes(w.h)
+	w.off += pan.payloadBytes()
 	w.h.NNZ += pan.NNZ
 	return nil
 }
 
 // Close writes the panel index, patches the header, and atomically moves
-// the file into place. The panels must cover the axis exactly (an empty
-// axis needs no panels).
+// the file into place. The panels must cover the rows exactly (a matrix
+// without rows needs no panels).
 func (w *SegWriter) Close() error {
 	if w.closed {
 		return nil
@@ -247,9 +193,9 @@ func (w *SegWriter) Close() error {
 	if n := len(w.index); n > 0 {
 		covered = w.index[n-1].End
 	}
-	if covered != w.h.extent() {
+	if covered != w.h.Rows {
 		w.Discard()
-		return fmt.Errorf("sparse: panels cover [0,%d) of axis extent %d", covered, w.h.extent())
+		return fmt.Errorf("sparse: panels cover [0,%d) of %d rows", covered, w.h.Rows)
 	}
 	indexOff := w.off
 	var u64 [8]byte
@@ -330,6 +276,9 @@ func newSegFile(f *os.File) (*SegFile, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !st.Mode().IsRegular() {
+		return nil, fmt.Errorf("%w: not a regular file; a container is read by offset", ErrSegmentedFormat)
+	}
 	var buf [segHeaderSize]byte
 	if _, err := f.ReadAt(buf[:], 0); err != nil {
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrSegmentedFormat, err)
@@ -341,9 +290,6 @@ func newSegFile(f *os.File) (*SegFile, error) {
 	if h.Panels < 0 || indexOff < segHeaderSize || indexOff > st.Size() ||
 		h.Panels > (st.Size()-indexOff)/segIndexEntrySize {
 		return nil, fmt.Errorf("%w: index out of bounds (unclosed writer?)", ErrSegmentedFormat)
-	}
-	if h.Axis == SegCols && h.Panels == 0 && h.Rows > 0 {
-		return nil, fmt.Errorf("%w: %d rows but no column panel", ErrSegmentedFormat, h.Rows)
 	}
 	s := &SegFile{f: f, size: st.Size(), h: h, index: make([]SegPanel, h.Panels)}
 	ibuf := make([]byte, h.Panels*segIndexEntrySize)
@@ -362,15 +308,15 @@ func newSegFile(f *os.File) (*SegFile, error) {
 			NNZ:   int64(binary.LittleEndian.Uint64(e[16:])),
 			Off:   int64(binary.LittleEndian.Uint64(e[24:])),
 		}
-		if p.Start != prev || p.End <= p.Start || p.End > h.extent() || p.NNZ < 0 ||
-			p.Off != off || !p.fits(h, indexOff-off) {
+		if p.Start != prev || p.End <= p.Start || p.End > h.Rows || p.NNZ < 0 ||
+			p.Off != off || !p.fits(indexOff-off) {
 			return nil, fmt.Errorf("%w: panel %d index entry invalid", ErrSegmentedFormat, i)
 		}
-		prev, off, nnz = p.End, off+p.payloadBytes(h), nnz+p.NNZ
+		prev, off, nnz = p.End, off+p.payloadBytes(), nnz+p.NNZ
 		s.index[i] = p
 	}
-	if prev != h.extent() {
-		return nil, fmt.Errorf("%w: panels cover [0,%d) of axis extent %d", ErrSegmentedFormat, prev, h.extent())
+	if prev != h.Rows {
+		return nil, fmt.Errorf("%w: panels cover [0,%d) of %d rows", ErrSegmentedFormat, prev, h.Rows)
 	}
 	if off != indexOff || nnz != h.NNZ {
 		return nil, fmt.Errorf("%w: panels hold %d bytes and %d entries, header says %d and %d",
@@ -389,9 +335,8 @@ func parseSegHeader(buf []byte) (SegHeader, int64, error) {
 	if v := binary.LittleEndian.Uint32(buf[4:8]); v != segVersion {
 		return h, 0, fmt.Errorf("%w: unsupported version %d", ErrSegmentedFormat, v)
 	}
-	h.Axis = SegAxis(binary.LittleEndian.Uint32(buf[8:12]))
-	if h.Axis != SegRows && h.Axis != SegCols {
-		return h, 0, fmt.Errorf("%w: unknown axis %d", ErrSegmentedFormat, h.Axis)
+	if v := binary.LittleEndian.Uint32(buf[8:12]); v != 0 {
+		return h, 0, fmt.Errorf("%w: unsupported axis %d (only row panels)", ErrSegmentedFormat, v)
 	}
 	fields := [5]int64{}
 	for i := range fields {
@@ -422,49 +367,27 @@ func ReadSegmentedHeader(r io.Reader) (SegHeader, error) {
 // Header returns the container's header.
 func (s *SegFile) Header() SegHeader { return s.h }
 
-// Panels returns the panel index in axis order. The slice is shared;
+// Panels returns the panel index in row order. The slice is shared;
 // callers must not modify it.
 func (s *SegFile) Panels() []SegPanel { return s.index }
 
-// LoadPanel reads panel i into memory and validates it: a
-// (end−start)×cols matrix for the row axis, rows×(end−start) with local
-// columns for the column axis.
+// LoadPanel reads panel i into memory as an (end−start)×cols matrix and
+// validates it.
 func (s *SegFile) LoadPanel(i int) (*CSR, error) {
 	if i < 0 || i >= len(s.index) {
 		return nil, fmt.Errorf("sparse: panel %d out of range [0,%d)", i, len(s.index))
 	}
 	p := s.index[i]
-	extent := p.End - p.Start
-	rows, cols := extent, s.h.Cols
-	if s.h.Axis == SegCols {
-		rows, cols = s.h.Rows, extent
-	}
-	nptr := rows + 1
-	if s.h.Axis == SegCols {
-		nptr = s.h.Rows + 1
-	}
-	buf := make([]byte, p.payloadBytes(s.h))
-	if _, err := s.f.ReadAt(buf, p.Off); err != nil {
-		return nil, fmt.Errorf("%w: truncated panel %d: %v", ErrSegmentedFormat, i, err)
-	}
+	rows := p.End - p.Start
 	m := &CSR{
-		Rows: int(rows), Cols: int(cols),
-		Ptr: make([]int, nptr),
+		Rows: int(rows), Cols: int(s.h.Cols),
+		Ptr: make([]int, rows+1),
 		Idx: make([]int, p.NNZ),
 		Val: make([]float64, p.NNZ),
 	}
-	off := 0
-	for k := range m.Ptr {
-		m.Ptr[k] = int(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	for k := range m.Idx {
-		m.Idx[k] = int(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	for k := range m.Val {
-		m.Val[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
+	buf := make([]byte, min(segChunkBytes, p.payloadBytes()))
+	if err := s.decodePanel(i, buf, m.Ptr, m.Idx, m.Val); err != nil {
+		return nil, err
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: panel %d: %v", ErrSegmentedFormat, i, err)
@@ -473,6 +396,57 @@ func (s *SegFile) LoadPanel(i int) (*CSR, error) {
 		return nil, fmt.Errorf("%w: panel %d: non-finite value at position %d", ErrSegmentedFormat, i, k)
 	}
 	return m, nil
+}
+
+// segChunkBytes is the read buffer a panel is decoded through.
+const segChunkBytes = 1 << 16
+
+// decodePanel reads panel i's pointer, column and value words into ptr,
+// idx and val, which the caller sizes to the panel, through buf.
+func (s *SegFile) decodePanel(i int, buf []byte, ptr, idx []int, val []float64) error {
+	off := s.index[i].Off
+	err := readInts(s.f, off, buf, ptr)
+	if err == nil {
+		err = readInts(s.f, off+8*int64(len(ptr)), buf, idx)
+	}
+	if err == nil {
+		err = readFloats(s.f, off+8*int64(len(ptr)+len(idx)), buf, val)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: truncated panel %d: %v", ErrSegmentedFormat, i, err)
+	}
+	return nil
+}
+
+// readInts fills dst with the little-endian words at off in r, reading
+// len(buf)/8 of them at a time.
+func readInts(r io.ReaderAt, off int64, buf []byte, dst []int) error {
+	for len(dst) > 0 {
+		n := min(len(dst), len(buf)/8)
+		if _, err := r.ReadAt(buf[:8*n], off); err != nil {
+			return err
+		}
+		for k := range n {
+			dst[k] = int(binary.LittleEndian.Uint64(buf[8*k:]))
+		}
+		dst, off = dst[n:], off+8*int64(n)
+	}
+	return nil
+}
+
+// readFloats is readInts for float64 bit patterns.
+func readFloats(r io.ReaderAt, off int64, buf []byte, dst []float64) error {
+	for len(dst) > 0 {
+		n := min(len(dst), len(buf)/8)
+		if _, err := r.ReadAt(buf[:8*n], off); err != nil {
+			return err
+		}
+		for k := range n {
+			dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*k:]))
+		}
+		dst, off = dst[n:], off+8*int64(n)
+	}
+	return nil
 }
 
 // Close releases the underlying file.
@@ -502,7 +476,7 @@ func (s *SegFile) StreamPanel(i int) (*PanelRows, error) {
 		return nil, fmt.Errorf("sparse: panel %d out of range [0,%d)", i, len(s.index))
 	}
 	p := s.index[i]
-	rows := p.payloadRows(s.h)
+	rows := p.End - p.Start
 	buf := make([]byte, 8*(rows+1))
 	if _, err := s.f.ReadAt(buf, p.Off); err != nil {
 		return nil, fmt.Errorf("%w: truncated panel %d: %v", ErrSegmentedFormat, i, err)
@@ -557,50 +531,31 @@ func (pr *PanelRows) NextRow() (idx []int, val []float64, err error) {
 	if n == 0 {
 		return pr.bufIdx, pr.bufVal, nil
 	}
-	b := pr.scratch[:8*n]
-	if _, err := pr.s.f.ReadAt(b, pr.idxOff+8*lo); err != nil {
+	err = readInts(pr.s.f, pr.idxOff+8*lo, pr.scratch, pr.bufIdx)
+	if err == nil {
+		err = readFloats(pr.s.f, pr.valOff+8*lo, pr.scratch, pr.bufVal)
+	}
+	if err != nil {
 		return nil, nil, fmt.Errorf("%w: truncated row data: %v", ErrSegmentedFormat, err)
-	}
-	for k := 0; k < n; k++ {
-		pr.bufIdx[k] = int(binary.LittleEndian.Uint64(b[8*k:]))
-	}
-	if _, err := pr.s.f.ReadAt(b, pr.valOff+8*lo); err != nil {
-		return nil, nil, fmt.Errorf("%w: truncated row data: %v", ErrSegmentedFormat, err)
-	}
-	for k := 0; k < n; k++ {
-		pr.bufVal[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:]))
 	}
 	return pr.bufIdx, pr.bufVal, nil
 }
 
 // WriteSegmentedFile writes m as a segmented container with panels of at
-// most panel rows (or columns, for SegCols), a convenience for tests and
-// for re-exporting in-memory matrices. panel <= 0 selects one panel for
-// the whole axis.
-func WriteSegmentedFile(path string, m *CSR, axis SegAxis, panel int64) error {
-	extent := int64(m.Rows)
-	if axis == SegCols {
-		extent = int64(m.Cols)
+// most panel rows, a convenience for tests and for re-exporting in-memory
+// matrices. panel <= 0 selects one panel for all rows.
+func WriteSegmentedFile(path string, m *CSR, panel int64) error {
+	rows := int64(m.Rows)
+	if panel <= 0 || panel > rows {
+		panel = rows
 	}
-	if panel <= 0 || panel > extent {
-		panel = extent
-	}
-	w, err := CreateSegmented(path, axis, int64(m.Rows), int64(m.Cols))
+	w, err := CreateSegmented(path, rows, int64(m.Cols))
 	if err != nil {
 		return err
 	}
-	for start := int64(0); start < extent; start += panel {
-		end := start + panel
-		if end > extent {
-			end = extent
-		}
-		var slab *CSR
-		if axis == SegRows {
-			slab = m.RowPanel(int(start), int(end))
-		} else {
-			slab = m.ColPanel(int(start), int(end))
-		}
-		if err := w.AppendPanel(start, end, slab); err != nil {
+	for start := int64(0); start < rows; start += panel {
+		end := min(start+panel, rows)
+		if err := w.AppendPanel(start, end, m.RowPanel(int(start), int(end))); err != nil {
 			w.Discard()
 			return err
 		}
@@ -616,73 +571,42 @@ func ReadSegmentedFile(path string) (*CSR, error) {
 		return nil, err
 	}
 	defer s.Close()
-	h := s.Header()
-	if h.Axis == SegRows {
-		m := NewCSR(int(h.Rows), int(h.Cols))
-		m.Idx = make([]int, 0, h.NNZ)
-		m.Val = make([]float64, 0, h.NNZ)
-		row := 0
-		for i := range s.index {
-			pan, err := s.LoadPanel(i)
-			if err != nil {
-				return nil, err
-			}
-			for r := 0; r < pan.Rows; r++ {
-				idx, val := pan.Row(r)
-				m.AppendRow(row, idx, val)
-				row++
-			}
-		}
-		return m, nil
-	}
-	// Column axis: count row populations across panels, then fill.
-	rowNNZ := make([]int, h.Rows)
-	panels := make([]*CSR, len(s.index))
-	for i := range s.index {
-		pan, err := s.LoadPanel(i)
-		if err != nil {
-			return nil, err
-		}
-		panels[i] = pan
-		for r := 0; r < pan.Rows; r++ {
-			rowNNZ[r] += pan.RowNNZ(r)
-		}
-	}
-	m := NewCSRWithRowSizes(int(h.Rows), int(h.Cols), rowNNZ)
-	fill := make([]int, h.Rows)
-	for i, pan := range panels {
-		off := int(s.index[i].Start)
-		for r := 0; r < pan.Rows; r++ {
-			idx, val := pan.Row(r)
-			dstIdx, dstVal := m.Row(r)
-			for k := range idx {
-				dstIdx[fill[r]] = idx[k] + off
-				dstVal[fill[r]] = val[k]
-				fill[r]++
-			}
-		}
-	}
-	return m, nil
+	return s.readAll()
 }
 
-// SniffContainer reports which binary container format the file holds:
-// "segmented" (CSRS), "binary" (CSRB), or "" for anything else. It reads
-// only the four magic bytes.
-func SniffContainer(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
+// readAll decodes every panel straight into one matrix through a single
+// read buffer, so a load holds the matrix and little besides.
+func (s *SegFile) readAll() (*CSR, error) {
+	m := &CSR{
+		Rows: int(s.h.Rows), Cols: int(s.h.Cols),
+		Ptr: make([]int, s.h.Rows+1),
+		Idx: make([]int, s.h.NNZ),
+		Val: make([]float64, s.h.NNZ),
 	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return "", nil
+	var buf []byte
+	for i, p := range s.index {
+		if int64(len(buf)) < min(segChunkBytes, p.payloadBytes()) {
+			buf = make([]byte, min(segChunkBytes, p.payloadBytes()))
+		}
+		// The panel's pointers land on the matrix's, panel-local: its
+		// first overwrites the previous panel's last, base.
+		base := m.Ptr[p.Start]
+		ptr := m.Ptr[p.Start : p.End+1]
+		if err := s.decodePanel(i, buf, ptr, m.Idx[base:base+int(p.NNZ)], m.Val[base:base+int(p.NNZ)]); err != nil {
+			return nil, err
+		}
+		if ptr[0] != 0 || ptr[len(ptr)-1] != int(p.NNZ) {
+			return nil, fmt.Errorf("%w: panel %d ptr does not span its %d entries", ErrSegmentedFormat, i, p.NNZ)
+		}
+		for k := range ptr {
+			ptr[k] += base
+		}
 	}
-	switch magic {
-	case segMagic:
-		return "segmented", nil
-	case binMagic:
-		return "binary", nil
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSegmentedFormat, err)
 	}
-	return "", nil
+	if k := firstNonFinite(m.Val); k >= 0 {
+		return nil, fmt.Errorf("%w: non-finite value at position %d", ErrSegmentedFormat, k)
+	}
+	return m, nil
 }

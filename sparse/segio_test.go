@@ -6,53 +6,49 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
-func TestReadBinaryHeaderBeyondInt32(t *testing.T) {
-	// A header describing 10^10 nonzeros must round-trip through the
-	// header-only reader without any allocation proportional to it — the
-	// full ReadBinary would (rightly) refuse or OOM.
-	const rows, cols, nnz = int64(3) << 31, int64(5) << 31, int64(10_000_000_000)
-	var buf bytes.Buffer
-	buf.Write(binMagic[:])
-	var u [8]byte
-	binary.LittleEndian.PutUint32(u[:4], binVersion)
-	buf.Write(u[:4])
-	for _, v := range []int64{rows, cols, nnz} {
-		binary.LittleEndian.PutUint64(u[:], uint64(v))
-		buf.Write(u[:])
+// segHeaderBytes encodes a segmented-container header with the given
+// axis word and int64 fields (rows, cols, nnz, panels, indexOff).
+func segHeaderBytes(axis uint32, fields ...int64) []byte {
+	buf := make([]byte, segHeaderSize)
+	copy(buf, segMagic[:])
+	binary.LittleEndian.PutUint32(buf[4:], segVersion)
+	binary.LittleEndian.PutUint32(buf[8:], axis)
+	for i, v := range fields {
+		binary.LittleEndian.PutUint64(buf[12+8*i:], uint64(v))
 	}
-	h, err := ReadBinaryHeader(&buf)
+	return buf
+}
+
+func TestReadSegmentedHeaderBeyondInt32(t *testing.T) {
+	// A header describing 10^10 nonzeros must round-trip through the
+	// header-only reader without any allocation proportional to it.
+	const rows, cols, nnz, panels = int64(3) << 31, int64(5) << 31, int64(10_000_000_000), int64(1) << 32
+	h, err := ReadSegmentedHeader(bytes.NewReader(segHeaderBytes(0, rows, cols, nnz, panels, segHeaderSize)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Rows != rows || h.Cols != cols || h.NNZ != nnz {
-		t.Fatalf("header = %+v, want rows=%d cols=%d nnz=%d", h, rows, cols, nnz)
+	if h.Rows != rows || h.Cols != cols || h.NNZ != nnz || h.Panels != panels {
+		t.Fatalf("header = %+v, want rows=%d cols=%d nnz=%d panels=%d", h, rows, cols, nnz, panels)
 	}
 }
 
-func TestReadBinaryHeaderRejects(t *testing.T) {
-	var good bytes.Buffer
-	if err := WriteBinary(&good, randomCSR(testRNG(33), 8, 8, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	b := good.Bytes()
+func TestReadSegmentedHeaderRejects(t *testing.T) {
+	good := segHeaderBytes(0, 8, 8, 0, 0, segHeaderSize)
 	cases := map[string][]byte{
-		"empty":     nil,
-		"bad magic": append([]byte{'X'}, b[1:]...),
-		"truncated": b[:10],
-		"overflow": func() []byte {
-			c := append([]byte(nil), b[:4+4+24]...)
-			for i := 0; i < 8; i++ {
-				c[8+i] = 0xFF // rows = 2^64-1 overflows int64
-			}
-			return c
-		}(),
+		"empty":       nil,
+		"bad magic":   append([]byte{'X'}, good[1:]...),
+		"truncated":   good[:10],
+		"column axis": segHeaderBytes(1, 8, 8, 0, 0, segHeaderSize),
+		"overflow":    segHeaderBytes(0, -1, 8, 0, 0, segHeaderSize), // rows = 2^64-1 overflows int64
 	}
 	for name, data := range cases {
-		if _, err := ReadBinaryHeader(bytes.NewReader(data)); !errors.Is(err, ErrBinaryFormat) {
-			t.Errorf("%s: error = %v, want ErrBinaryFormat", name, err)
+		if _, err := ReadSegmentedHeader(bytes.NewReader(data)); !errors.Is(err, ErrSegmentedFormat) {
+			t.Errorf("%s: error = %v, want ErrSegmentedFormat", name, err)
 		}
 	}
 }
@@ -61,24 +57,7 @@ func TestSegmentedRoundTripRows(t *testing.T) {
 	m := randomCSR(testRNG(41), 37, 29, 0.2)
 	for _, panel := range []int64{0, 5, 10, 37, 100} {
 		path := filepath.Join(t.TempDir(), "m.csrs")
-		if err := WriteSegmentedFile(path, m, SegRows, panel); err != nil {
-			t.Fatalf("panel=%d: %v", panel, err)
-		}
-		back, err := ReadSegmentedFile(path)
-		if err != nil {
-			t.Fatalf("panel=%d: %v", panel, err)
-		}
-		if !m.Equal(back, 0) {
-			t.Fatalf("panel=%d: round trip changed the matrix", panel)
-		}
-	}
-}
-
-func TestSegmentedRoundTripCols(t *testing.T) {
-	m := randomCSR(testRNG(42), 23, 41, 0.25)
-	for _, panel := range []int64{0, 7, 13, 41} {
-		path := filepath.Join(t.TempDir(), "m.csrs")
-		if err := WriteSegmentedFile(path, m, SegCols, panel); err != nil {
+		if err := WriteSegmentedFile(path, m, panel); err != nil {
 			t.Fatalf("panel=%d: %v", panel, err)
 		}
 		back, err := ReadSegmentedFile(path)
@@ -94,7 +73,7 @@ func TestSegmentedRoundTripCols(t *testing.T) {
 func TestSegmentedPanelsMatchSlices(t *testing.T) {
 	m := randomCSR(testRNG(43), 30, 30, 0.3)
 	path := filepath.Join(t.TempDir(), "m.csrs")
-	if err := WriteSegmentedFile(path, m, SegRows, 8); err != nil {
+	if err := WriteSegmentedFile(path, m, 8); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenSegmented(path)
@@ -121,7 +100,7 @@ func TestSegmentedPanelsMatchSlices(t *testing.T) {
 func TestSegmentedHeaderOnly(t *testing.T) {
 	m := randomCSR(testRNG(44), 16, 12, 0.4)
 	path := filepath.Join(t.TempDir(), "m.csrs")
-	if err := WriteSegmentedFile(path, m, SegCols, 4); err != nil {
+	if err := WriteSegmentedFile(path, m, 6); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -133,14 +112,14 @@ func TestSegmentedHeaderOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Axis != SegCols || h.Rows != 16 || h.Cols != 12 || h.NNZ != int64(m.NNZ()) || h.Panels != 3 {
+	if h.Rows != 16 || h.Cols != 12 || h.NNZ != int64(m.NNZ()) || h.Panels != 3 {
 		t.Fatalf("header = %+v", h)
 	}
 }
 
 func TestSegmentedWriterRejectsMisuse(t *testing.T) {
 	dir := t.TempDir()
-	w, err := CreateSegmented(filepath.Join(dir, "m.csrs"), SegRows, 10, 10)
+	w, err := CreateSegmented(filepath.Join(dir, "m.csrs"), 10, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,19 +140,13 @@ func TestSegmentedWriterRejectsMisuse(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "m.csrs")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("failed Close left the destination file behind")
 	}
-	// A column-axis file of a rows×0 matrix would have no panel to hold
-	// its rows, and the reader refuses one.
-	if w, err := CreateSegmented(filepath.Join(dir, "z.csrs"), SegCols, 5, 0); err == nil {
-		w.Discard()
-		t.Fatal("column-axis 5x0 matrix accepted")
-	}
 }
 
 func TestSegmentedRejectsUnclosedWriter(t *testing.T) {
 	// A crashed writer leaves the placeholder header (panels = -1); the
 	// reader must reject it rather than allocate.
 	dir := t.TempDir()
-	w, err := CreateSegmented(filepath.Join(dir, "m.csrs"), SegRows, 4, 4)
+	w, err := CreateSegmented(filepath.Join(dir, "m.csrs"), 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +163,7 @@ func TestSegmentedRejectsUnclosedWriter(t *testing.T) {
 func TestSegmentedRejectsCorruptIndex(t *testing.T) {
 	m := randomCSR(testRNG(45), 12, 12, 0.4)
 	path := filepath.Join(t.TempDir(), "m.csrs")
-	if err := WriteSegmentedFile(path, m, SegRows, 4); err != nil {
+	if err := WriteSegmentedFile(path, m, 4); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -211,7 +184,7 @@ func TestSegmentedRejectsCorruptIndex(t *testing.T) {
 func TestStreamPanelMatchesLoadPanel(t *testing.T) {
 	m := randomCSR(testRNG(48), 26, 31, 0.3)
 	path := filepath.Join(t.TempDir(), "m.csrs")
-	if err := WriteSegmentedFile(path, m, SegRows, 7); err != nil {
+	if err := WriteSegmentedFile(path, m, 7); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenSegmented(path)
@@ -252,26 +225,122 @@ func TestStreamPanelMatchesLoadPanel(t *testing.T) {
 	}
 }
 
-func TestSniffContainer(t *testing.T) {
+// TestReadFile pins the one loader: the same matrix comes back from
+// Matrix Market text and from single- and multi-panel segmented
+// containers, and files of neither format fail with an error.
+func TestReadFile(t *testing.T) {
 	dir := t.TempDir()
-	m := randomCSR(testRNG(46), 6, 6, 0.5)
-	seg := filepath.Join(dir, "m.csrs")
-	bin := filepath.Join(dir, "m.csrb")
+	m := randomCSR(testRNG(46), 13, 9, 0.4)
 	txt := filepath.Join(dir, "m.mtx")
-	if err := WriteSegmentedFile(seg, m, SegRows, 0); err != nil {
+	if err := WriteMatrixMarketFile(txt, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinaryFile(bin, m); err != nil {
+	one, many := filepath.Join(dir, "one.csrs"), filepath.Join(dir, "many.csrs")
+	if err := WriteSegmentedFile(one, m, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(txt, []byte("%%MatrixMarket matrix coordinate real general\n"), 0o644); err != nil {
+	if err := WriteSegmentedFile(many, m, 4); err != nil {
 		t.Fatal(err)
 	}
-	for path, want := range map[string]string{seg: "segmented", bin: "binary", txt: ""} {
-		got, err := SniffContainer(path)
-		if err != nil || got != want {
-			t.Errorf("SniffContainer(%s) = %q, %v; want %q", filepath.Base(path), got, err, want)
+	for _, path := range []string{txt, one, many} {
+		back, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
 		}
+		if !m.Equal(back, 0) {
+			t.Fatalf("%s: loaded matrix differs", filepath.Base(path))
+		}
+	}
+
+	// A file in the retired flat CSRB layout: magic, version 1, and a
+	// 2^60-row header that once drove an allocation.
+	csrb := filepath.Join(dir, "old.csrb")
+	old := binary.LittleEndian.AppendUint32([]byte("CSRB"), 1)
+	old = binary.LittleEndian.AppendUint64(old, 1<<60)
+	if err := os.WriteFile(csrb, append(old, make([]byte, 16)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadFile(csrb)
+	if !errors.Is(err, ErrMatrixMarket) || !strings.Contains(err.Error(), csrb) ||
+		!strings.Contains(err.Error(), "segmented") {
+		t.Fatalf("CSRB file: error = %v, want ErrMatrixMarket naming the file and both formats", err)
+	}
+
+	// A row-axis file whose axis word says column panels.
+	data, err := os.ReadFile(many)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	cols := filepath.Join(dir, "cols.csrs")
+	if err := os.WriteFile(cols, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(cols); !errors.Is(err, ErrSegmentedFormat) {
+		t.Fatalf("axis word 1: error = %v, want ErrSegmentedFormat", err)
+	}
+}
+
+// TestReadSegmentedFileAllocatesOnce checks that a whole-file load
+// decodes panels into the final matrix: it allocates the matrix, the
+// index and read buffers, not a second copy of every panel.
+func TestReadSegmentedFileAllocatesOnce(t *testing.T) {
+	m := randomCSR(testRNG(48), 4000, 4000, 0.01)
+	path := filepath.Join(t.TempDir(), "m.csrs")
+	for _, panel := range []int64{0, 500} {
+		if err := WriteSegmentedFile(path, m, panel); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		back, err := ReadFile(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Equal(back, 0) {
+			t.Fatalf("panel %d: loaded matrix differs", panel)
+		}
+		// One matrix, ReadFile's 1 MiB Matrix Market buffer, one
+		// panel read buffer, and 64 KiB for the index and the rest.
+		matrix := uint64(8*(m.Rows+1) + 16*m.NNZ())
+		limit := matrix + mmBufferSize + segChunkBytes + 64<<10
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("panel %d: loading a %d-byte matrix allocated %d bytes, want at most %d", panel, matrix, got, limit)
+		}
+	}
+}
+
+// TestSegmentedFormatStable reads a container written before the column
+// axis was removed and writes the same bytes back: the on-disk format,
+// version 2, did not change.
+func TestSegmentedFormatStable(t *testing.T) {
+	const golden = "testdata/rows_v2.csrs"
+	want := NewCSR(5, 4)
+	want.Ptr = []int{0, 2, 2, 3, 5, 6}
+	want.Idx = []int{0, 3, 1, 0, 2, 3}
+	want.Val = []float64{1, -2, 0.1, 3e-300, 7.5, -1e10}
+	m, err := ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Equal(want, 0) {
+		t.Fatal("golden container read back a different matrix")
+	}
+	path := filepath.Join(t.TempDir(), "m.csrs")
+	if err := WriteSegmentedFile(path, want, 3); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Fatal("WriteSegmentedFile no longer writes the golden bytes")
 	}
 }
 
