@@ -168,27 +168,3 @@ func itoa(v int) string {
 	}
 	return string(buf[i:])
 }
-
-// BenchmarkAblationGatherBins compares the paper's power-of-two gathering
-// bins against exact first-fit packing.
-func BenchmarkAblationGatherBins(b *testing.B) {
-	m, err := rmat.PowerLawCapped(20_000, 200_000, 1.95, 16, 1234)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := map[string]core.Params{
-		"power-of-two": {},
-		"first-fit":    {GatherPolicy: core.GatherFirstFit},
-	}
-	for name, params := range cases {
-		b.Run(name, func(b *testing.B) {
-			opts := kernels.Options{Device: gpusim.TitanXp(), SkipValues: true, Core: params}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := (kernels.Reorganizer{}).Multiply(m, m, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -90,7 +90,6 @@ type Options struct {
 	// Block Reorganizer tuning (ignored by other algorithms); zero values
 	// select the paper's defaults.
 	Alpha       float64 // dominator threshold divisor (default 10)
-	AutoTune    bool    // derive Alpha from the input's workload distribution
 	Beta        float64 // limiting threshold multiplier (default 10)
 	SplitFactor int     // fixed power-of-two splitting factor; 0 = greedy
 	LimitFactor int     // extra merge shared memory in 6144B units (default 4)
@@ -194,6 +193,20 @@ func Multiply(a, b *sparse.CSR, opts Options) (*Result, error) {
 	return wrapResult(p, opts.Algorithm), nil
 }
 
+// coreParams maps the Block Reorganizer tuning fields onto core.Params;
+// Normalize on the result reports the faults Multiply rejects.
+func (opts *Options) coreParams() core.Params {
+	return core.Params{
+		Alpha:               opts.Alpha,
+		Beta:                opts.Beta,
+		SplitFactorOverride: opts.SplitFactor,
+		LimitFactor:         opts.LimitFactor,
+		DisableSplit:        opts.DisableSplit,
+		DisableGather:       opts.DisableGather,
+		DisableLimit:        opts.DisableLimit,
+	}
+}
+
 // resolveOptions validates the operands and options, fills defaults in
 // place, and builds the internal kernel options. All client faults are
 // mapped onto the package's typed errors here, in one place.
@@ -233,16 +246,7 @@ func resolveOptions(a, b *sparse.CSR, opts *Options) (kernels.Algorithm, kernels
 		Paranoid:    opts.Paranoid,
 		Trace:       opts.Trace,
 		Accumulator: accum,
-		Core: core.Params{
-			Alpha:               opts.Alpha,
-			AutoAlpha:           opts.AutoTune,
-			Beta:                opts.Beta,
-			SplitFactorOverride: opts.SplitFactor,
-			LimitFactor:         opts.LimitFactor,
-			DisableSplit:        opts.DisableSplit,
-			DisableGather:       opts.DisableGather,
-			DisableLimit:        opts.DisableLimit,
-		},
+		Core:        opts.coreParams(),
 	}
 	if _, err := kopts.Core.Normalize(); err != nil {
 		return nil, kopts, fmt.Errorf("%w: %v", ErrInvalidOptions, err)

@@ -160,24 +160,3 @@ func TestDevicesDiffer(t *testing.T) {
 		t.Fatalf("V100 (%.3fms) not faster than Titan Xp (%.3fms)", times[1]*1e3, times[0]*1e3)
 	}
 }
-
-func TestAutoTuneOption(t *testing.T) {
-	a, err := rmat.PowerLawCapped(6000, 60000, 1.9, 32, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := Square(a, Options{SkipValues: true, AutoTune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Plan == nil || auto.Plan.Dominators == 0 {
-		t.Fatal("auto-tuned run found no dominators on a hub-heavy input")
-	}
-	base, err := Square(a, Options{Algorithm: RowProduct, SkipValues: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Speedup(base) <= 1 {
-		t.Fatalf("auto-tuned reorganizer speedup %.2f on skewed input", auto.Speedup(base))
-	}
-}

@@ -66,6 +66,12 @@
 #                      grid with spill and merge), and the two result files
 #                      must compare byte-identical — the engine's
 #                      bit-identity contract enforced end to end at the CLI
+#  13. scorecard gate — blockreorg-bench regenerates the ablation-alpha table
+#                      at scale 8 (deterministic, a few seconds) and it
+#                      must compare byte-identical to the committed
+#                      results/ablation-alpha_0.csv, so the α-sensitivity
+#                      claims in EXPERIMENTS.md cannot drift silently. The
+#                      figure CSVs are not gated yet (ROADMAP item 1)
 #
 # Run from the repository root. Exits non-zero on the first failure.
 set -eu
@@ -248,5 +254,13 @@ if [ -z "$ooc_tiles" ] || [ "$ooc_tiles" -le 1 ]; then
     exit 1
 fi
 echo "out-of-core smoke: $ooc_tiles tiles, byte-identical result"
+
+echo "==> scorecard gate (ablation-alpha CSV regenerated, byte-identical to results/)"
+go run ./cmd/blockreorg-bench -scale 8 -csv "$smoke_dir/results" ablation-alpha >/dev/null
+if ! cmp "$smoke_dir/results/ablation-alpha_0.csv" results/ablation-alpha_0.csv; then
+    echo "scorecard gate: ablation-alpha at scale 8 differs from results/ablation-alpha_0.csv" >&2
+    echo "(regenerate with: go run ./cmd/blockreorg-bench -scale 8 -csv results ablation-alpha)" >&2
+    exit 1
+fi
 
 echo "ci.sh: all gates passed"

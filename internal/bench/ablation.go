@@ -19,13 +19,13 @@ var alphaSweep = []float64{1, 2, 5, 10, 20, 40, 64}
 
 // ablationAlpha sweeps α and reports speedup plus classification
 // populations — the sensitivity the paper's §IV-B discusses but never
-// plots, with the auto-tuner as the final column.
+// plots.
 func ablationAlpha() Experiment {
 	return Experiment{
 		ID:    "ablation-alpha",
 		Title: "Extension: dominator threshold (α) sensitivity",
 		Expectation: "speedup is flat across a wide α plateau (the paper picks per-network values by hand); " +
-			"too-small α misses hubs, too-large α shreds mid-size pairs; the auto-tuner lands on the plateau",
+			"too-small α misses hubs, too-large α shreds mid-size pairs",
 		Run: func(cfg Config) ([]*tableio.Table, error) {
 			cfg = cfg.normalize()
 			specs, err := selectedSpecs(cfg, datasets.Skewed())
@@ -36,7 +36,6 @@ func ablationAlpha() Experiment {
 			for _, a := range alphaSweep {
 				cols = append(cols, fmt.Sprintf("α=%g", a))
 			}
-			cols = append(cols, "auto")
 			t := tableio.New(fmt.Sprintf("α sensitivity — speedup vs outer-product and dominator counts (scale 1/%d)", cfg.Scale), cols...)
 			for _, spec := range specs {
 				m, err := cfg.generate(spec)
@@ -68,79 +67,8 @@ func ablationAlpha() Experiment {
 						return nil, err
 					}
 				}
-				if err := run(core.Params{AutoAlpha: true}); err != nil {
-					return nil, err
-				}
 				t.AddRow(speedRow...)
 				t.AddRow(domRow...)
-			}
-			return []*tableio.Table{t}, nil
-		},
-	}
-}
-
-// ablationGather compares the paper's power-of-two gathering bins against
-// exact first-fit packing and no gathering at all.
-func ablationGather() Experiment {
-	return Experiment{
-		ID:    "ablation-gather",
-		Title: "Extension: B-Gathering packing policy",
-		Expectation: "first-fit launches fewer combined blocks than the power-of-two bins but mixes partition " +
-			"lengths; on most inputs the two land within a few percent, both ahead of no gathering",
-		Run: func(cfg Config) ([]*tableio.Table, error) {
-			cfg = cfg.normalize()
-			specs, err := selectedSpecs(cfg, datasets.RealWorld())
-			if err != nil {
-				return nil, err
-			}
-			t := tableio.New(fmt.Sprintf("gathering policy — speedup vs outer-product and block counts (scale 1/%d)", cfg.Scale),
-				"dataset", "none", "power-of-two", "first-fit", "blocks (p2)", "blocks (ff)", "low performers")
-			for _, spec := range specs {
-				m, err := cfg.generate(spec)
-				if err != nil {
-					return nil, err
-				}
-				pc, err := kernels.Precompute(m, m)
-				if err != nil {
-					return nil, err
-				}
-				baseP, err := runAlg(kernels.OuterProduct{}, m, m, cfg, pc)
-				if err != nil {
-					return nil, err
-				}
-				base := baseP.Report.TotalSeconds()
-				type outcome struct {
-					speedup float64
-					blocks  int
-					lows    int
-				}
-				run := func(p core.Params) (outcome, error) {
-					prod, err := runReorganizer(m, m, cfg, kernels.Options{Core: p, Pre: pc})
-					if err != nil {
-						return outcome{}, err
-					}
-					return outcome{
-						speedup: base / prod.Report.TotalSeconds(),
-						blocks:  prod.PlanStats.CombinedBlocks + prod.PlanStats.UngatheredLows,
-						lows:    prod.PlanStats.LowPerformers,
-					}, nil
-				}
-				none, err := run(core.Params{DisableGather: true})
-				if err != nil {
-					return nil, err
-				}
-				p2, err := run(core.Params{})
-				if err != nil {
-					return nil, err
-				}
-				ff, err := run(core.Params{GatherPolicy: core.GatherFirstFit})
-				if err != nil {
-					return nil, err
-				}
-				t.AddRow(spec.Name,
-					tableio.F2(none.speedup), tableio.F2(p2.speedup), tableio.F2(ff.speedup),
-					tableio.Count(int64(p2.blocks)), tableio.Count(int64(ff.blocks)),
-					tableio.Count(int64(p2.lows)))
 			}
 			return []*tableio.Table{t}, nil
 		},

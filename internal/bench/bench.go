@@ -79,7 +79,7 @@ func All() []Experiment {
 		fig11(), fig12(), fig13(), fig14(),
 		fig15(), fig16a(), fig16b(),
 		caseStudy(),
-		ablationAlpha(), ablationGather(),
+		ablationAlpha(),
 	}
 }
 

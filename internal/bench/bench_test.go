@@ -34,7 +34,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig3a", "fig3b", "fig3c",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 		"fig16a", "fig16b", "casestudy",
-		"ablation-alpha", "ablation-gather",
+		"ablation-alpha",
 	} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)
@@ -140,6 +140,78 @@ func TestFig11Shape(t *testing.T) {
 	}
 	if last <= first {
 		t.Fatalf("LBI did not rise with splitting factor: %.2f -> %.2f\n%s", first, last, tb)
+	}
+}
+
+// Figure 10's averages on a mixed subset: the full Block Reorganizer must
+// match or beat every single technique, and B-Splitting alone must beat
+// the baseline. Rows are not ordered one by one — on some inputs a single
+// technique edges out the combination.
+func TestFig10Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shape checks skipped in -short mode")
+	}
+	cfg := Config{Scale: 16, Datasets: []string{"as-caida", "slashDot", "harbor", "protein", "youtube", "mario002"}}
+	tables, err := fig10().Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tables[0]
+	avg := averagesRow(t, tb)
+	full := colValue(t, tb, avg, "Block-Reorganizer")
+	for _, col := range []string{"B-Limiting", "B-Splitting", "B-Gathering"} {
+		if v := colValue(t, tb, avg, col); full < v {
+			t.Errorf("full average %.2f below %s average %.2f", full, col, v)
+		}
+	}
+	if v := colValue(t, tb, avg, "B-Splitting"); v <= 1 {
+		t.Errorf("B-Splitting average %.2f not above 1", v)
+	}
+	if t.Failed() {
+		t.Log(tb)
+	}
+}
+
+// The α ablation's shape on the skewed datasets of the quick subset: the
+// default α=10 sits on the plateau (within 3% of the best α swept), and
+// too small an α misses youtube's hubs.
+func TestAblationAlphaShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shape checks skipped in -short mode")
+	}
+	tables, err := ablationAlpha().Run(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tables[0]
+	seen := map[string]bool{}
+	for r, row := range tb.Rows {
+		if row[1] != "speedup" {
+			continue
+		}
+		name := row[0]
+		seen[name] = true
+		best := 0.0
+		for _, col := range tb.Columns[2:] {
+			best = max(best, colValue(t, tb, r, col))
+		}
+		def := colValue(t, tb, r, "α=10")
+		if def < 0.97*best {
+			t.Errorf("%s: α=10 speedup %.2f below 0.97 × best %.2f", name, def, best)
+		}
+		if name == "youtube" {
+			if small := colValue(t, tb, r, "α=1"); small >= def {
+				t.Errorf("youtube: α=1 speedup %.2f not below α=10's %.2f", small, def)
+			}
+		}
+	}
+	for _, name := range []string{"as-caida", "youtube", "slashDot"} {
+		if !seen[name] {
+			t.Errorf("no speedup row for %s", name)
+		}
+	}
+	if t.Failed() {
+		t.Log(tb)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -155,6 +156,12 @@ func TestParamsNormalizeRejects(t *testing.T) {
 		{SplitFactorOverride: -1}, // negative
 		{LimitFactor: -1},         // negative
 		{NumSMs: -5},              // negative
+		{Alpha: math.NaN()},       // non-finite
+		{Alpha: math.Inf(1)},
+		{Alpha: math.Inf(-1)},
+		{Beta: math.NaN()},
+		{Beta: math.Inf(1)},
+		{Beta: math.Inf(-1)},
 	}
 	for i, p := range bad {
 		if _, err := p.Normalize(); err == nil {

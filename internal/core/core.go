@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/blockreorg/blockreorg/sparse"
 )
@@ -31,9 +32,6 @@ type Params struct {
 	// its block-wise workload exceeds nnz(Ĉ)/(NumSMs·Alpha). Larger Alpha
 	// lowers the threshold and selects more dominators.
 	Alpha float64
-	// AutoAlpha derives Alpha from the input's workload distribution via
-	// AutoTuneAlpha, overriding the Alpha field.
-	AutoAlpha bool
 	// Beta divides the merge-limiting threshold the same way, over
 	// row-wise intermediate populations: a row is limited when its
 	// intermediate population exceeds nnz(Ĉ)/(NumSMs·Beta). The paper
@@ -54,9 +52,6 @@ type Params struct {
 	// LimitFactor is the number of LimitUnit shared-memory increments
 	// added to limited merge blocks (the Figure 14 x-axis).
 	LimitFactor int
-	// GatherPolicy selects how low performers are packed into combined
-	// blocks; the zero value is the paper's power-of-two bins.
-	GatherPolicy GatherPolicy
 	// Accumulator selects the merge strategy assigned to output rows (the
 	// plan's AccumPlan); the zero value, sparse.AccumAuto, picks per row
 	// from the intermediate populations.
@@ -66,20 +61,6 @@ type Params struct {
 	DisableGather bool
 	DisableLimit  bool
 }
-
-// GatherPolicy selects the B-Gathering packing strategy.
-type GatherPolicy uint8
-
-// Gathering policies.
-const (
-	// GatherPowerOfTwo is the paper's scheme: bins at power-of-two
-	// effective-thread ranges, gathering factor 32/2^n.
-	GatherPowerOfTwo GatherPolicy = iota
-	// GatherFirstFit packs pairs exactly (first-fit decreasing) into
-	// 32-lane combined blocks — the alternative the ablation benchmarks
-	// compare against.
-	GatherFirstFit
-)
 
 // Normalize fills zero fields with the paper's defaults and validates the
 // rest.
@@ -103,8 +84,8 @@ func (p Params) Normalize() (Params, error) {
 		p.LimitFactor = DefaultLimitFactor
 	}
 	switch {
-	case p.Alpha < 0 || p.Beta < 0:
-		return p, errors.New("core: negative threshold divisor")
+	case !validDivisor(p.Alpha) || !validDivisor(p.Beta):
+		return p, fmt.Errorf("core: threshold divisors α=%g, β=%g must be positive and finite", p.Alpha, p.Beta)
 	case p.BlockSize < WarpSize || p.BlockSize%WarpSize != 0:
 		return p, fmt.Errorf("core: block size %d must be a positive multiple of %d", p.BlockSize, WarpSize)
 	case p.NumSMs < 1:
@@ -122,6 +103,10 @@ func (p Params) Normalize() (Params, error) {
 	}
 	return p, nil
 }
+
+// validDivisor reports whether x is a usable threshold divisor: positive
+// and finite (NaN fails the comparison).
+func validDivisor(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Category classifies one column/row product pair by workload.
 type Category uint8

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // GatherBin collects low-performer pairs whose effective thread counts fall
 // in (MaxEff/2, MaxEff]; Factor = GatherBlockSize/MaxEff of them fill one
 // combined block.
@@ -41,8 +39,7 @@ type GatherPlan struct {
 // PlanGather applies B-Gathering: low performers are binned by
 // power-of-two effective-thread ranges and compacted into combined
 // 32-thread blocks (paper §IV-C2 and Figure 6). With DisableGather the
-// pairs all land in Ungathered; GatherFirstFit selects the exact-packing
-// alternative instead of the paper's bins.
+// pairs all land in Ungathered.
 func PlanGather(cls *Classification, p Params) (*GatherPlan, error) {
 	p, err := p.Normalize()
 	if err != nil {
@@ -52,9 +49,6 @@ func PlanGather(cls *Classification, p Params) (*GatherPlan, error) {
 	if p.DisableGather {
 		plan.Ungathered = append(plan.Ungathered, cls.LowPerformers...)
 		return plan, nil
-	}
-	if p.GatherPolicy == GatherFirstFit {
-		return planGatherFirstFit(cls, plan), nil
 	}
 	// Bins at MaxEff = 1, 2, 4, 8, 16, 32; the last has factor 1.
 	bins := make([]GatherBin, 0, 6)
@@ -97,63 +91,6 @@ func PlanGather(cls *Classification, p Params) (*GatherPlan, error) {
 		}
 	}
 	return plan, nil
-}
-
-// planGatherFirstFit is the exact-packing alternative to the paper's
-// power-of-two bins: low performers are packed first-fit-decreasing into
-// combined blocks of at most GatherBlockSize total effective lanes. It
-// wastes fewer lanes than the bins (a 17-lane pair can share a block with a
-// 15-lane pair instead of launching alone) at the cost of mixed-length
-// partitions, whose slowest member sets the combined block's lock-step
-// critical path. The ablation benchmarks quantify the trade.
-func planGatherFirstFit(cls *Classification, plan *GatherPlan) *GatherPlan {
-	// First-fit-decreasing over effective thread counts. EffThreads are
-	// bounded by WarpSize here, so a simple open-bin scan stays cheap.
-	order := append([]int(nil), cls.LowPerformers...)
-	// Stable sort by descending effective threads, index ascending on ties
-	// (determinism).
-	sortByEffDesc(order, cls.EffThreads)
-	var bins []CombinedBlock
-	binFree := []int{}
-	for _, k := range order {
-		eff := cls.EffThreads[k]
-		if eff <= 0 {
-			continue
-		}
-		placed := false
-		for i := range bins {
-			if binFree[i] >= eff {
-				bins[i].Pairs = append(bins[i].Pairs, k)
-				binFree[i] -= eff
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			bins = append(bins, CombinedBlock{MaxEff: eff, Pairs: []int{k}})
-			binFree = append(binFree, GatherBlockSize-eff)
-		}
-	}
-	for _, b := range bins {
-		if len(b.Pairs) == 1 {
-			// A lone pair gains nothing from the combined-block framing.
-			plan.Ungathered = append(plan.Ungathered, b.Pairs[0])
-			continue
-		}
-		plan.Combined = append(plan.Combined, b)
-	}
-	return plan
-}
-
-// sortByEffDesc orders pair indices by descending effective threads with
-// ascending index as the tiebreak.
-func sortByEffDesc(pairs []int, eff []int) {
-	sort.SliceStable(pairs, func(i, j int) bool {
-		if eff[pairs[i]] != eff[pairs[j]] {
-			return eff[pairs[i]] > eff[pairs[j]]
-		}
-		return pairs[i] < pairs[j]
-	})
 }
 
 // NumBlocks returns the number of thread blocks the gathered low performers

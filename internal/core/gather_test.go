@@ -122,99 +122,3 @@ func TestGatherSixteenLanePairsNotGathered(t *testing.T) {
 		}
 	}
 }
-
-func TestGatherFirstFitCoversOnce(t *testing.T) {
-	cls, _ := skewedFixture(t, 3000, 24000, 26)
-	plan, err := PlanGather(cls, Params{GatherPolicy: GatherFirstFit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int]int)
-	for _, cb := range plan.Combined {
-		lanes := 0
-		if len(cb.Pairs) < 2 {
-			t.Fatalf("first-fit combined block with %d pairs", len(cb.Pairs))
-		}
-		for _, k := range cb.Pairs {
-			seen[k]++
-			lanes += cls.EffThreads[k]
-		}
-		if lanes > GatherBlockSize {
-			t.Fatalf("combined block packs %d lanes", lanes)
-		}
-	}
-	for _, k := range plan.Ungathered {
-		seen[k]++
-	}
-	if plan.MicroBlocks() != len(cls.LowPerformers) {
-		t.Fatalf("first-fit covers %d pairs, want %d", plan.MicroBlocks(), len(cls.LowPerformers))
-	}
-	for _, k := range cls.LowPerformers {
-		if seen[k] != 1 {
-			t.Fatalf("pair %d covered %d times", k, seen[k])
-		}
-	}
-}
-
-// First-fit must not launch more blocks than the power-of-two bins: exact
-// packing dominates bin packing on block count.
-func TestGatherFirstFitPacksTighter(t *testing.T) {
-	cls, _ := skewedFixture(t, 4000, 32000, 27)
-	bins, err := PlanGather(cls, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fit, err := PlanGather(cls, Params{GatherPolicy: GatherFirstFit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.NumBlocks() > bins.NumBlocks() {
-		t.Fatalf("first-fit launches %d blocks, bins launch %d", fit.NumBlocks(), bins.NumBlocks())
-	}
-}
-
-// The packing policy must not change the product.
-func TestGatherFirstFitPreservesProduct(t *testing.T) {
-	m, err := rmat.PowerLaw(900, 10000, 2.1, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := BuildPlan(m, m, Params{GatherPolicy: GatherFirstFit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := plan.Execute(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := BuildPlan(m, m, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Execute(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want, 1e-9) {
-		t.Fatal("first-fit gathering changed the product")
-	}
-}
-
-func TestGatherFirstFitDeterministic(t *testing.T) {
-	cls, _ := skewedFixture(t, 2000, 16000, 29)
-	a, _ := PlanGather(cls, Params{GatherPolicy: GatherFirstFit})
-	b, _ := PlanGather(cls, Params{GatherPolicy: GatherFirstFit})
-	if len(a.Combined) != len(b.Combined) || len(a.Ungathered) != len(b.Ungathered) {
-		t.Fatal("first-fit nondeterministic")
-	}
-	for i := range a.Combined {
-		if len(a.Combined[i].Pairs) != len(b.Combined[i].Pairs) {
-			t.Fatal("first-fit block composition nondeterministic")
-		}
-		for j := range a.Combined[i].Pairs {
-			if a.Combined[i].Pairs[j] != b.Combined[i].Pairs[j] {
-				t.Fatal("first-fit pair order nondeterministic")
-			}
-		}
-	}
-}

@@ -115,17 +115,7 @@ func BuildPlanTraced(a *sparse.CSR, acsc *sparse.CSC, b *sparse.CSR, rowWork []i
 		acsc = a.ToCSC()
 		endConv()
 	}
-	// Auto-tuning inspects the same workload distribution Classify bins,
-	// so its time is billed to the classification phase.
 	endCls := rec.SpanItems(trace.PhaseClassify, int64(acsc.Cols))
-	if p.AutoAlpha {
-		alpha, err := AutoTuneAlpha(acsc, b, p.NumSMs)
-		if err != nil {
-			endCls()
-			return nil, err
-		}
-		p.Alpha = alpha
-	}
 	cls, err := Classify(acsc, b, p)
 	endCls()
 	if err != nil {

@@ -243,9 +243,7 @@ func TestPlanValidate(t *testing.T) {
 		{},
 		{DisableSplit: true},
 		{DisableGather: true},
-		{GatherPolicy: GatherFirstFit},
 		{SplitFactorOverride: 16},
-		{AutoAlpha: true},
 	}
 	for i, p := range combos {
 		plan, err := BuildPlan(m, m, p)

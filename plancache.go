@@ -16,7 +16,6 @@ type PlanKey struct {
 	fpA, fpB                                  uint64
 	gpu                                       GPU
 	alpha, beta                               float64
-	autoTune                                  bool
 	splitFactor, limitFactor                  int
 	disableSplit, disableGather, disableLimit bool
 	accum                                     sparse.AccumulatorKind
@@ -27,9 +26,14 @@ type PlanKey struct {
 // GPU and accumulator are normalized the way Multiply resolves them, so ""
 // and TitanXp (or "" and "auto") share entries. ok is false when opts
 // cannot produce a reusable plan — another algorithm, or an accumulator
-// name Multiply will reject — and such runs should bypass the cache.
+// name or tuning value Multiply will reject — and such runs should bypass
+// the cache. Rejecting a NaN threshold here also keeps every key equal to
+// itself, which the cache's map lookups and evictions rely on.
 func PlanKeyFor(fpA, fpB uint64, opts Options) (PlanKey, bool) {
 	if opts.Algorithm != "" && opts.Algorithm != BlockReorganizer {
+		return PlanKey{}, false
+	}
+	if _, err := opts.coreParams().Normalize(); err != nil {
 		return PlanKey{}, false
 	}
 	accum, err := sparse.ParseAccumulator(opts.Accumulator)
@@ -45,7 +49,6 @@ func PlanKeyFor(fpA, fpB uint64, opts Options) (PlanKey, bool) {
 		gpu:           gpu,
 		alpha:         opts.Alpha,
 		beta:          opts.Beta,
-		autoTune:      opts.AutoTune,
 		splitFactor:   opts.SplitFactor,
 		limitFactor:   opts.LimitFactor,
 		disableSplit:  opts.DisableSplit,

@@ -1,6 +1,8 @@
 package blockreorg
 
 import (
+	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -137,7 +139,6 @@ func TestPlanKeyFor(t *testing.T) {
 		{"GPU", 1, 2, Options{GPU: TeslaV100}},
 		{"Alpha", 1, 2, Options{Alpha: 4}},
 		{"Beta", 1, 2, Options{Beta: 4}},
-		{"AutoTune", 1, 2, Options{AutoTune: true}},
 		{"SplitFactor", 1, 2, Options{SplitFactor: 4}},
 		{"LimitFactor", 1, 2, Options{LimitFactor: 2}},
 		{"DisableSplit", 1, 2, Options{DisableSplit: true}},
@@ -178,6 +179,44 @@ func TestPlanKeyFor(t *testing.T) {
 		if _, ok := PlanKeyFor(1, 2, tc.opts); ok {
 			t.Errorf("%s: got a key, want ok=false", tc.name)
 		}
+	}
+}
+
+// TestNonFiniteThresholdsRejected pins that NaN and ±Inf thresholds are
+// client faults: Multiply rejects them, PlanKeyFor gives no key, and so a
+// caller following the PlanCache sequence never stores a key that is
+// unequal to itself (which would grow the cache past capacity and evict
+// valid entries).
+func TestNonFiniteThresholdsRejected(t *testing.T) {
+	p, a := dummyPlan(t)
+	valid, ok := PlanKeyFor(1, 2, Options{})
+	if !ok {
+		t.Fatal("default options produced no key")
+	}
+	c := NewPlanCache(4)
+	c.Put(valid, p)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, opts := range map[string]Options{
+			"Alpha": {Alpha: v, SkipValues: true},
+			"Beta":  {Beta: v, SkipValues: true},
+		} {
+			if _, err := Multiply(a, a, opts); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s=%g: Multiply err %v, want ErrInvalidOptions", name, v, err)
+			}
+			// The same request repeated: a well-formed key replaces
+			// its own entry each time.
+			for i := 0; i < 10; i++ {
+				if k, ok := PlanKeyFor(1, 3, opts); ok {
+					c.Put(k, p)
+				}
+			}
+		}
+	}
+	if st := c.Stats(); st.Size > st.Capacity {
+		t.Fatalf("cache holds %d entries, capacity %d", st.Size, st.Capacity)
+	}
+	if c.Bind(valid, a, a) == nil {
+		t.Fatal("the valid entry was evicted")
 	}
 }
 
