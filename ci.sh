@@ -62,10 +62,12 @@
 #                      docs/CLUSTER.md stay exercised end to end
 #  12. out-of-core smoke — genmat -stream writes a segmented R-MAT network,
 #                      graphrun powers it twice: once in memory, once under
-#                      a deliberately tiny -mem-budget (forcing a real tile
-#                      grid with spill and merge), and the two result files
-#                      must compare byte-identical — the engine's
-#                      bit-identity contract enforced end to end at the CLI
+#                      a deliberately tiny -mem-budget, and the two result
+#                      files must compare byte-identical — the engine's
+#                      bit-identity contract enforced end to end at the CLI.
+#                      64K splits B into about 3 column panels, so tiles
+#                      still spill and each row panel is merged from its
+#                      files (a one-column grid emits tiles unspilled)
 #  13. scorecard gate — blockreorg-bench regenerates the ablation-alpha table
 #                      at scale 8 (deterministic, a few seconds) and it
 #                      must compare byte-identical to the committed

@@ -3,13 +3,19 @@
 // physical RAM.
 //
 // The engine partitions A into row panels and B into column panels sized
-// by a byte Budget, streams panel pairs through the in-memory planned
+// by a byte Budget and streams panel pairs through the in-memory planned
 // multiply (blockreorg.NewPlan / Plan.Rebind, with a blockreorg.PlanCache
 // keyed on the tile pair's structure so iterative workloads reuse tile
-// preprocessing across iterations), spills each finished C tile to a spill directory, and
-// finally merges the tiles row-wise into the result — streamed back to
-// disk in the segmented container format, or assembled in memory when the
-// caller wants a *sparse.CSR.
+// preprocessing across iterations). The tile loop runs one row panel at a
+// time: A's panel I meets every B column panel, and output row panel I is
+// emitted before panel I+1 is loaded — streamed to disk in the segmented
+// container format, or copied into a product the caller gets as a
+// *sparse.CSR, reserved once at its exact size. When B fits one column
+// panel, tile (I, 0) is row panel I itself: it is emitted as it stands,
+// and the B panel and its fingerprint stay resident for the whole
+// multiply. Wider grids spill each tile of panel I to the spill directory
+// and merge them row-wise right after the panel's last tile, so at most
+// one row panel's spills are on disk at a time.
 //
 // # Bit-identity
 //
@@ -29,7 +35,9 @@
 // ooc_peak_tracked_bytes trace gauge, and stays under the configured
 // budget for any feasible grid. The budget is split into quarters: one
 // for the resident A row panel, one for the resident B column panel, and
-// two for the result tile plus merge working set. Operands or results the
+// two for the result tile plus merge working set. The write buffers of
+// the segmented containers (64 KiB each, one per B column panel while B
+// is resharded) are outside the accountant. Operands or results the
 // caller holds in memory are the caller's, not the engine's — the
 // accountant tracks the engine's working set, which is the quantity a
 // bigger-than-RAM run needs bounded.

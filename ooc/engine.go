@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/blockreorg/blockreorg"
+	"github.com/blockreorg/blockreorg/internal/parallel"
 	"github.com/blockreorg/blockreorg/internal/trace"
 	"github.com/blockreorg/blockreorg/sparse"
 )
@@ -94,10 +95,10 @@ type Engine struct {
 
 	// Reshard cache for the in-memory path: passing the same B object to
 	// consecutive Multiply calls (M ← M·A iteration) reuses the column
-	// reshard on disk instead of rebuilding it.
-	bKey   *sparse.CSR
-	bCuts  []int64
-	bPaths []string
+	// reshard on disk, and the panels' fingerprints, instead of rebuilding
+	// them.
+	bKey    *sparse.CSR
+	bPanels *colPanels
 }
 
 // New creates an engine. The budget must be positive.
@@ -158,19 +159,20 @@ func (e *Engine) scratchPath(name string) string {
 
 // dropReshard forgets the cached B reshard and removes its files.
 func (e *Engine) dropReshard() {
-	for _, p := range e.bPaths {
-		os.Remove(p)
-	}
-	e.bKey, e.bCuts, e.bPaths = nil, nil, nil
+	e.bPanels.remove()
+	e.bKey, e.bPanels = nil, nil
 }
 
 // Multiply computes C = A×B out of core and returns the assembled result.
 // The product is bit-identical to blockreorg.Multiply and sparse.Multiply
 // on the same operands, for every budget. The result matrix is the
-// caller's; the engine's own working set stays within the budget.
+// caller's: it is reserved once at its exact size and each row panel is
+// copied into place as the tile loop emits it. The engine's own working
+// set stays within the budget.
 //
 // Passing the same b object to consecutive calls reuses its on-disk
 // column reshard — the M ← M·A iteration pattern pays the reshard once.
+// A failed call drops the reshard with every other file it wrote.
 func (e *Engine) Multiply(a, b *sparse.CSR) (*sparse.CSR, error) {
 	if a == nil || b == nil {
 		return nil, fmt.Errorf("%w: nil operand", blockreorg.ErrInvalidOptions)
@@ -182,43 +184,59 @@ func (e *Engine) Multiply(a, b *sparse.CSR) (*sparse.CSR, error) {
 	if a.Rows == 0 || b.Cols == 0 || a.NNZ() == 0 || b.NNZ() == 0 {
 		return sparse.NewCSR(a.Rows, b.Cols), nil
 	}
-	if e.bKey == b && len(e.bPaths) > 0 {
+	if e.bKey == b && e.bPanels != nil {
 		e.stats.ReshardReuses++
 	} else {
 		e.dropReshard()
-		cuts, paths, err := e.reshard(memSource{b})
+		bp, err := e.reshard(memSource{b})
 		if err != nil {
 			return nil, err
 		}
-		e.bKey, e.bCuts, e.bPaths = b, cuts, paths
+		e.bKey, e.bPanels = b, bp
 	}
+	c, err := e.multiplyResident(a, b)
+	if err != nil {
+		e.dropReshard()
+		return nil, err
+	}
+	e.finish()
+	return c, nil
+}
+
+// multiplyResident runs the tile loop over a resident A against the
+// cached reshard of b and assembles the product in place.
+func (e *Engine) multiplyResident(a, b *sparse.CSR) (*sparse.CSR, error) {
 	flops, err := outEstimate(memSource{a}, memSource{b})
 	if err != nil {
 		return nil, err
 	}
-	g, err := e.tiles(memSource{a}, flops, e.bCuts, e.bPaths)
+	counts, err := sparse.SymbolicRowNNZOn(a, b, parallel.NewExecutor(e.opts.Workers))
 	if err != nil {
-		g.removeSpills()
 		return nil, err
 	}
-	result := sparse.NewCSR(a.Rows, b.Cols)
-	result.Idx = make([]int, 0, g.nnz)
-	result.Val = make([]float64, 0, g.nnz)
-	row := 0
-	err = e.merge(g, int64(b.Cols), func(_ int, panel *sparse.CSR) error {
+	var nnz int64
+	for _, n := range counts {
+		nnz += int64(n)
+	}
+	// The product is reserved once at its exact size, and every emitted
+	// row panel is copied into place.
+	c := sparse.NewCSR(a.Rows, b.Cols)
+	c.Idx = make([]int, 0, nnz)
+	c.Val = make([]float64, 0, nnz)
+	err = e.tiles(memSource{a}, flops, e.bPanels, func(lo, _ int64, panel *sparse.CSR) error {
 		for r := 0; r < panel.Rows; r++ {
 			idx, val := panel.Row(r)
-			result.AppendRow(row, idx, val)
-			row++
+			c.AppendRow(int(lo)+r, idx, val)
 		}
 		return nil
 	})
-	g.removeSpills()
 	if err != nil {
 		return nil, err
 	}
-	e.finish()
-	return result, nil
+	if n := c.NNZ(); int64(n) != nnz || cap(c.Idx) != n {
+		return nil, fmt.Errorf("ooc: row panels hold %d entries, the symbolic product %d", n, nnz)
+	}
+	return c, nil
 }
 
 // MultiplyFiles computes C = A×B where both operands are segmented
@@ -248,21 +266,12 @@ func (e *Engine) MultiplyFiles(aPath, bPath, outPath string) error {
 	}
 	// The file path does not use the reshard cache: the engine cannot
 	// cheaply prove the file unchanged between calls.
-	cuts, paths, err := e.reshard(fileSource{segB})
+	bp, err := e.reshard(fileSource{segB})
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, p := range paths {
-			os.Remove(p)
-		}
-	}()
+	defer bp.remove()
 	flops, err := outEstimate(fileSource{segA}, fileSource{segB})
-	if err != nil {
-		return err
-	}
-	g, err := e.tiles(fileSource{segA}, flops, cuts, paths)
-	defer g.removeSpills()
 	if err != nil {
 		return err
 	}
@@ -270,10 +279,7 @@ func (e *Engine) MultiplyFiles(aPath, bPath, outPath string) error {
 	if err != nil {
 		return err
 	}
-	err = e.merge(g, hb.Cols, func(I int, panel *sparse.CSR) error {
-		return w.AppendPanel(g.aCuts[I], g.aCuts[I+1], panel)
-	})
-	if err != nil {
+	if err := e.tiles(fileSource{segA}, flops, bp, w.AppendPanel); err != nil {
 		w.Discard()
 		return err
 	}
@@ -306,19 +312,42 @@ func (e *Engine) finish() {
 	rec.Set(trace.GaugeOOCPeakBytes, float64(e.acct.Peak()))
 }
 
+// colPanels is B resharded into column panels: the column cut points, one
+// segmented scratch container per panel with panel-local column indices,
+// and each panel's structure fingerprint, 0 until the panel's first load
+// computes it (a digest that is really 0 is merely recomputed).
+type colPanels struct {
+	cuts  []int64
+	paths []string
+	fps   []uint64
+}
+
+// remove deletes the panels' files. A nil reshard has none.
+func (bp *colPanels) remove() {
+	if bp == nil {
+		return
+	}
+	for _, p := range bp.paths {
+		os.Remove(p)
+	}
+}
+
 // reshard streams B's rows once and scatters them into one segmented
 // scratch container per column panel, with column indices local to the
 // panel. The tile loop then loads B[:, J] with a single sequential read.
-func (e *Engine) reshard(b source) (cuts []int64, paths []string, err error) {
+// The nJ writers are open at once, each with its 64 KiB write buffer,
+// which the accountant does not track.
+func (e *Engine) reshard(b source) (bp *colPanels, err error) {
 	rec := e.opts.Trace
 	t0 := time.Now()
 	rows, _ := b.dims()
 	hist, err := b.colNNZ()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cuts = colCuts(hist, rows, e.shareB())
+	cuts := colCuts(hist, rows, e.shareB())
 	nJ := len(cuts) - 1
+	bp = &colPanels{cuts: cuts, fps: make([]uint64, nJ)}
 	writers := make([]*sparse.SegWriter, nJ)
 	defer func() {
 		if err != nil {
@@ -327,25 +356,23 @@ func (e *Engine) reshard(b source) (cuts []int64, paths []string, err error) {
 					w.Discard()
 				}
 			}
-			for _, p := range paths {
-				os.Remove(p)
-			}
+			bp.remove()
 		}
 	}()
 	for J := 0; J < nJ; J++ {
 		path := e.scratchPath(fmt.Sprintf("b-col-%04d.seg", J))
 		w, werr := sparse.CreateSegmented(path, rows, cuts[J+1]-cuts[J])
 		if werr != nil {
-			return nil, nil, werr
+			return nil, werr
 		}
 		writers[J] = w
-		paths = append(paths, path)
+		bp.paths = append(bp.paths, path)
 	}
 	var written int64
 	for _, chunk := range ranges(b.rowCuts(e.shareB(), nil, 0)) {
 		slab, lerr := b.loadRows(chunk.lo, chunk.hi)
 		if lerr != nil {
-			return nil, nil, lerr
+			return nil, lerr
 		}
 		cb := csrBytes(slab)
 		e.acct.Grab(cb)
@@ -358,7 +385,7 @@ func (e *Engine) reshard(b source) (cuts []int64, paths []string, err error) {
 			e.acct.Release(pb)
 			if aerr != nil {
 				e.acct.Release(cb)
-				return nil, nil, aerr
+				return nil, aerr
 			}
 			written += pb
 		}
@@ -366,37 +393,14 @@ func (e *Engine) reshard(b source) (cuts []int64, paths []string, err error) {
 	}
 	for _, w := range writers {
 		if cerr := w.Close(); cerr != nil {
-			return nil, nil, cerr
+			return nil, cerr
 		}
 	}
 	e.noteSpilled(written)
 	d := time.Since(t0)
 	e.stats.ReshardSeconds += d.Seconds()
 	rec.Observe(trace.PhaseOOCReshard, written, d)
-	return cuts, paths, nil
-}
-
-// tileGrid is the spilled intermediate state of one multiplication: the
-// panel boundaries plus one spill file per (I, J) tile.
-type tileGrid struct {
-	aCuts, bCuts []int64
-	spill        [][]string
-	// nnz counts the entries of every spilled tile: the product's nnz.
-	nnz int64
-}
-
-// removeSpills deletes every spill file the grid still references.
-func (g *tileGrid) removeSpills() {
-	if g == nil {
-		return
-	}
-	for _, row := range g.spill {
-		for _, p := range row {
-			if p != "" {
-				os.Remove(p)
-			}
-		}
-	}
+	return bp, nil
 }
 
 // outEstimate returns the symbolic per-row product counts of A against B
@@ -411,59 +415,158 @@ func outEstimate(a, b source) ([]int64, error) {
 	return a.rowFlops(bRows)
 }
 
-// tiles runs the tile loop: for each A row panel, multiply against every
-// resharded B column panel and spill the finished tile. Plans are cached
-// by the panel pair's structure fingerprints and rebound on reuse.
-func (e *Engine) tiles(a source, outWeight []int64, bCuts []int64, bPaths []string) (*tileGrid, error) {
-	rec := e.opts.Trace
+// emitFunc receives output row panel [lo, hi) with global column
+// indices, in row order. The panel is the engine's: emit copies what it
+// keeps.
+type emitFunc func(lo, hi int64, panel *sparse.CSR) error
+
+// tiles runs the tile loop one row panel at a time: A's panel I is
+// multiplied against every B column panel, and output row panel I is
+// assembled and emitted before panel I+1 is loaded. On a one-column grid
+// tile (I, 0) is row panel I itself, so it is emitted as it stands, and
+// the single B panel is loaded once and stays resident across every I.
+// Wider grids spill each tile and merge panel I from its own files right
+// after its last tile, so at most one row panel's spills are on disk at a
+// time. Plans are cached by the panel pair's structure fingerprints and
+// rebound on reuse.
+func (e *Engine) tiles(a source, outWeight []int64, bp *colPanels, emit emitFunc) error {
 	aCuts := a.rowCuts(e.shareA(), outWeight, e.opts.Budget/4)
-	nI, nJ := len(aCuts)-1, len(bCuts)-1
+	nI, nJ := len(aCuts)-1, len(bp.cuts)-1
 	e.stats.Grid = [2]int{nI, nJ}
-	g := &tileGrid{aCuts: aCuts, bCuts: bCuts, spill: make([][]string, nI)}
-	for I := range g.spill {
-		g.spill[I] = make([]string, nJ)
-	}
-	for I := 0; I < nI; I++ {
-		t0 := time.Now()
-		aPanel, err := a.loadRows(aCuts[I], aCuts[I+1])
+	if nJ == 1 {
+		bPanel, fpB, err := e.loadB(bp, 0)
 		if err != nil {
-			return g, err
+			return err
 		}
-		ab := csrBytes(aPanel)
-		e.acct.Grab(ab)
-		e.noteLoaded(ab)
-		d := time.Since(t0)
-		e.stats.LoadSeconds += d.Seconds()
-		rec.Observe(trace.PhaseOOCLoad, ab, d)
-		fpA := aPanel.StructureFingerprint()
-		for J := 0; J < nJ; J++ {
-			if err := e.tile(g, I, J, aPanel, fpA, bPaths[J]); err != nil {
-				e.acct.Release(ab)
-				return g, err
+		defer e.acct.Release(csrBytes(bPanel))
+		for I := 0; I < nI; I++ {
+			if err := e.emitTile(a, aCuts[I], aCuts[I+1], bPanel, fpB, emit); err != nil {
+				return err
 			}
 		}
-		e.acct.Release(ab)
+		return nil
 	}
-	return g, nil
+	for I := 0; I < nI; I++ {
+		if err := e.spillRowPanel(a, I, aCuts[I], aCuts[I+1], bp, emit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// tile multiplies one (A panel, B panel) pair and spills the result.
-func (e *Engine) tile(g *tileGrid, I, J int, aPanel *sparse.CSR, fpA uint64, bPath string) error {
-	rec := e.opts.Trace
-	t0 := time.Now()
-	bPanel, err := sparse.ReadSegmentedFile(bPath)
+// emitTile multiplies A's rows [lo, hi) by the whole of B, resident as
+// one column panel, and emits the tile as output row panel [lo, hi).
+func (e *Engine) emitTile(a source, lo, hi int64, bPanel *sparse.CSR, fpB uint64, emit emitFunc) error {
+	aPanel, err := e.load(func() (*sparse.CSR, error) { return a.loadRows(lo, hi) })
 	if err != nil {
 		return err
 	}
-	bb := csrBytes(bPanel)
-	e.acct.Grab(bb)
-	defer e.acct.Release(bb)
-	e.noteLoaded(bb)
+	c, err := e.tile(aPanel, aPanel.StructureFingerprint(), bPanel, fpB)
+	e.acct.Release(csrBytes(aPanel))
+	if err != nil {
+		return err
+	}
+	defer e.acct.Release(csrBytes(c))
+	t0 := time.Now()
+	if err := emit(lo, hi, c); err != nil {
+		return err
+	}
+	d := time.Since(t0)
+	e.stats.MergeSeconds += d.Seconds()
+	e.opts.Trace.Observe(trace.PhaseOOCMerge, int64(c.NNZ()), d)
+	return nil
+}
+
+// spillRowPanel multiplies A's rows [lo, hi), row panel I, against every
+// B column panel, spilling each tile, then merges and emits the panel and
+// deletes its spill files.
+func (e *Engine) spillRowPanel(a source, I int, lo, hi int64, bp *colPanels, emit emitFunc) error {
+	nJ := len(bp.cuts) - 1
+	spills := make([]string, 0, nJ)
+	defer func() {
+		for _, p := range spills {
+			os.Remove(p)
+		}
+	}()
+	aPanel, err := e.load(func() (*sparse.CSR, error) { return a.loadRows(lo, hi) })
+	if err != nil {
+		return err
+	}
+	fpA := aPanel.StructureFingerprint()
+	for J := 0; J < nJ; J++ {
+		path, err := e.spillTile(I, J, aPanel, fpA, bp)
+		if err != nil {
+			e.acct.Release(csrBytes(aPanel))
+			return err
+		}
+		spills = append(spills, path)
+	}
+	e.acct.Release(csrBytes(aPanel))
+	return e.mergePanel(I, lo, hi, bp.cuts, spills, emit)
+}
+
+// spillTile multiplies A's row panel I by B's column panel J and spills
+// the tile to a fresh scratch container, whose path it returns.
+func (e *Engine) spillTile(I, J int, aPanel *sparse.CSR, fpA uint64, bp *colPanels) (string, error) {
+	bPanel, fpB, err := e.loadB(bp, J)
+	if err != nil {
+		return "", err
+	}
+	c, err := e.tile(aPanel, fpA, bPanel, fpB)
+	e.acct.Release(csrBytes(bPanel))
+	if err != nil {
+		return "", err
+	}
+	tb := csrBytes(c)
+	defer e.acct.Release(tb)
+	t0 := time.Now()
+	path := e.scratchPath(fmt.Sprintf("c-%04d-%04d.seg", I, J))
+	if err := sparse.WriteSegmentedFile(path, c, 0); err != nil {
+		return "", err
+	}
+	e.noteSpilled(tb)
+	d := time.Since(t0)
+	e.stats.SpillSeconds += d.Seconds()
+	e.opts.Trace.Observe(trace.PhaseOOCSpill, tb, d)
+	return path, nil
+}
+
+// load materializes a panel through read, charges it to the accountant
+// and records the load. The caller releases csrBytes of the panel.
+func (e *Engine) load(read func() (*sparse.CSR, error)) (*sparse.CSR, error) {
+	t0 := time.Now()
+	m, err := read()
+	if err != nil {
+		return nil, err
+	}
+	n := csrBytes(m)
+	e.acct.Grab(n)
+	e.noteLoaded(n)
 	d := time.Since(t0)
 	e.stats.LoadSeconds += d.Seconds()
-	rec.Observe(trace.PhaseOOCLoad, bb, d)
+	e.opts.Trace.Observe(trace.PhaseOOCLoad, n, d)
+	return m, nil
+}
 
-	t0 = time.Now()
+// loadB loads B's column panel J like load and returns it with its
+// structure fingerprint, which the reshard keeps after the first load.
+func (e *Engine) loadB(bp *colPanels, J int) (*sparse.CSR, uint64, error) {
+	m, err := e.load(func() (*sparse.CSR, error) { return sparse.ReadSegmentedFile(bp.paths[J]) })
+	if err != nil {
+		return nil, 0, err
+	}
+	if bp.fps[J] == 0 {
+		bp.fps[J] = m.StructureFingerprint()
+	}
+	return m, bp.fps[J], nil
+}
+
+// tile multiplies one (A panel, B panel) pair through the tile plan cache.
+// The product is charged to the accountant; the caller releases
+// csrBytes of it.
+func (e *Engine) tile(aPanel *sparse.CSR, fpA uint64, bPanel *sparse.CSR, fpB uint64) (*sparse.CSR, error) {
+	rec := e.opts.Trace
+	t0 := time.Now()
 	mopts := blockreorg.Options{
 		GPU:         e.opts.GPU,
 		Workers:     e.opts.Workers,
@@ -471,13 +574,13 @@ func (e *Engine) tile(g *tileGrid, I, J int, aPanel *sparse.CSR, fpA uint64, bPa
 		Accumulator: e.opts.Accumulator,
 		Trace:       e.opts.Trace,
 	}
-	key, cacheable := blockreorg.PlanKeyFor(fpA, bPanel.StructureFingerprint(), mopts)
+	key, cacheable := blockreorg.PlanKeyFor(fpA, fpB, mopts)
 	if cacheable {
 		mopts.Plan = e.plans.Bind(key, aPanel, bPanel)
 	}
 	res, err := blockreorg.Multiply(aPanel, bPanel, mopts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if cacheable {
 		e.plans.Put(key, res.ReusablePlan())
@@ -493,47 +596,23 @@ func (e *Engine) tile(g *tileGrid, I, J int, aPanel *sparse.CSR, fpA uint64, bPa
 	e.stats.Flops += res.Flops
 	e.stats.SimSeconds += res.TotalSeconds
 	rec.Add(trace.CounterOOCTiles, 1)
-	tb := csrBytes(res.C)
-	e.acct.Grab(tb)
-	defer e.acct.Release(tb)
-	d = time.Since(t0)
+	e.acct.Grab(csrBytes(res.C))
+	d := time.Since(t0)
 	e.stats.MultiplySeconds += d.Seconds()
 	rec.Observe(trace.PhaseOOCMultiply, res.Flops, d)
-
-	t0 = time.Now()
-	path := e.scratchPath(fmt.Sprintf("c-%04d-%04d.seg", I, J))
-	if err := sparse.WriteSegmentedFile(path, res.C, 0); err != nil {
-		return err
-	}
-	g.spill[I][J] = path
-	g.nnz += int64(res.C.NNZ())
-	e.noteSpilled(tb)
-	d = time.Since(t0)
-	e.stats.SpillSeconds += d.Seconds()
-	rec.Observe(trace.PhaseOOCSpill, tb, d)
-	return nil
+	return res.C, nil
 }
 
-// merge reassembles the result row panel by row panel: the I-th panel's
-// rows are the concatenation of the spilled tiles (I, 0..nJ) with each
-// tile's local columns shifted to its panel start. Tiles are streamed row
-// by row, so the resident merge state is one output panel plus the
-// streams' pointer arrays. emit receives each finished panel in order.
-func (e *Engine) merge(g *tileGrid, cols int64, emit func(I int, panel *sparse.CSR) error) error {
-	for I := range g.spill {
-		if err := e.mergePanel(g, I, cols, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mergePanel builds and emits output row panel I from its spilled tiles.
-func (e *Engine) mergePanel(g *tileGrid, I int, cols int64, emit func(int, *sparse.CSR) error) error {
+// mergePanel builds output row panel I, rows [lo, hi), from its spilled
+// tiles and emits it: each row is the concatenation of the tiles' rows
+// with every tile's local columns shifted to its panel start. Tiles are
+// streamed row by row, so the resident merge state is the output panel
+// plus the streams' pointer arrays.
+func (e *Engine) mergePanel(I int, lo, hi int64, bCuts []int64, spills []string, emit emitFunc) error {
 	rec := e.opts.Trace
 	t0 := time.Now()
-	nJ := len(g.spill[I])
-	rowsI := g.aCuts[I+1] - g.aCuts[I]
+	nJ := len(spills)
+	rowsI := hi - lo
 	segs := make([]*sparse.SegFile, nJ)
 	defer func() {
 		for _, s := range segs {
@@ -543,17 +622,17 @@ func (e *Engine) mergePanel(g *tileGrid, I int, cols int64, emit func(int, *spar
 		}
 	}()
 	streams := make([]*sparse.PanelRows, nJ)
-	var tileBytes, ptrBytes int64
+	var tileBytes, ptrBytes, panelNNZ int64
 	for J := 0; J < nJ; J++ {
-		s, err := sparse.OpenSegmented(g.spill[I][J])
+		s, err := sparse.OpenSegmented(spills[J])
 		if err != nil {
 			return err
 		}
 		segs[J] = s
 		h := s.Header()
-		if h.Rows != rowsI || h.Cols != g.bCuts[J+1]-g.bCuts[J] {
+		if h.Rows != rowsI || h.Cols != bCuts[J+1]-bCuts[J] {
 			return fmt.Errorf("ooc: spill tile (%d,%d) is %dx%d, want %dx%d",
-				I, J, h.Rows, h.Cols, rowsI, g.bCuts[J+1]-g.bCuts[J])
+				I, J, h.Rows, h.Cols, rowsI, bCuts[J+1]-bCuts[J])
 		}
 		streams[J], err = s.StreamPanel(0)
 		if err != nil {
@@ -561,15 +640,12 @@ func (e *Engine) mergePanel(g *tileGrid, I int, cols int64, emit func(int, *spar
 		}
 		tileBytes += csrBytesFor(rowsI, h.NNZ)
 		ptrBytes += 8 * (rowsI + 1)
+		panelNNZ += h.NNZ
 	}
 	e.acct.Grab(ptrBytes)
 	defer e.acct.Release(ptrBytes)
 	e.noteLoaded(tileBytes)
 
-	var panelNNZ int64
-	for J := range segs {
-		panelNNZ += segs[J].Header().NNZ
-	}
 	panelBytes := csrBytesFor(rowsI, panelNNZ)
 	e.acct.Grab(panelBytes)
 	defer e.acct.Release(panelBytes)
@@ -578,7 +654,7 @@ func (e *Engine) mergePanel(g *tileGrid, I int, cols int64, emit func(int, *spar
 	// into them, with no growth and no staging copy. The column offset is
 	// applied in the stream's row buffer, which is ours until the next
 	// NextRow; AppendRow extends row r by one segment per tile.
-	panel := sparse.NewCSR(int(rowsI), int(cols))
+	panel := sparse.NewCSR(int(rowsI), int(bCuts[nJ]))
 	panel.Idx = make([]int, 0, panelNNZ)
 	panel.Val = make([]float64, 0, panelNNZ)
 	for r := 0; r < int(rowsI); r++ {
@@ -587,21 +663,15 @@ func (e *Engine) mergePanel(g *tileGrid, I int, cols int64, emit func(int, *spar
 			if err != nil {
 				return fmt.Errorf("ooc: spill tile (%d,%d) row %d: %v", I, J, r, err)
 			}
-			off := int(g.bCuts[J])
+			off := int(bCuts[J])
 			for k := range idx {
 				idx[k] += off
 			}
 			panel.AppendRow(r, idx, val)
 		}
 	}
-	if err := emit(I, panel); err != nil {
+	if err := emit(lo, hi, panel); err != nil {
 		return err
-	}
-	for J := 0; J < nJ; J++ {
-		segs[J].Close()
-		segs[J] = nil
-		os.Remove(g.spill[I][J])
-		g.spill[I][J] = ""
 	}
 	d := time.Since(t0)
 	e.stats.MergeSeconds += d.Seconds()

@@ -2,9 +2,12 @@ package ooc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/blockreorg/blockreorg"
@@ -126,10 +129,11 @@ func TestMultiplyBitIdenticalRandom(t *testing.T) {
 	}
 }
 
-// The panel merge holds exactly the bytes it charges: every merged panel
-// is reserved at its nnz and never grows past it, and the assembled
-// product is reserved at the product's nnz. Both stay bit-identical to
-// the in-memory engine.
+// The per-row-panel merge holds exactly the bytes it charges: on a grid
+// with several column panels every merged panel is reserved at its nnz
+// and never grows past it, panels are emitted in row order as soon as
+// their tiles are done, and the assembled product is reserved at the
+// product's nnz. Both stay bit-identical to the in-memory engine.
 func TestMergedPanelsArePreSized(t *testing.T) {
 	a, b, want := testOperands(t)
 	e, err := New(Options{Budget: 100 << 10, Dir: t.TempDir()})
@@ -137,35 +141,31 @@ func TestMergedPanelsArePreSized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	cuts, paths, err := e.reshard(memSource{b})
+	bp, err := e.reshard(memSource{b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.bKey, e.bCuts, e.bPaths = b, cuts, paths
+	defer bp.remove()
 	flops, err := outEstimate(memSource{a}, memSource{b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := e.tiles(memSource{a}, flops, cuts, paths)
-	defer g.removeSpills()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.aCuts) < 3 || len(g.bCuts) < 3 {
-		t.Fatalf("grid %dx%d does not merge several tiles per panel", len(g.aCuts)-1, len(g.bCuts)-1)
-	}
 	var nnz int
-	err = e.merge(g, int64(b.Cols), func(I int, panel *sparse.CSR) error {
-		if cap(panel.Idx) != panel.NNZ() || cap(panel.Val) != panel.NNZ() {
-			t.Errorf("panel %d holds %d entries in arrays of capacity %d and %d",
-				I, panel.NNZ(), cap(panel.Idx), cap(panel.Val))
+	var next int64
+	err = e.tiles(memSource{a}, flops, bp, func(lo, hi int64, panel *sparse.CSR) error {
+		if lo != next || panel.Rows != int(hi-lo) {
+			t.Errorf("panel [%d,%d) of %d rows emitted after row %d", lo, hi, panel.Rows, next)
 		}
-		lo := int(g.aCuts[I])
+		next = hi
+		if cap(panel.Idx) != panel.NNZ() || cap(panel.Val) != panel.NNZ() {
+			t.Errorf("panel [%d,%d) holds %d entries in arrays of capacity %d and %d",
+				lo, hi, panel.NNZ(), cap(panel.Idx), cap(panel.Val))
+		}
 		for r := 0; r < panel.Rows; r++ {
 			gi, gv := panel.Row(r)
-			wi, wv := want.Row(lo + r)
+			wi, wv := want.Row(int(lo) + r)
 			if !slices.Equal(gi, wi) || !slices.Equal(gv, wv) {
-				t.Errorf("panel %d row %d differs from the in-memory product", I, r)
+				t.Errorf("panel [%d,%d) row %d differs from the in-memory product", lo, hi, r)
 			}
 		}
 		nnz += panel.NNZ()
@@ -174,8 +174,11 @@ func TestMergedPanelsArePreSized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nnz != want.NNZ() || g.nnz != int64(nnz) {
-		t.Fatalf("panels hold %d entries and the grid counted %d, want %d", nnz, g.nnz, want.NNZ())
+	if g := e.Stats().Grid; g[0] < 2 || g[1] < 2 {
+		t.Fatalf("grid %dx%d does not merge several tiles per panel", g[0], g[1])
+	}
+	if nnz != want.NNZ() || next != int64(want.Rows) {
+		t.Fatalf("panels hold %d entries over %d rows, want %d over %d", nnz, next, want.NNZ(), want.Rows)
 	}
 
 	got, err := e.Multiply(a, b)
@@ -188,6 +191,104 @@ func TestMergedPanelsArePreSized(t *testing.T) {
 	if cap(got.Idx) != got.NNZ() || cap(got.Val) != got.NNZ() {
 		t.Fatalf("product holds %d entries in arrays of capacity %d and %d",
 			got.NNZ(), cap(got.Idx), cap(got.Val))
+	}
+}
+
+// A grid whose B fits one column panel emits each tile as its output row
+// panel: nothing spills but the reshard, B is loaded once per multiply,
+// and the directory holds only the reshard between calls.
+func TestOneColumnGridEmitsTiles(t *testing.T) {
+	a, b, want := testOperands(t)
+	rec := blockreorg.NewTrace()
+	dir := t.TempDir()
+	e, err := New(Options{Budget: 1 << 20, Dir: dir, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const calls = 2
+	for k := 0; k < calls; k++ {
+		got, err := e.Multiply(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want, 0) {
+			t.Fatalf("call %d differs bitwise from the in-memory engine", k)
+		}
+	}
+	st := e.Stats()
+	if st.Grid[0] < 2 || st.Grid[1] != 1 {
+		t.Fatalf("grid %dx%d, want several row panels and one column panel", st.Grid[0], st.Grid[1])
+	}
+	p := rec.Profile()
+	byPhase := map[string]trace.PhaseBreakdown{}
+	for _, ph := range p.Phases {
+		byPhase[ph.Phase] = ph
+	}
+	if ph, ok := byPhase[string(trace.PhaseOOCSpill)]; ok {
+		t.Fatalf("one-column grid spilled %d tiles", ph.Calls)
+	}
+	if got := byPhase[string(trace.PhaseOOCReshard)].Items; st.BytesSpilled != got {
+		t.Fatalf("spilled %d bytes, the reshard wrote %d", st.BytesSpilled, got)
+	}
+	// Each call loads every A row panel, which hold A's rows with one
+	// pointer array per panel, and the one B panel once.
+	load := byPhase[string(trace.PhaseOOCLoad)]
+	if want := calls * (st.Grid[0] + 1); load.Calls != want {
+		t.Fatalf("%d panel loads, want %d", load.Calls, want)
+	}
+	nI := int64(st.Grid[0])
+	if want := calls * (csrBytes(a) + 8*(nI-1) + csrBytes(b)); load.Items != want {
+		t.Fatalf("loaded %d panel bytes, want %d", load.Items, want)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !strings.Contains(entries[0].Name(), "b-col-") {
+		t.Fatalf("directory holds %v, want only the reshard", entries)
+	}
+}
+
+// A spill that cannot be written fails the multiply and leaves nothing
+// behind: no engine file in Dir, the reshard included, and no tracked
+// bytes. A directory at the spill path makes the write fail for any user,
+// root too.
+func TestSpillFailureCleansUp(t *testing.T) {
+	a, b, _ := testOperands(t)
+	const budget = 100 << 10
+	dir := t.TempDir()
+	e, err := New(Options{Budget: budget, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	hist, err := memSource{b}.colNNZ()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nJ := len(colCuts(hist, int64(b.Rows), e.shareB())) - 1
+	if nJ < 2 {
+		t.Fatalf("B fits %d column panel; the fault needs a spilling grid", nJ)
+	}
+	// The reshard takes the first nJ scratch names, tile (0, 0) the
+	// next: block tile (0, 1), so one finished spill is on disk too.
+	blocker := fmt.Sprintf("%06d-c-0000-0001.seg", nJ+2)
+	if err := os.Mkdir(filepath.Join(dir, blocker), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Multiply(a, b); err == nil {
+		t.Fatal("multiply succeeded with an unwritable spill")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != blocker {
+		t.Fatalf("directory holds %v after the failure, want only %s", entries, blocker)
+	}
+	if cur := e.acct.Current(); cur != 0 {
+		t.Fatalf("tracked bytes leaked: %d still resident", cur)
 	}
 }
 
@@ -300,11 +401,13 @@ func TestPlanAndReshardReuseAcrossIterations(t *testing.T) {
 }
 
 // The engine's trace output: ooc phases appear as spans, the counters add
-// up against Stats, and the gauges publish budget and peak.
+// up against Stats, and the gauges publish budget and peak. The budget
+// splits B into several column panels, so tiles spill and merge.
 func TestTraceCountersAndGauges(t *testing.T) {
 	a, b, _ := testOperands(t)
 	rec := blockreorg.NewTrace()
-	e, err := New(Options{Budget: 1 << 20, Dir: t.TempDir(), Trace: rec})
+	const budget = 100 << 10
+	e, err := New(Options{Budget: budget, Dir: t.TempDir(), Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +427,10 @@ func TestTraceCountersAndGauges(t *testing.T) {
 	if p.Counter(trace.CounterOOCPlanMisses) != st.PlanMisses {
 		t.Fatal("plan miss counter disagrees with stats")
 	}
-	if p.Gauges[trace.GaugeOOCBudget] != float64(1<<20) {
+	if st.Grid[1] < 2 {
+		t.Fatalf("grid %dx%d has one column panel; nothing spills", st.Grid[0], st.Grid[1])
+	}
+	if p.Gauges[trace.GaugeOOCBudget] != float64(budget) {
 		t.Fatalf("budget gauge %v", p.Gauges[trace.GaugeOOCBudget])
 	}
 	if p.Gauges[trace.GaugeOOCPeakBytes] != float64(st.PeakBytes) {

@@ -23,17 +23,18 @@ type PlanKey struct {
 
 // PlanKeyFor returns the cache key of the plan a Block Reorganizer run of
 // operands with structure fingerprints fpA and fpB under opts builds. The
-// GPU and accumulator are normalized the way Multiply resolves them, so ""
-// and TitanXp (or "" and "auto") share entries. ok is false when opts
-// cannot produce a reusable plan — another algorithm, or an accumulator
-// name or tuning value Multiply will reject — and such runs should bypass
-// the cache. Rejecting a NaN threshold here also keeps every key equal to
+// GPU, accumulator and tuning values are normalized the way Multiply
+// resolves them, so "" and TitanXp, "" and "auto", or a zero Alpha and
+// the default α share entries. ok is false when opts cannot produce a
+// reusable plan — another algorithm, or an accumulator name or tuning
+// value Multiply will reject — and such runs should bypass the cache. Rejecting a NaN threshold here also keeps every key equal to
 // itself, which the cache's map lookups and evictions rely on.
 func PlanKeyFor(fpA, fpB uint64, opts Options) (PlanKey, bool) {
 	if opts.Algorithm != "" && opts.Algorithm != BlockReorganizer {
 		return PlanKey{}, false
 	}
-	if _, err := opts.coreParams().Normalize(); err != nil {
+	params, err := opts.coreParams().Normalize()
+	if err != nil {
 		return PlanKey{}, false
 	}
 	accum, err := sparse.ParseAccumulator(opts.Accumulator)
@@ -47,10 +48,10 @@ func PlanKeyFor(fpA, fpB uint64, opts Options) (PlanKey, bool) {
 	return PlanKey{
 		fpA: fpA, fpB: fpB,
 		gpu:           gpu,
-		alpha:         opts.Alpha,
-		beta:          opts.Beta,
-		splitFactor:   opts.SplitFactor,
-		limitFactor:   opts.LimitFactor,
+		alpha:         params.Alpha,
+		beta:          params.Beta,
+		splitFactor:   params.SplitFactorOverride,
+		limitFactor:   params.LimitFactor,
 		disableSplit:  opts.DisableSplit,
 		disableGather: opts.DisableGather,
 		disableLimit:  opts.DisableLimit,

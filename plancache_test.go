@@ -182,6 +182,41 @@ func TestPlanKeyFor(t *testing.T) {
 	}
 }
 
+// TestDefaultTuningSharesPlanEntry pins that the key holds the tuning
+// values Multiply resolves, not their spelling: the zero options and the
+// same defaults written out build the same plan, so a cache run through
+// both holds one entry and the second multiply rebinds the first's plan.
+func TestDefaultTuningSharesPlanEntry(t *testing.T) {
+	implicit := Options{}
+	explicit := Options{Alpha: 10, Beta: 10, LimitFactor: 4}
+	ki, ok1 := PlanKeyFor(1, 2, implicit)
+	ke, ok2 := PlanKeyFor(1, 2, explicit)
+	if !ok1 || !ok2 || ki != ke {
+		t.Fatalf("keys %+v (ok=%v) and %+v (ok=%v) differ", ki, ok1, ke, ok2)
+	}
+	_, a := dummyPlan(t)
+	fp := a.StructureFingerprint()
+	c := NewPlanCache(4)
+	for i, opts := range []Options{implicit, explicit} {
+		key, ok := PlanKeyFor(fp, fp, opts)
+		if !ok {
+			t.Fatalf("options %d produced no key", i)
+		}
+		opts.Plan = c.Bind(key, a, a)
+		res, err := Multiply(a, a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PlanReused != (i == 1) {
+			t.Fatalf("multiply %d: plan reused %v", i, res.PlanReused)
+		}
+		c.Put(key, res.ReusablePlan())
+	}
+	if st := c.Stats(); st.Size != 1 {
+		t.Fatalf("cache holds %d entries, want 1", st.Size)
+	}
+}
+
 // TestNonFiniteThresholdsRejected pins that NaN and ±Inf thresholds are
 // client faults: Multiply rejects them, PlanKeyFor gives no key, and so a
 // caller following the PlanCache sequence never stores a key that is

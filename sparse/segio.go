@@ -109,7 +109,7 @@ func CreateSegmented(path string, rows, cols int64) (*SegWriter, error) {
 		return nil, err
 	}
 	w := &SegWriter{
-		f: f, bw: bufio.NewWriterSize(f, 1<<20),
+		f: f, bw: bufio.NewWriterSize(f, segChunkBytes),
 		path: path, tmp: tmp,
 		h: SegHeader{Rows: rows, Cols: cols},
 	}
@@ -184,7 +184,8 @@ func (w *SegWriter) AppendPanel(start, end int64, m *CSR) error {
 
 // Close writes the panel index, patches the header, and atomically moves
 // the file into place. The panels must cover the rows exactly (a matrix
-// without rows needs no panels).
+// without rows needs no panels). On any failure the temporary file is
+// removed and nothing is left at path.
 func (w *SegWriter) Close() error {
 	if w.closed {
 		return nil
@@ -231,7 +232,11 @@ func (w *SegWriter) Close() error {
 		return err
 	}
 	w.closed = true
-	return os.Rename(w.tmp, w.path)
+	if err := os.Rename(w.tmp, w.path); err != nil {
+		os.Remove(w.tmp)
+		return err
+	}
+	return nil
 }
 
 // Discard abandons the write, removing the temporary file. Safe to call
@@ -398,7 +403,8 @@ func (s *SegFile) LoadPanel(i int) (*CSR, error) {
 	return m, nil
 }
 
-// segChunkBytes is the read buffer a panel is decoded through.
+// segChunkBytes is the read buffer a panel is decoded through, and the
+// write buffer of a SegWriter.
 const segChunkBytes = 1 << 16
 
 // decodePanel reads panel i's pointer, column and value words into ptr,
@@ -555,7 +561,11 @@ func WriteSegmentedFile(path string, m *CSR, panel int64) error {
 	}
 	for start := int64(0); start < rows; start += panel {
 		end := min(start+panel, rows)
-		if err := w.AppendPanel(start, end, m.RowPanel(int(start), int(end))); err != nil {
+		p := m
+		if start > 0 || end < rows {
+			p = m.RowPanel(int(start), int(end))
+		}
+		if err := w.AppendPanel(start, end, p); err != nil {
 			w.Discard()
 			return err
 		}
