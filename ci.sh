@@ -69,11 +69,15 @@
 #                      still spill and each row panel is merged from its
 #                      files (a one-column grid emits tiles unspilled)
 #  13. scorecard gate — blockreorg-bench regenerates the ablation-alpha table
-#                      at scale 8 (deterministic, a few seconds) and it
-#                      must compare byte-identical to the committed
+#                      at scale 8 (deterministic, about ten seconds) and
+#                      it must compare byte-identical to the committed
 #                      results/ablation-alpha_0.csv, so the α-sensitivity
-#                      claims in EXPERIMENTS.md cannot drift silently. The
-#                      figure CSVs are not gated yet (ROADMAP item 1)
+#                      claims in EXPERIMENTS.md cannot drift silently. It
+#                      runs in one invocation with fig8 and fig10, so its
+#                      outer-product and α=10 columns are read from the
+#                      runs those figures made: the gate also covers the
+#                      harness's shared memo. The figure CSVs are not
+#                      gated yet (ROADMAP item 1)
 #
 # Run from the repository root. Exits non-zero on the first failure.
 set -eu
@@ -258,7 +262,7 @@ fi
 echo "out-of-core smoke: $ooc_tiles tiles, byte-identical result"
 
 echo "==> scorecard gate (ablation-alpha CSV regenerated, byte-identical to results/)"
-go run ./cmd/blockreorg-bench -scale 8 -csv "$smoke_dir/results" ablation-alpha >/dev/null
+go run ./cmd/blockreorg-bench -scale 8 -csv "$smoke_dir/results" fig8 fig10 ablation-alpha >/dev/null
 if ! cmp "$smoke_dir/results/ablation-alpha_0.csv" results/ablation-alpha_0.csv; then
     echo "scorecard gate: ablation-alpha at scale 8 differs from results/ablation-alpha_0.csv" >&2
     echo "(regenerate with: go run ./cmd/blockreorg-bench -scale 8 -csv results ablation-alpha)" >&2

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,70 +43,53 @@ func main() {
 	)
 	flag.Parse()
 
-	accumKind, err := sparse.ParseAccumulator(*accum)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "blockreorg-bench:", err)
-		os.Exit(2)
-	}
-
 	if *list {
 		listExperiments(os.Stdout)
 		return
 	}
-	if *profile {
-		if err := runProfile(os.Stdout, *profFile, *scale, *gpu, *subset, *cacheDir, *workers, *csvDir, accumKind); err != nil {
-			fmt.Fprintln(os.Stderr, "blockreorg-bench:", err)
-			os.Exit(1)
-		}
-		return
+	accumKind, err := sparse.ParseAccumulator(*accum)
+	if err != nil {
+		exit(2, err)
 	}
-	if *memBudget != "" {
-		budget, err := parseBytes(*memBudget)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "blockreorg-bench:", err)
-			os.Exit(2)
-		}
-		if err := runOOC(os.Stdout, budget, *scale, *gpu, *subset, *cacheDir, *workers, *csvDir, accumKind); err != nil {
-			fmt.Fprintln(os.Stderr, "blockreorg-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	ids := flag.Args()
-	if len(ids) == 0 {
-		fmt.Fprintln(os.Stderr, "blockreorg-bench: no experiments given; use -list or 'all'")
-		os.Exit(2)
-	}
-
 	dev, err := gpusim.ByName(*gpu)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "blockreorg-bench:", err)
-		os.Exit(2)
+		exit(2, err)
 	}
 	cfg := bench.Config{Scale: *scale, Device: dev, CacheDir: *cacheDir, Workers: *workers, Accum: accumKind}
 	if *subset != "" {
 		cfg.Datasets = strings.Split(*subset, ",")
 	}
-	if err := runExperiments(os.Stdout, ids, cfg, *csvDir); err != nil {
-		fmt.Fprintln(os.Stderr, "blockreorg-bench:", err)
-		os.Exit(1)
+	switch {
+	case *profile:
+		err = runProfile(os.Stdout, *profFile, cfg, *csvDir)
+	case *memBudget != "":
+		budget, perr := parseBytes(*memBudget)
+		if perr != nil {
+			exit(2, perr)
+		}
+		err = runOOC(os.Stdout, budget, cfg, *csvDir)
+	case flag.NArg() == 0:
+		exit(2, errors.New("no experiments given; use -list or 'all'"))
+	default:
+		err = runExperiments(os.Stdout, flag.Args(), cfg, *csvDir)
 	}
+	if err != nil {
+		exit(1, err)
+	}
+}
+
+// exit reports err and ends the process with the given status.
+func exit(code int, err error) {
+	fmt.Fprintln(os.Stderr, "blockreorg-bench:", err)
+	os.Exit(code)
 }
 
 // runProfile traces one Block Reorganizer multiplication per Table II
 // dataset (defaulting to the reduced Table II grid), prints the per-phase
 // share table of the phases that fired, and writes the machine-readable record to path. -csv
 // additionally exports the table.
-func runProfile(w io.Writer, path string, scale int, gpu, subset, cacheDir string, workers int, csvDir string, accum sparse.AccumulatorKind) error {
-	dev, err := gpusim.ByName(gpu)
-	if err != nil {
-		return err
-	}
-	cfg := bench.Config{Scale: scale, Device: dev, CacheDir: cacheDir, Workers: workers, Accum: accum}
-	if subset != "" {
-		cfg.Datasets = strings.Split(subset, ",")
-	}
-	fmt.Fprintf(w, "profiling host phases (scale 1/%d, GOMAXPROCS=%d)...\n", scale, runtime.GOMAXPROCS(0))
+func runProfile(w io.Writer, path string, cfg bench.Config, csvDir string) error {
+	fmt.Fprintf(w, "profiling host phases (scale 1/%d, GOMAXPROCS=%d)...\n", cfg.Scale, runtime.GOMAXPROCS(0))
 	rep, err := bench.RunProfile(cfg)
 	if err != nil {
 		return err
@@ -130,16 +114,8 @@ func runProfile(w io.Writer, path string, scale int, gpu, subset, cacheDir strin
 // the tiling cost table: grid, plan cache traffic, streamed and spilled
 // volume, peak tracked bytes against the budget, and whether the two
 // products agreed bit for bit.
-func runOOC(w io.Writer, budget int64, scale int, gpu, subset, cacheDir string, workers int, csvDir string, accum sparse.AccumulatorKind) error {
-	dev, err := gpusim.ByName(gpu)
-	if err != nil {
-		return err
-	}
-	cfg := bench.Config{Scale: scale, Device: dev, CacheDir: cacheDir, Workers: workers, Accum: accum}
-	if subset != "" {
-		cfg.Datasets = strings.Split(subset, ",")
-	}
-	fmt.Fprintf(w, "out-of-core A² under a %d-byte budget (scale 1/%d)...\n", budget, scale)
+func runOOC(w io.Writer, budget int64, cfg bench.Config, csvDir string) error {
+	fmt.Fprintf(w, "out-of-core A² under a %d-byte budget (scale 1/%d)...\n", budget, cfg.Scale)
 	runs, err := bench.RunOOC(cfg, budget)
 	if err != nil {
 		return err
@@ -187,8 +163,11 @@ func listExperiments(w io.Writer) {
 }
 
 // runExperiments executes the named experiments ("all" expands to the full
-// registry), rendering tables to w and optionally exporting CSVs.
+// registry), rendering tables to w and optionally exporting CSVs. The
+// experiments share one memo of simulated results, so a run several of
+// them read is simulated once.
 func runExperiments(w io.Writer, ids []string, cfg bench.Config, csvDir string) error {
+	cfg = cfg.Shared()
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = ids[:0]
 		for _, e := range bench.All() {

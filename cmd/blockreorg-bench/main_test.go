@@ -70,7 +70,7 @@ func TestRunExperimentsAllExpansion(t *testing.T) {
 func TestRunOOCMode(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder
-	if err := runOOC(&b, 1<<20, 32, "TITAN Xp", "as-caida", "", 0, dir, 0); err != nil {
+	if err := runOOC(&b, 1<<20, bench.Config{Scale: 32, Datasets: []string{"as-caida"}}, dir); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -101,7 +101,7 @@ func TestRunProfileShowsFiredPhasesOnly(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder
 	out := filepath.Join(dir, "profile.json")
-	if err := runProfile(&b, out, 32, "TITAN Xp", "as-caida", "", 1, "", 0); err != nil {
+	if err := runProfile(&b, out, bench.Config{Scale: 32, Datasets: []string{"as-caida"}, Workers: 1}, ""); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()

@@ -37,37 +37,20 @@ func ablationAlpha() Experiment {
 				cols = append(cols, fmt.Sprintf("α=%g", a))
 			}
 			t := tableio.New(fmt.Sprintf("α sensitivity — speedup vs outer-product and dominator counts (scale 1/%d)", cfg.Scale), cols...)
-			for _, spec := range specs {
-				m, err := cfg.generate(spec)
-				if err != nil {
-					return nil, err
-				}
-				pc, err := kernels.Precompute(m, m)
-				if err != nil {
-					return nil, err
-				}
-				baseP, err := runAlg(kernels.OuterProduct{}, m, m, cfg, pc)
-				if err != nil {
-					return nil, err
-				}
-				base := baseP.Report.TotalSeconds()
-				speedRow := []string{spec.Name, "speedup"}
+			runs := []run{{alg: kernels.OuterProduct{}, dev: cfg.Device}}
+			for _, a := range alphaSweep {
+				runs = append(runs, reorg(cfg.Device, core.Params{Alpha: a}))
+			}
+			res, err := cfg.grid(cfg.squares(specs), runs...)
+			if err != nil {
+				return nil, err
+			}
+			for si, spec := range specs {
 				domRow := []string{"", "dominators"}
-				run := func(p core.Params) error {
-					prod, err := runReorganizer(m, m, cfg, kernels.Options{Core: p, Pre: pc})
-					if err != nil {
-						return err
-					}
-					speedRow = append(speedRow, tableio.F2(base/prod.Report.TotalSeconds()))
-					domRow = append(domRow, fmt.Sprintf("%d", prod.PlanStats.Dominators))
-					return nil
+				for _, r := range res[si][1:] {
+					domRow = append(domRow, fmt.Sprintf("%d", r.planStats.Dominators))
 				}
-				for _, a := range alphaSweep {
-					if err := run(core.Params{Alpha: a}); err != nil {
-						return nil, err
-					}
-				}
-				t.AddRow(speedRow...)
+				t.AddRow(f2Row(speedups(res[si])[1:], spec.Name, "speedup")...)
 				t.AddRow(domRow...)
 			}
 			return []*tableio.Table{t}, nil

@@ -6,7 +6,6 @@ import (
 
 	"github.com/blockreorg/blockreorg/internal/datasets"
 	"github.com/blockreorg/blockreorg/internal/gpusim"
-	"github.com/blockreorg/blockreorg/internal/kernels"
 	"github.com/blockreorg/blockreorg/internal/parallel"
 	"github.com/blockreorg/blockreorg/internal/tableio"
 	"github.com/blockreorg/blockreorg/sparse"
@@ -24,8 +23,6 @@ type Config struct {
 	Datasets []string
 	// CacheDir, when set, caches generated datasets on disk between runs.
 	CacheDir string
-	// Verbose reserves space for future per-kernel dumps.
-	Verbose bool
 	// Workers bounds the host-side executor the experiments run on:
 	// 0 selects the process-wide default (GOMAXPROCS), 1 forces
 	// sequential execution, anything else gets a dedicated executor.
@@ -36,10 +33,17 @@ type Config struct {
 	// every setting.
 	Accum sparse.AccumulatorKind
 
-	ex *parallel.Executor
+	ex   *parallel.Executor
+	memo *memo
 }
 
-// normalize fills defaults.
+// Shared returns cfg with its defaults filled and one memo of simulated
+// results attached: every experiment run with the returned Config reads
+// and fills that memo, so a run several figures share is simulated once.
+// A Config that has not been through Shared gets a fresh memo per Run.
+func (c Config) Shared() Config { return c.normalize() }
+
+// normalize fills defaults and binds the executor and the memo.
 func (c Config) normalize() Config {
 	if c.Scale == 0 {
 		c.Scale = 8
@@ -53,6 +57,9 @@ func (c Config) normalize() Config {
 		} else {
 			c.ex = parallel.NewExecutor(c.Workers)
 		}
+	}
+	if c.memo == nil {
+		c.memo = &memo{results: make(map[runKey]result)}
 	}
 	return c
 }
@@ -133,25 +140,12 @@ func (c Config) generate(spec datasets.Spec) (*sparse.CSR, error) {
 	return spec.GenerateCached(c.Scale, c.CacheDir)
 }
 
-// runAlg multiplies a by b with the given algorithm, timing only. pc may
-// carry the shared symbolic analysis (nil recomputes it).
-func runAlg(alg kernels.Algorithm, a, b *sparse.CSR, cfg Config, pc *kernels.Precomputed) (*kernels.Product, error) {
-	return alg.Multiply(a, b, kernels.Options{Device: cfg.Device, SkipValues: true, Pre: pc, Exec: cfg.ex, Accumulator: cfg.Accum})
-}
-
-// runReorganizer runs the Block Reorganizer with explicit pass parameters.
-func runReorganizer(a, b *sparse.CSR, cfg Config, opts kernels.Options) (*kernels.Product, error) {
-	opts.Device = cfg.Device
-	opts.SkipValues = true
-	opts.Exec = cfg.ex
-	opts.Accumulator = cfg.Accum
-	return kernels.Reorganizer{}.Multiply(a, b, opts)
-}
-
 // forEachSpec runs fn once per spec on the config's executor (fn(i) handles
-// specs[i]) and returns the first error in spec order. Dataset-grid
-// experiments use it to process specs concurrently while emitting rows in
-// catalog order: fn writes its results into slot i of caller-owned slices.
+// specs[i]) and returns the first error in spec order. Table II's
+// statistics sweep uses it to process specs concurrently while emitting
+// rows in catalog order: fn writes its results into slot i of a
+// caller-owned slice. Simulated runs go through grid instead, one dataset
+// at a time.
 func forEachSpec(cfg Config, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	cfg.ex.ForEachN(n, func(r parallel.Range) {
@@ -167,16 +161,24 @@ func forEachSpec(cfg Config, n int, fn func(i int) error) error {
 	return nil
 }
 
-// motivationDatasets returns the ten matrices of Figure 3: five regular
-// (Florida) and five skewed (Stanford), mirroring the paper's
-// harbor/protein/QCD/filter3D/ship + youtube/loc-gowalla/as-caida/
-// sx-mathoverflow/slashDot line-up.
-func motivationDatasets() []string {
-	return []string{
+// motivationSpecs returns the ten matrices of Figure 3 the config
+// selects: five regular (Florida) and five skewed (Stanford), mirroring
+// the paper's harbor/protein/QCD/filter3D/ship + youtube/loc-gowalla/
+// as-caida/sx-mathoverflow/slashDot line-up.
+func motivationSpecs(cfg Config) ([]datasets.Spec, error) {
+	var specs []datasets.Spec
+	for _, name := range []string{
 		"harbor", "protein", "QCD", "filter3D", "ship",
 		"youtube", "loc-gowalla", "as-caida", "sx-mathoverflow", "slashDot",
+	} {
+		if len(cfg.Datasets) > 0 && !contains(cfg.Datasets, name) {
+			continue
+		}
+		spec, err := datasets.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		specs = append(specs, spec)
 	}
+	return specs, nil
 }
-
-// algorithms returns the evaluation line-up in figure order.
-func algorithms() []kernels.Algorithm { return kernels.All() }

@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/blockreorg/blockreorg/internal/core"
+	"github.com/blockreorg/blockreorg/internal/datasets"
 	"github.com/blockreorg/blockreorg/internal/tableio"
 )
 
@@ -215,6 +219,196 @@ func TestAblationAlphaShape(t *testing.T) {
 	}
 }
 
+// Experiments run through one shared memo must write the same bytes as
+// solo runs, and simulate each distinct run once: the shared memo's
+// misses equal the union of the keys the solo runs requested.
+func TestSharedMemoMatchesSoloRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweep skipped in -short mode")
+	}
+	shared := quickCfg().Shared()
+	requested := map[runKey]bool{}
+	for _, id := range []string{"fig8", "fig9", "fig10", "fig13", "casestudy", "ablation-alpha"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := shared.memo.misses
+		got, err := e.Run(shared)
+		if err != nil {
+			t.Fatalf("%s shared: %v", id, err)
+		}
+		if id == "fig9" && shared.memo.misses != before {
+			t.Errorf("fig9 simulated %d runs; it reads fig8's grid", shared.memo.misses-before)
+		}
+		solo := quickCfg().Shared()
+		want, err := e.Run(solo)
+		if err != nil {
+			t.Fatalf("%s solo: %v", id, err)
+		}
+		for k := range solo.memo.results {
+			requested[k] = true
+		}
+		if g, w := csvBytes(t, got), csvBytes(t, want); !bytes.Equal(g, w) {
+			t.Errorf("%s: shared run differs from solo run\nshared:\n%s\nsolo:\n%s", id, g, w)
+		}
+	}
+	if m := shared.memo; m.misses != len(requested) || len(m.results) != len(requested) {
+		t.Errorf("shared memo simulated %d runs into %d entries; %d distinct runs were requested",
+			m.misses, len(m.results), len(requested))
+	}
+}
+
+// Tunings that spell a default differently are one run: LimitFactor 0
+// and Alpha 0 normalize to 4 and 10.
+func TestMemoKeyNormalizesParams(t *testing.T) {
+	cfg := quickCfg().Shared()
+	spec, err := datasets.ByName("as-caida")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cfg.get(cfg.square(spec),
+		reorg(cfg.Device, core.Params{}),
+		reorg(cfg.Device, core.Params{Alpha: core.DefaultAlpha, LimitFactor: core.DefaultLimitFactor}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.memo.misses != 1 || res[0] != res[1] {
+		t.Fatalf("default and spelled-out tunings simulated %d runs; want 1 shared result", cfg.memo.misses)
+	}
+}
+
+// csvBytes renders tables as their concatenated CSV exports.
+func csvBytes(t *testing.T, tables []*tableio.Table) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	for _, tb := range tables {
+		if err := tb.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// Figure 12's verdict: splitting raises the dominators' expansion L2
+// throughput on average.
+func TestFig12Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shape checks skipped in -short mode")
+	}
+	cfg := Config{Scale: 16, Datasets: []string{"as-caida", "youtube", "slashDot"}}
+	tables, err := fig12().Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tables[0]
+	if v := colValue(t, tb, averagesRow(t, tb), "improvement"); v <= 1 {
+		t.Errorf("average L2 improvement %.2fx not above 1x\n%s", v, tb)
+	}
+}
+
+// Figure 13's verdict: gathering lowers the average sync-stall share of
+// expansion.
+func TestFig13Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shape checks skipped in -short mode")
+	}
+	cfg := Config{Scale: 16, Datasets: []string{"as-caida", "slashDot", "harbor", "protein"}}
+	tables, err := fig13().Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tables[0]
+	avg := averagesRow(t, tb)
+	if before, after := colValue(t, tb, avg, "before"), colValue(t, tb, avg, "after"); after >= before {
+		t.Errorf("average sync-stall share %.1f%% after gathering not below %.1f%% before\n%s", after, before, tb)
+	}
+}
+
+// Figure 15's verdict: the Block Reorganizer beats both baselines on
+// every device.
+func TestFig15Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shape checks skipped in -short mode")
+	}
+	cfg := Config{Scale: 16, Datasets: []string{"as-caida", "slashDot", "harbor", "protein"}}
+	tables, err := fig15().Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tables[0]
+	for r, row := range tb.Rows {
+		reorg := colValue(t, tb, r, "Block-Reorganizer")
+		for _, base := range []string{"row-product", "outer-product"} {
+			if v := colValue(t, tb, r, base); reorg <= v {
+				t.Errorf("%s: Block Reorganizer %.2f not above %s %.2f", row[0], reorg, base, v)
+			}
+		}
+	}
+	if len(tb.Rows) != 3 {
+		t.Errorf("%d device rows, want 3", len(tb.Rows))
+	}
+	if t.Failed() {
+		t.Log(tb)
+	}
+}
+
+// Figure 16(b)'s verdict: the Block Reorganizer's average speedup on the
+// C=AB pairs is above 1. The gain grows with input size; at scale 32
+// (R-MAT scales 10–13) it reads 0.94, so the check runs at scale 16.
+func TestFig16bShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shape checks skipped in -short mode")
+	}
+	tables, err := fig16b().Run(Config{Scale: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tables[0]
+	if v := colValue(t, tb, averagesRow(t, tb), "Block-Reorganizer"); v <= 1 {
+		t.Errorf("Block Reorganizer average %.2f not above 1\n%s", v, tb)
+	}
+}
+
+// The case study's verdicts: B-Splitting gains over the untransformed
+// outer product, and lifts the dominators' expansion SM utilization.
+func TestCaseStudyShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shape checks skipped in -short mode")
+	}
+	tables, err := caseStudy().Run(Config{Scale: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gains := tables[1]
+	cell := func(technique string) string {
+		for _, row := range gains.Rows {
+			if row[0] == technique {
+				return row[1]
+			}
+		}
+		t.Fatalf("no %q row\n%s", technique, gains)
+		return ""
+	}
+	split, err := strconv.ParseFloat(strings.TrimSuffix(cell("B-Splitting"), "%"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if split <= 0 {
+		t.Errorf("B-Splitting gain %+.1f%% not above 0", split)
+	}
+	var before, after float64
+	if _, err := fmt.Sscanf(cell("SM utilization (expansion)"), "%f%% -> %f%%", &before, &after); err != nil {
+		t.Fatal(err)
+	}
+	if after <= before {
+		t.Errorf("expansion SM utilization %.0f%% -> %.0f%% does not rise", before, after)
+	}
+	if t.Failed() {
+		t.Log(gains)
+	}
+}
+
 // averagesRow locates the "average" row index.
 func averagesRow(t *testing.T, tb *tableio.Table) int {
 	t.Helper()
@@ -227,12 +421,13 @@ func averagesRow(t *testing.T, tb *tableio.Table) int {
 	return -1
 }
 
-// colValue parses the numeric cell of the named column in row r.
+// colValue parses the numeric cell of the named column in row r, without
+// a trailing "x" or "%".
 func colValue(t *testing.T, tb *tableio.Table, r int, col string) float64 {
 	t.Helper()
 	for c, name := range tb.Columns {
 		if name == col {
-			v, err := strconv.ParseFloat(strings.TrimSuffix(tb.Rows[r][c], "x"), 64)
+			v, err := strconv.ParseFloat(strings.TrimRight(tb.Rows[r][c], "x%"), 64)
 			if err != nil {
 				t.Fatalf("cell %q: %v", tb.Rows[r][c], err)
 			}

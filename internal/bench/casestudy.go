@@ -5,7 +5,6 @@ import (
 
 	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/datasets"
-	"github.com/blockreorg/blockreorg/internal/kernels"
 	"github.com/blockreorg/blockreorg/internal/tableio"
 )
 
@@ -23,15 +22,17 @@ func caseStudy() Experiment {
 			if err != nil {
 				return nil, err
 			}
-			m, err := cfg.generate(spec)
+			res, err := cfg.get(cfg.square(spec),
+				reorg(cfg.Device, core.Params{}),
+				reorg(cfg.Device, untransformed),
+				reorg(cfg.Device, core.Params{DisableGather: true, DisableLimit: true}),
+				reorg(cfg.Device, core.Params{DisableSplit: true, DisableLimit: true}),
+				reorg(cfg.Device, core.Params{DisableSplit: true, DisableGather: true}))
 			if err != nil {
 				return nil, err
 			}
-			full, err := runReorganizer(m, m, cfg, kernels.Options{})
-			if err != nil {
-				return nil, err
-			}
-			st := full.PlanStats
+			full, none := res[0], res[1]
+			st := full.planStats
 
 			pops := tableio.New(fmt.Sprintf("YouTube case study — classification populations (scale 1/%d)", cfg.Scale),
 				"population", "measured", "paper (full size)")
@@ -43,43 +44,15 @@ func caseStudy() Experiment {
 			pops.AddRow("combined blocks", tableio.Count(int64(st.CombinedBlocks)), "-")
 
 			// Per-technique gains over the untransformed outer product.
-			baseP, err := runReorganizer(m, m, cfg, kernels.Options{Core: core.Params{
-				DisableSplit: true, DisableGather: true, DisableLimit: true,
-			}})
-			if err != nil {
-				return nil, err
-			}
-			base := baseP.Report.TotalSeconds()
-			gain := func(p core.Params) (float64, error) {
-				prod, err := runReorganizer(m, m, cfg, kernels.Options{Core: p})
-				if err != nil {
-					return 0, err
-				}
-				return 100 * (base/prod.Report.TotalSeconds() - 1), nil
-			}
-			split, err := gain(core.Params{DisableGather: true, DisableLimit: true})
-			if err != nil {
-				return nil, err
-			}
-			gather, err := gain(core.Params{DisableSplit: true, DisableLimit: true})
-			if err != nil {
-				return nil, err
-			}
-			limit, err := gain(core.Params{DisableSplit: true, DisableGather: true})
-			if err != nil {
-				return nil, err
-			}
-			all, err := gain(core.Params{})
-			if err != nil {
-				return nil, err
-			}
+			gain := func(r result) float64 { return 100 * (none.seconds()/r.seconds() - 1) }
+			split, gather, limit, all := gain(res[2]), gain(res[3]), gain(res[4]), gain(full)
 
 			// SM utilization of the dominator expansion, unsplit vs split.
 			utilBase, utilFull := 0.0, 0.0
-			if k := baseP.Report.Kernel("expand(dominators)"); k != nil {
+			if k := none.report.Kernel("expand(dominators)"); k != nil {
 				utilBase = k.LBI
 			}
-			if k := full.Report.Kernel("expand(dominators)"); k != nil {
+			if k := full.report.Kernel("expand(dominators)"); k != nil {
 				utilFull = k.LBI
 			}
 

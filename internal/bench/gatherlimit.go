@@ -5,7 +5,6 @@ import (
 
 	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/datasets"
-	"github.com/blockreorg/blockreorg/internal/kernels"
 	"github.com/blockreorg/blockreorg/internal/tableio"
 )
 
@@ -24,27 +23,17 @@ func fig13() Experiment {
 			}
 			t := tableio.New(fmt.Sprintf("Figure 13 — expansion sync-stall share before/after B-Gathering (scale 1/%d)", cfg.Scale),
 				"dataset", "before", "after", "reduction")
+			res, err := cfg.grid(cfg.squares(specs),
+				reorg(cfg.Device, untransformed),
+				reorg(cfg.Device, core.Params{DisableSplit: true, DisableLimit: true}))
+			if err != nil {
+				return nil, err
+			}
 			var beforeSum, afterSum float64
 			count := 0
-			for _, spec := range specs {
-				m, err := cfg.generate(spec)
-				if err != nil {
-					return nil, err
-				}
-				without, err := runReorganizer(m, m, cfg, kernels.Options{Core: core.Params{
-					DisableSplit: true, DisableGather: true, DisableLimit: true,
-				}})
-				if err != nil {
-					return nil, err
-				}
-				with, err := runReorganizer(m, m, cfg, kernels.Options{Core: core.Params{
-					DisableSplit: true, DisableLimit: true,
-				}})
-				if err != nil {
-					return nil, err
-				}
-				b := without.Report.Kernel("expand(reorganized)").SyncStallPct
-				a := with.Report.Kernel("expand(reorganized)").SyncStallPct
+			for si, spec := range specs {
+				b := res[si][0].report.Kernel("expand(reorganized)").SyncStallPct
+				a := res[si][1].report.Kernel("expand(reorganized)").SyncStallPct
 				beforeSum += b
 				afterSum += a
 				count++
@@ -84,24 +73,24 @@ func fig14() Experiment {
 				cols = append(cols, fmt.Sprintf("%dx6144", f))
 			}
 			t := tableio.New(fmt.Sprintf("Figure 14 — merge L2 throughput vs limiting factor (scale 1/%d)", cfg.Scale), cols...)
-			for _, spec := range specs {
-				m, err := cfg.generate(spec)
-				if err != nil {
-					return nil, err
-				}
+			var runs []run
+			for _, f := range limitingFactors {
+				runs = append(runs, reorg(cfg.Device, core.Params{
+					DisableSplit: true, DisableGather: true,
+					LimitFactor:  f,
+					DisableLimit: f == 0,
+				}))
+			}
+			res, err := cfg.grid(cfg.squares(specs), runs...)
+			if err != nil {
+				return nil, err
+			}
+			for si, spec := range specs {
 				readRow := []string{spec.Name, "L2 read"}
 				writeRow := []string{"", "L2 write"}
 				timeRow := []string{"", "merge time"}
-				for _, f := range limitingFactors {
-					p, err := runReorganizer(m, m, cfg, kernels.Options{Core: core.Params{
-						DisableSplit: true, DisableGather: true,
-						LimitFactor:  f,
-						DisableLimit: f == 0,
-					}})
-					if err != nil {
-						return nil, err
-					}
-					k := p.Report.Kernel("merge(b-limiting)")
+				for _, r := range res[si] {
+					k := r.report.Kernel("merge(b-limiting)")
 					readRow = append(readRow, tableio.GBs(k.L2ReadThroughput))
 					writeRow = append(writeRow, tableio.GBs(k.L2WriteThroughput))
 					timeRow = append(timeRow, tableio.Ms(k.Seconds))

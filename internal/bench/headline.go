@@ -30,6 +30,15 @@ func fig9() Experiment {
 	}
 }
 
+// lineupColumns is a line-up table's header: the leading columns, then
+// one per algorithm in figure order.
+func lineupColumns(lead ...string) []string {
+	for _, alg := range kernels.All() {
+		lead = append(lead, alg.Name())
+	}
+	return lead
+}
+
 // runSpeedupGrid renders the 28-dataset × 7-method grid, either as
 // normalized speedups (fig8) or absolute GFLOPS (fig9).
 func runSpeedupGrid(absolute bool) func(cfg Config) ([]*tableio.Table, error) {
@@ -39,78 +48,40 @@ func runSpeedupGrid(absolute bool) func(cfg Config) ([]*tableio.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		algs := algorithms()
-		cols := []string{"dataset"}
-		for _, alg := range algs {
-			cols = append(cols, alg.Name())
+		res, err := cfg.grid(cfg.squares(specs), lineup(cfg.Device)...)
+		if err != nil {
+			return nil, err
 		}
 		title := fmt.Sprintf("Figure 8 — speedup vs row-product (scale 1/%d, %s)", cfg.Scale, cfg.Device.Name)
 		if absolute {
 			title = fmt.Sprintf("Figure 9 — absolute GFLOPS (scale 1/%d, %s)", cfg.Scale, cfg.Device.Name)
 		}
-		t := tableio.New(title, cols...)
-		sums := make([]float64, len(algs))
-		wins := make([]int, len(algs))
-		count := 0
-		// The spec × algorithm grid runs per spec on the executor; the
-		// aggregation below walks the collected values in catalog order,
-		// so the table is identical at any worker count.
-		grid := make([][]float64, len(specs))
-		err = forEachSpec(cfg, len(specs), func(si int) error {
-			spec := specs[si]
-			m, err := cfg.generate(spec)
-			if err != nil {
-				return err
-			}
-			pc, err := kernels.PrecomputeOn(m, m, cfg.ex)
-			if err != nil {
-				return err
-			}
-			var base float64
-			vals := make([]float64, len(algs))
-			for i, alg := range algs {
-				p, err := runAlg(alg, m, m, cfg, pc)
-				if err != nil {
-					return fmt.Errorf("%s on %s: %w", alg.Name(), spec.Name, err)
-				}
-				secs := p.Report.TotalSeconds()
-				if alg.Name() == "row-product" {
-					base = secs
-				}
-				if absolute {
-					vals[i] = p.GFLOPS()
-				} else {
-					vals[i] = base / secs
+		t := tableio.New(title, lineupColumns("dataset")...)
+		grid := make([][]float64, len(res))
+		wins := make([]int, len(kernels.All()))
+		for si, line := range res {
+			vals := speedups(line)
+			if absolute {
+				for i, r := range line {
+					vals[i] = r.report.GFLOPS(r.flops)
 				}
 			}
 			grid[si] = vals
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for si, vals := range grid {
-			row := []string{specs[si].Name}
 			best := 0
 			for i, v := range vals {
-				row = append(row, tableio.F2(v))
-				sums[i] += v
 				if v > vals[best] {
 					best = i
 				}
 			}
 			wins[best]++
-			count++
-			t.AddRow(row...)
+			t.AddRow(f2Row(vals, specs[si].Name)...)
 		}
-		if count > 0 {
-			avg := []string{"average"}
+		if len(grid) > 0 {
 			winRow := []string{"best-on"}
-			for i := range algs {
-				avg = append(avg, tableio.F2(sums[i]/float64(count)))
-				winRow = append(winRow, fmt.Sprintf("%d", wins[i]))
+			for _, n := range wins {
+				winRow = append(winRow, fmt.Sprintf("%d", n))
 			}
-			t.AddRow(avg...)
+			t.AddRow(f2Row(means(grid), "average")...)
 			t.AddRow(winRow...)
 		}
 		return []*tableio.Table{t}, nil
@@ -140,45 +111,23 @@ func fig10() Experiment {
 				{"Block-Reorganizer", core.Params{}},
 			}
 			cols := []string{"dataset"}
+			runs := []run{{alg: kernels.OuterProduct{}, dev: cfg.Device}}
 			for _, v := range variants {
 				cols = append(cols, v.name)
+				runs = append(runs, reorg(cfg.Device, v.core))
+			}
+			res, err := cfg.grid(cfg.squares(specs), runs...)
+			if err != nil {
+				return nil, err
 			}
 			t := tableio.New(fmt.Sprintf("Figure 10 — technique speedups vs outer-product baseline (scale 1/%d)", cfg.Scale), cols...)
-			sums := make([]float64, len(variants))
-			count := 0
-			for _, spec := range specs {
-				m, err := cfg.generate(spec)
-				if err != nil {
-					return nil, err
-				}
-				pc, err := kernels.Precompute(m, m)
-				if err != nil {
-					return nil, err
-				}
-				baseP, err := runAlg(kernels.OuterProduct{}, m, m, cfg, pc)
-				if err != nil {
-					return nil, err
-				}
-				base := baseP.Report.TotalSeconds()
-				row := []string{spec.Name}
-				for i, v := range variants {
-					p, err := runReorganizer(m, m, cfg, kernels.Options{Core: v.core, Pre: pc})
-					if err != nil {
-						return nil, err
-					}
-					sp := base / p.Report.TotalSeconds()
-					sums[i] += sp
-					row = append(row, tableio.F2(sp))
-				}
-				count++
-				t.AddRow(row...)
+			grid := make([][]float64, len(res))
+			for si, line := range res {
+				grid[si] = speedups(line)[1:]
+				t.AddRow(f2Row(grid[si], specs[si].Name)...)
 			}
-			if count > 0 {
-				avg := []string{"average"}
-				for i := range variants {
-					avg = append(avg, tableio.F2(sums[i]/float64(count)))
-				}
-				t.AddRow(avg...)
+			if len(grid) > 0 {
+				t.AddRow(f2Row(means(grid), "average")...)
 			}
 			return []*tableio.Table{t}, nil
 		},

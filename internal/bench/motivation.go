@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/blockreorg/blockreorg/internal/core"
-	"github.com/blockreorg/blockreorg/internal/datasets"
 	"github.com/blockreorg/blockreorg/internal/gpusim"
 	"github.com/blockreorg/blockreorg/internal/kernels"
 	"github.com/blockreorg/blockreorg/internal/tableio"
@@ -22,23 +21,16 @@ func fig3a() Experiment {
 			cfg = cfg.normalize()
 			t := tableio.New("Figure 3(a) — outer-product expansion per-SM busy time (normalized to busiest SM)",
 				"dataset", "family", "LBI", "SM util", "p25", "median", "p75", "profile")
-			for _, name := range motivationDatasets() {
-				if len(cfg.Datasets) > 0 && !contains(cfg.Datasets, name) {
-					continue
-				}
-				spec, err := datasets.ByName(name)
-				if err != nil {
-					return nil, err
-				}
-				m, err := cfg.generate(spec)
-				if err != nil {
-					return nil, err
-				}
-				p, err := runAlg(kernels.OuterProduct{}, m, m, cfg, nil)
-				if err != nil {
-					return nil, err
-				}
-				k := p.Report.Kernel("expand(outer-product)")
+			specs, err := motivationSpecs(cfg)
+			if err != nil {
+				return nil, err
+			}
+			res, err := cfg.grid(cfg.squares(specs), run{alg: kernels.OuterProduct{}, dev: cfg.Device})
+			if err != nil {
+				return nil, err
+			}
+			for i, spec := range specs {
+				k := res[i][0].report.Kernel("expand(outer-product)")
 				busy := append([]float64(nil), k.SMBusyCycles...)
 				sort.Float64s(busy)
 				max := busy[len(busy)-1]
@@ -71,14 +63,11 @@ func fig3b() Experiment {
 			cfg = cfg.normalize()
 			t := tableio.New("Figure 3(b) — share of outer-product blocks per effective-thread bin",
 				"dataset", "1-2", "3-4", "5-8", "9-16", "17-32", ">32", "<32 total")
-			for _, name := range motivationDatasets() {
-				if len(cfg.Datasets) > 0 && !contains(cfg.Datasets, name) {
-					continue
-				}
-				spec, err := datasets.ByName(name)
-				if err != nil {
-					return nil, err
-				}
+			specs, err := motivationSpecs(cfg)
+			if err != nil {
+				return nil, err
+			}
+			for _, spec := range specs {
 				m, err := cfg.generate(spec)
 				if err != nil {
 					return nil, err
@@ -135,24 +124,18 @@ func fig3c() Experiment {
 			cfg = cfg.normalize()
 			t := tableio.New("Figure 3(c) — outer-product baseline time split",
 				"dataset", "expansion", "merge", "expansion %", "merge %")
-			for _, name := range motivationDatasets() {
-				if len(cfg.Datasets) > 0 && !contains(cfg.Datasets, name) {
-					continue
-				}
-				spec, err := datasets.ByName(name)
-				if err != nil {
-					return nil, err
-				}
-				m, err := cfg.generate(spec)
-				if err != nil {
-					return nil, err
-				}
-				p, err := runAlg(kernels.OuterProduct{}, m, m, cfg, nil)
-				if err != nil {
-					return nil, err
-				}
-				exp := p.Report.PhaseSeconds(gpusim.PhaseExpansion)
-				mrg := p.Report.PhaseSeconds(gpusim.PhaseMerge)
+			specs, err := motivationSpecs(cfg)
+			if err != nil {
+				return nil, err
+			}
+			res, err := cfg.grid(cfg.squares(specs), run{alg: kernels.OuterProduct{}, dev: cfg.Device})
+			if err != nil {
+				return nil, err
+			}
+			for i, spec := range specs {
+				rep := res[i][0].report
+				exp := rep.PhaseSeconds(gpusim.PhaseExpansion)
+				mrg := rep.PhaseSeconds(gpusim.PhaseMerge)
 				tot := exp + mrg
 				if tot == 0 {
 					continue

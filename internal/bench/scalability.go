@@ -5,7 +5,6 @@ import (
 
 	"github.com/blockreorg/blockreorg/internal/datasets"
 	"github.com/blockreorg/blockreorg/internal/gpusim"
-	"github.com/blockreorg/blockreorg/internal/kernels"
 	"github.com/blockreorg/blockreorg/internal/tableio"
 )
 
@@ -22,45 +21,24 @@ func fig15() Experiment {
 			if err != nil {
 				return nil, err
 			}
-			algs := algorithms()
-			cols := []string{"device"}
-			for _, alg := range algs {
-				cols = append(cols, alg.Name())
+			// One grid over every device loads each dataset once.
+			devs := gpusim.Presets()
+			var runs []run
+			for _, dev := range devs {
+				runs = append(runs, lineup(dev)...)
 			}
-			t := tableio.New(fmt.Sprintf("Figure 15 — mean speedup vs row-product per device (scale 1/%d)", cfg.Scale), cols...)
-			for _, dev := range gpusim.Presets() {
-				devCfg := cfg
-				devCfg.Device = dev
-				sums := make([]float64, len(algs))
-				count := 0
-				for _, spec := range specs {
-					m, err := cfg.generate(spec)
-					if err != nil {
-						return nil, err
-					}
-					pc, err := kernels.Precompute(m, m)
-					if err != nil {
-						return nil, err
-					}
-					var base float64
-					for i, alg := range algs {
-						p, err := runAlg(alg, m, m, devCfg, pc)
-						if err != nil {
-							return nil, fmt.Errorf("%s on %s (%s): %w", alg.Name(), spec.Name, dev.Name, err)
-						}
-						secs := p.Report.TotalSeconds()
-						if alg.Name() == "row-product" {
-							base = secs
-						}
-						sums[i] += base / secs
-					}
-					count++
+			res, err := cfg.grid(cfg.squares(specs), runs...)
+			if err != nil {
+				return nil, err
+			}
+			t := tableio.New(fmt.Sprintf("Figure 15 — mean speedup vs row-product per device (scale 1/%d)", cfg.Scale), lineupColumns("device")...)
+			n := len(runs) / len(devs)
+			for d, dev := range devs {
+				grid := make([][]float64, len(res))
+				for si, line := range res {
+					grid[si] = speedups(line[d*n : (d+1)*n])
 				}
-				row := []string{dev.Name}
-				for i := range algs {
-					row = append(row, tableio.F2(sums[i]/float64(count)))
-				}
-				t.AddRow(row...)
+				t.AddRow(f2Row(means(grid), dev.Name)...)
 			}
 			return []*tableio.Table{t}, nil
 		},

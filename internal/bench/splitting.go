@@ -5,7 +5,6 @@ import (
 
 	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/datasets"
-	"github.com/blockreorg/blockreorg/internal/kernels"
 	"github.com/blockreorg/blockreorg/internal/tableio"
 )
 
@@ -30,25 +29,25 @@ func fig11() Experiment {
 				cols = append(cols, fmt.Sprintf("x%d", f))
 			}
 			t := tableio.New(fmt.Sprintf("Figure 11 — LBI and dominator speedup vs splitting factor (scale 1/%d)", cfg.Scale), cols...)
+			var runs []run
+			for _, f := range splitFactors {
+				runs = append(runs, reorg(cfg.Device, core.Params{
+					DisableGather: true, DisableLimit: true, SplitFactorOverride: f, MaxSplit: 64,
+				}))
+			}
+			res, err := cfg.grid(cfg.squares(specs), runs...)
+			if err != nil {
+				return nil, err
+			}
 			var lbiFirst, lbiLast, domGain float64
 			counted := 0
-			for _, spec := range specs {
-				m, err := cfg.generate(spec)
-				if err != nil {
-					return nil, err
-				}
+			for si, spec := range specs {
 				lbiRow := []string{spec.Name, "LBI"}
 				perfRow := []string{"", "dominator speedup"}
 				var baseDom float64
 				var firstL, lastL float64
-				for i, f := range splitFactors {
-					p, err := runReorganizer(m, m, cfg, kernels.Options{Core: core.Params{
-						DisableGather: true, DisableLimit: true, SplitFactorOverride: f, MaxSplit: 64,
-					}})
-					if err != nil {
-						return nil, err
-					}
-					k := p.Report.Kernel("expand(dominators)")
+				for i, r := range res[si] {
+					k := r.report.Kernel("expand(dominators)")
 					if k == nil {
 						// No dominators on this input at this scale.
 						lbiRow = append(lbiRow, "-")
@@ -106,27 +105,17 @@ func fig12() Experiment {
 			}
 			t := tableio.New(fmt.Sprintf("Figure 12 — expansion L2 throughput, split vs unsplit (scale 1/%d)", cfg.Scale),
 				"dataset", "L2 read (unsplit)", "L2 read (split)", "L2 write (unsplit)", "L2 write (split)", "improvement")
+			res, err := cfg.grid(cfg.squares(specs),
+				reorg(cfg.Device, untransformed),
+				reorg(cfg.Device, core.Params{DisableGather: true, DisableLimit: true}))
+			if err != nil {
+				return nil, err
+			}
 			var ratios float64
 			counted := 0
-			for _, spec := range specs {
-				m, err := cfg.generate(spec)
-				if err != nil {
-					return nil, err
-				}
-				unsplit, err := runReorganizer(m, m, cfg, kernels.Options{Core: core.Params{
-					DisableSplit: true, DisableGather: true, DisableLimit: true,
-				}})
-				if err != nil {
-					return nil, err
-				}
-				split, err := runReorganizer(m, m, cfg, kernels.Options{Core: core.Params{
-					DisableGather: true, DisableLimit: true,
-				}})
-				if err != nil {
-					return nil, err
-				}
-				ku := unsplit.Report.Kernel("expand(dominators)")
-				ks := split.Report.Kernel("expand(dominators)")
+			for si, spec := range specs {
+				ku := res[si][0].report.Kernel("expand(dominators)")
+				ks := res[si][1].report.Kernel("expand(dominators)")
 				if ku == nil || ks == nil {
 					continue
 				}

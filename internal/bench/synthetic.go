@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/blockreorg/blockreorg/internal/datasets"
-	"github.com/blockreorg/blockreorg/internal/kernels"
 	"github.com/blockreorg/blockreorg/internal/tableio"
 	"github.com/blockreorg/blockreorg/sparse"
 )
@@ -18,38 +17,25 @@ func fig16a() Experiment {
 		Expectation: "cuSPARSE wins only on the smallest matrix and collapses as size grows; Block Reorganizer gains grow with size, skewness and sparsity; bhSPARSE is relatively strong on the densest SP entries",
 		Run: func(cfg Config) ([]*tableio.Table, error) {
 			cfg = cfg.normalize()
-			algs := algorithms()
-			cols := []string{"dataset", "series"}
-			for _, alg := range algs {
-				cols = append(cols, alg.Name())
-			}
-			t := tableio.New(fmt.Sprintf("Figure 16(a) — synthetic C=A² speedup vs row-product (scale 1/%d)", cfg.Scale), cols...)
+			var specs []datasets.SynthSpec
+			var ds []dataset
 			for _, spec := range datasets.Synthetic() {
 				if len(cfg.Datasets) > 0 && !contains(cfg.Datasets, spec.Name) {
 					continue
 				}
-				m, err := spec.Generate(cfg.Scale)
-				if err != nil {
-					return nil, err
-				}
-				pc, err := kernels.Precompute(m, m)
-				if err != nil {
-					return nil, err
-				}
-				row := []string{spec.Name, spec.Series}
-				var base float64
-				for _, alg := range algs {
-					p, err := runAlg(alg, m, m, cfg, pc)
-					if err != nil {
-						return nil, fmt.Errorf("%s on %s: %w", alg.Name(), spec.Name, err)
-					}
-					secs := p.Report.TotalSeconds()
-					if alg.Name() == "row-product" {
-						base = secs
-					}
-					row = append(row, tableio.F2(base/secs))
-				}
-				t.AddRow(row...)
+				specs = append(specs, spec)
+				ds = append(ds, dataset{name: spec.Name, load: func() (*sparse.CSR, *sparse.CSR, error) {
+					m, err := spec.Generate(cfg.Scale)
+					return m, m, err
+				}})
+			}
+			res, err := cfg.grid(ds, lineup(cfg.Device)...)
+			if err != nil {
+				return nil, err
+			}
+			t := tableio.New(fmt.Sprintf("Figure 16(a) — synthetic C=A² speedup vs row-product (scale 1/%d)", cfg.Scale), lineupColumns("dataset", "series")...)
+			for si, spec := range specs {
+				t.AddRow(f2Row(speedups(res[si]), spec.Name, spec.Series)...)
 			}
 			return []*tableio.Table{t}, nil
 		},
@@ -65,64 +51,33 @@ func fig16b() Experiment {
 		Expectation: "Block Reorganizer achieves ~1.09x average over the row-product baseline, best of the line-up, with gains scaling with input size; B-Gathering does most of the work because AB products are underloaded-block heavy",
 		Run: func(cfg Config) ([]*tableio.Table, error) {
 			cfg = cfg.normalize()
-			algs := algorithms()
-			cols := []string{"scale"}
-			for _, alg := range algs {
-				cols = append(cols, alg.Name())
-			}
 			// Map the config's dataset scale divisor onto an R-MAT scale
 			// reduction (each step halves the dimension).
 			down := 0
 			for s := 1; s < cfg.Scale; s *= 2 {
 				down++
 			}
-			t := tableio.New(fmt.Sprintf("Figure 16(b) — synthetic C=AB speedup vs row-product (scale -%d)", down), cols...)
-			sums := make([]float64, len(algs))
-			count := 0
-			for _, pair := range datasets.ABPairs() {
-				a, b, err := pair.Generate(down)
-				if err != nil {
-					return nil, err
-				}
-				pc, err := kernels.Precompute(a, b)
-				if err != nil {
-					return nil, err
-				}
-				row := []string{pair.Name()}
-				var base float64
-				for i, alg := range algs {
-					p, err := runAlg(alg, a, b, cfg, pc)
-					if err != nil {
-						return nil, fmt.Errorf("%s on AB-%s: %w", alg.Name(), pair.Name(), err)
-					}
-					secs := p.Report.TotalSeconds()
-					if alg.Name() == "row-product" {
-						base = secs
-					}
-					sp := base / secs
-					sums[i] += sp
-					row = append(row, tableio.F2(sp))
-				}
-				count++
-				t.AddRow(row...)
+			pairs := datasets.ABPairs()
+			ds := make([]dataset, len(pairs))
+			for i, pair := range pairs {
+				ds[i] = dataset{name: "AB-" + pair.Name(), load: func() (*sparse.CSR, *sparse.CSR, error) {
+					return pair.Generate(down)
+				}}
 			}
-			if count > 0 {
-				avg := []string{"average"}
-				for i := range algs {
-					avg = append(avg, tableio.F2(sums[i]/float64(count)))
-				}
-				t.AddRow(avg...)
+			res, err := cfg.grid(ds, lineup(cfg.Device)...)
+			if err != nil {
+				return nil, err
+			}
+			t := tableio.New(fmt.Sprintf("Figure 16(b) — synthetic C=AB speedup vs row-product (scale -%d)", down), lineupColumns("scale")...)
+			grid := make([][]float64, len(res))
+			for i, line := range res {
+				grid[i] = speedups(line)
+				t.AddRow(f2Row(grid[i], pairs[i].Name())...)
+			}
+			if len(grid) > 0 {
+				t.AddRow(f2Row(means(grid), "average")...)
 			}
 			return []*tableio.Table{t}, nil
 		},
 	}
-}
-
-// flopsOf is a tiny helper kept for experiment symmetry.
-func flopsOf(a, b *sparse.CSR) int64 {
-	f, err := sparse.MultiplyFlops(a, b)
-	if err != nil {
-		return 0
-	}
-	return f
 }

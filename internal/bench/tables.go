@@ -62,7 +62,7 @@ func tab2() Experiment {
 			rows := make([][]string, len(specs))
 			err = forEachSpec(cfg, len(specs), func(i int) error {
 				s := specs[i]
-				m, err := s.Generate(cfg.Scale)
+				m, err := cfg.generate(s)
 				if err != nil {
 					return err
 				}
