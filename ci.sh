@@ -33,14 +33,18 @@
 #                      sort-fallback and bitmap-sweep emits. Runs on every
 #                      host: it checks that the paths work and agree, and
 #                      records no timings
-#   8. fuzz smoke     — FuzzDecodeRequest and FuzzOpenSegmented each run
-#                      for 10 s past their seed corpora: spgemmd's request
-#                      decoder must agree with encoding/json on whatever
-#                      the fuzzer makes, and the segmented container (the
-#                      one binary matrix decoder) must reject or read any
-#                      file without a panic and within its allocation
-#                      bound. FuzzReadMatrixMarket stays out: a mutated
-#                      size line may legitimately allocate gigabytes
+#   8. fuzz smoke     — FuzzDecodeRequest, FuzzOpenSegmented and
+#                      FuzzAccumulatorMerge each run for 10 s past their
+#                      seed corpora: spgemmd's request decoder must agree
+#                      with encoding/json on whatever the fuzzer makes, the
+#                      segmented container (the one binary matrix decoder)
+#                      must reject or read any file without a panic and
+#                      within its allocation bound, and every merge
+#                      strategy, the dense path's wide rows and each of its
+#                      emit branches included, must sum any product stream
+#                      to CombineRow's bits. FuzzReadMatrixMarket stays
+#                      out: a mutated size line may legitimately allocate
+#                      gigabytes
 #   9. graphrun smoke — genmat generates a small R-MAT network and graphrun
 #                      clusters it end to end, so the CLI wiring from file
 #                      input through the pipeline engine stays exercised
@@ -147,6 +151,8 @@ echo "==> fuzz smoke (request decoder against encoding/json)"
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./server
 echo "==> fuzz smoke (segmented container readers)"
 go test -run '^$' -fuzz '^FuzzOpenSegmented$' -fuzztime 10s ./sparse
+echo "==> fuzz smoke (merge accumulators against CombineRow)"
+go test -run '^$' -fuzz '^FuzzAccumulatorMerge$' -fuzztime 10s ./sparse
 
 echo "==> graphrun smoke (genmat R-MAT -> MCL clustering)"
 go run ./cmd/genmat -kind rmat -n 256 -nnz 1024 -seed 7 -o "$smoke_dir/net.mtx"

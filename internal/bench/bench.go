@@ -121,9 +121,9 @@ func selectedSpecs(cfg Config, specs []datasets.Spec) ([]datasets.Spec, error) {
 		if !ok {
 			// The name may simply fall outside this experiment's subset
 			// (e.g. a Florida matrix for a Stanford-only figure, or a
-			// Table III synthetic in a Table II grid).
+			// Table III synthetic or C = AB pair in a Table II grid).
 			if _, err := datasets.ByName(name); err != nil {
-				if _, synErr := datasets.SyntheticByName(name); synErr != nil {
+				if _, synErr := datasets.SyntheticByName(name); synErr != nil && !isABLabel(name) {
 					return nil, err
 				}
 			}

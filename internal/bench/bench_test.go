@@ -13,11 +13,12 @@ import (
 )
 
 // quickCfg runs experiments on heavily scaled-down data with a dataset
-// subset so the whole registry stays testable in seconds.
+// subset so the whole registry stays testable in seconds. AB-15 keeps one
+// of fig16b's C = AB pairs in the subset.
 func quickCfg() Config {
 	return Config{
 		Scale:    32,
-		Datasets: []string{"harbor", "QCD", "as-caida", "youtube", "slashDot", "s1", "p4", "sp4"},
+		Datasets: []string{"harbor", "QCD", "as-caida", "youtube", "slashDot", "s1", "p4", "sp4", "AB-15"},
 	}
 }
 
@@ -367,6 +368,36 @@ func TestFig16bShape(t *testing.T) {
 	tb := tables[0]
 	if v := colValue(t, tb, averagesRow(t, tb), "Block-Reorganizer"); v <= 1 {
 		t.Errorf("Block Reorganizer average %.2f not above 1\n%s", v, tb)
+	}
+}
+
+// fig16b's pairs answer to the dataset filter by their AB-<scale> label:
+// a name that labels no pair selects none of them, and "AB-16" selects
+// exactly its own pair. Table II experiments accept the label as a known
+// name that falls outside their subset.
+func TestFig16bDatasetFilter(t *testing.T) {
+	pairRows := func(datasets ...string) []string {
+		t.Helper()
+		tables, err := fig16b().Run(Config{Scale: 32, Datasets: datasets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, row := range tables[0].Rows {
+			if row[0] != "average" {
+				names = append(names, row[0])
+			}
+		}
+		return names
+	}
+	if got := pairRows("harbor"); len(got) != 0 {
+		t.Errorf("-datasets harbor: fig16b rows %v, want none", got)
+	}
+	if got := pairRows("AB-16"); len(got) != 1 || got[0] != "16" {
+		t.Errorf("-datasets AB-16: fig16b rows %v, want [16]", got)
+	}
+	if specs, err := selectedSpecs(Config{Datasets: []string{"AB-16"}}, datasets.RealWorld()); err != nil || len(specs) != 0 {
+		t.Errorf("Table II subset for AB-16: %d specs, %v; want none and no error", len(specs), err)
 	}
 }
 

@@ -43,7 +43,7 @@ func fig16a() Experiment {
 }
 
 // fig16b reproduces Figure 16(b): C = AB speedups on the R-MAT pairs of
-// scale 15–18.
+// scale 15–18. A dataset filter selects pairs by their AB-<scale> label.
 func fig16b() Experiment {
 	return Experiment{
 		ID:          "fig16b",
@@ -57,12 +57,17 @@ func fig16b() Experiment {
 			for s := 1; s < cfg.Scale; s *= 2 {
 				down++
 			}
-			pairs := datasets.ABPairs()
-			ds := make([]dataset, len(pairs))
-			for i, pair := range pairs {
-				ds[i] = dataset{name: "AB-" + pair.Name(), load: func() (*sparse.CSR, *sparse.CSR, error) {
+			var pairs []datasets.ABSpec
+			var ds []dataset
+			for _, pair := range datasets.ABPairs() {
+				name := abLabel(pair)
+				if len(cfg.Datasets) > 0 && !contains(cfg.Datasets, name) {
+					continue
+				}
+				pairs = append(pairs, pair)
+				ds = append(ds, dataset{name: name, load: func() (*sparse.CSR, *sparse.CSR, error) {
 					return pair.Generate(down)
-				}}
+				}})
 			}
 			res, err := cfg.grid(ds, lineup(cfg.Device)...)
 			if err != nil {
@@ -80,4 +85,18 @@ func fig16b() Experiment {
 			return []*tableio.Table{t}, nil
 		},
 	}
+}
+
+// abLabel names a C = AB pair as the dataset filter and the run memo know
+// it: "AB-" and its R-MAT scale.
+func abLabel(pair datasets.ABSpec) string { return "AB-" + pair.Name() }
+
+// isABLabel reports whether name labels one of Table III's C = AB pairs.
+func isABLabel(name string) bool {
+	for _, pair := range datasets.ABPairs() {
+		if abLabel(pair) == name {
+			return true
+		}
+	}
+	return false
 }

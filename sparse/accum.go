@@ -13,12 +13,13 @@ import (
 // the spGEMM literature (Gao et al.'s survey, OpSparse) shows no single
 // structure wins every row shape:
 //
-//   - AccumDense accumulates into a dense O(Cols) vector, marks first
-//     touches in a one-bit-per-column occupancy bitmap and emits the row
-//     in column order by sweeping that bitmap — unbeatable when the row's
-//     footprint is a large fraction of the output dimension, wasteful
-//     cache traffic when a long sparse row scatters a few hundred updates
-//     across a huge vector.
+//   - AccumDense accumulates into a dense O(Cols) vector, marks columns
+//     in a one-bit-per-column occupancy bitmap and emits the row in column
+//     order by sweeping that bitmap — unbeatable when the row's footprint
+//     is a large fraction of the output dimension, wasteful cache traffic
+//     when a long sparse row scatters a few hundred updates across a huge
+//     vector. A row whose merged population covers the bitmap scatters
+//     every product without a first-touch branch.
 //   - AccumHash accumulates into an open-addressing table sized from the
 //     row's upper-bound population, keeping the working set proportional
 //     to the row instead of the matrix.
@@ -106,14 +107,17 @@ const (
 	// number at most 2^sweepSpanShift per touched column, and sorts its
 	// touched list otherwise. Timed per words-per-column bin on youtube
 	// and R-MAT operands, the sweep wins up to 4–8 words per column and
-	// loses from 16.
+	// loses from 16. The same bound gates the wide path (wideDenseRow),
+	// which sweeps the whole bitmap: timed per bin of whole-bitmap words
+	// per merged column, its branch-free scatter wins up to 4 words per
+	// column on every operand timed, ties or wins up to 8, wins or loses
+	// by operand up to 32, and loses beyond.
 	sweepSpanShift = 3
 	// hostDistinctShift bounds "nearly all distinct": at most one product
 	// in 2^hostDistinctShift duplicates an earlier column. Such a row
-	// sort-combines when the whole bitmap is too wide for the dense path
-	// to sweep it (more than 2^sweepSpanShift words per merged column):
-	// the dense path would sort its touched columns anyway, after a
-	// scatter that gains nothing.
+	// sort-combines unless it is wide (wideDenseRow): the whole bitmap is
+	// then too wide for the dense path to sweep, and it would most often
+	// sort its touched columns anyway, after a scatter that gains nothing.
 	hostDistinctShift = 5
 	// hostHashMinCols is the output dimension from which short rows
 	// hash: from 2^21 columns the dense scratch is 16 MiB per worker, and
@@ -158,13 +162,22 @@ func hostAccumulator(kind AccumulatorKind, upper int64, nnz, cols int) Accumulat
 	switch {
 	case upper <= SortRowMax:
 		return AccumSort
-	case cols>>6 > nnz<<sweepSpanShift && (upper-int64(nnz))<<hostDistinctShift <= int64(nnz):
+	case !wideDenseRow(nnz, cols) && (upper-int64(nnz))<<hostDistinctShift <= int64(nnz):
 		return AccumSort
 	case cols >= hostHashMinCols && upper*HashColsFactor < int64(cols):
 		return AccumHash
 	default:
 		return AccumDense
 	}
+}
+
+// wideDenseRow reports whether the dense path runs a row of merged
+// population nnz branch-free: whether the operand's whole occupancy bitmap
+// holds at most 2^sweepSpanShift words per merged column, so sweeping all
+// of it costs no more than the emit rule already allows a row's span. An
+// unknown population (nnz 0) is never wide.
+func wideDenseRow(nnz, cols int) bool {
+	return nnz > 0 && (cols+63)>>6 <= nnz<<sweepSpanShift
 }
 
 // AccumCounts tallies merged rows per accumulator strategy. Zero-work rows
@@ -195,10 +208,12 @@ type RowMerger struct {
 	Counts AccumCounts
 
 	// Dense accumulator scratch: acc holds partial sums and occupied
-	// holds one bit per output column, set on a row's first touch of that
-	// column. Every row clears the bits it set before it returns, so the
-	// bitmap is all zero between rows and is never re-zeroed between rows
-	// or even between matrices.
+	// holds one bit per output column, set when a row touches that
+	// column. Both are zeroed once, when the merger acquires them, and
+	// every row clears the cells and bits it used as it emits them, so
+	// between rows acc is all +0 — each column's sum starts there without
+	// a store — and the bitmap is all zero; neither is re-zeroed between
+	// rows.
 	acc      []float64
 	occupied []uint64
 
@@ -234,10 +249,13 @@ func (m *RowMerger) Release() {
 	*m = RowMerger{}
 }
 
-// ensureDense acquires the dense accumulator and its occupancy bitmap.
+// ensureDense acquires the dense accumulator and its occupancy bitmap,
+// both zeroed: arena buffers come back with arbitrary contents (NaN under
+// Paranoid mode), and the dense path relies on all-zero scratch.
 func (m *RowMerger) ensureDense() {
 	if m.acc == nil {
 		m.acc = parallel.GetFloats(m.cols)
+		clear(m.acc)
 		m.occupied = parallel.GetUint64sZeroed((m.cols + 63) / 64)
 	}
 }
@@ -311,25 +329,42 @@ func (m *RowMerger) ProductRow(kind AccumulatorKind, a, b *CSR, i int, upper int
 		return m.sortProductRow(a, b, i, upper, outIdx, outVal)
 	default:
 		m.Counts.Dense++
-		return m.denseProductRow(a, b, i, upper, outIdx, outVal)
+		return m.denseProductRow(a, b, i, upper, nnz, outIdx, outVal)
 	}
 }
 
-// denseProductRow accumulates into the dense vector, marking each
-// column's first touch in the occupancy bitmap. A row whose touched
-// columns are dense enough in their word span is emitted by sweeping
-// those bitmap words in order, clearing each as it goes: column order
-// comes for free at O(words + nnz). A row too sparse for its span sorts
-// its touched-column list instead and clears only its own bits.
-func (m *RowMerger) denseProductRow(a, b *CSR, i int, upper int64,
+// denseProductRow accumulates into the dense vector, whose cells are all
+// +0 between rows, so every column's sum starts at +0 without a store. A
+// wide row — one whose merged population nnz makes the whole bitmap
+// sweepable (wideDenseRow) — scatters every product branch-free, setting
+// its column's occupancy bit unconditionally, and is emitted by sweeping
+// every bitmap word. Any other row marks each column's first touch in the
+// bitmap and records it: a row whose touched columns are dense enough in
+// their word span is emitted by sweeping those words, and a row too sparse
+// for its span sorts its touched-column list instead. Every emit clears
+// the bits and cells it read, so both scratch arrays are all zero again
+// when the row returns.
+func (m *RowMerger) denseProductRow(a, b *CSR, i int, upper int64, nnz int,
 	outIdx []int, outVal []float64) ([]int, []float64) {
 	m.ensureDense()
+	acc, occ := m.acc, m.occupied
+	if wideDenseRow(nnz, m.cols) {
+		for ka := a.Ptr[i]; ka < a.Ptr[i+1]; ka++ {
+			av := a.Val[ka]
+			lo, hi := b.Ptr[a.Idx[ka]], b.Ptr[a.Idx[ka]+1]
+			bv := b.Val[lo:hi]
+			for kb, j := range b.Idx[lo:hi] {
+				occ[j>>6] |= uint64(1) << (uint(j) & 63)
+				acc[j] += av * bv[kb]
+			}
+		}
+		return sweepDense(acc, occ, 0, len(occ)-1, outIdx, outVal)
+	}
 	bound := int(upper)
 	if bound > m.cols {
 		bound = m.cols
 	}
 	m.ensurePairs(bound)
-	acc, occ := m.acc, m.occupied
 	touched := m.pIdx[:0]
 	lo, hi := m.cols, 0
 	for ka := a.Ptr[i]; ka < a.Ptr[i+1]; ka++ {
@@ -339,7 +374,6 @@ func (m *RowMerger) denseProductRow(a, b *CSR, i int, upper int64,
 			j := b.Idx[kb]
 			if bit := uint64(1) << (uint(j) & 63); occ[j>>6]&bit == 0 {
 				occ[j>>6] |= bit
-				acc[j] = 0
 				touched = append(touched, j)
 				lo, hi = min(lo, j), max(hi, j)
 			}
@@ -347,22 +381,31 @@ func (m *RowMerger) denseProductRow(a, b *CSR, i int, upper int64,
 		}
 	}
 	if hi>>6-lo>>6 < len(touched)<<sweepSpanShift {
-		for w := lo >> 6; w <= hi>>6; w++ {
-			word := occ[w]
-			occ[w] = 0
-			for ; word != 0; word &= word - 1 {
-				j := w<<6 | bits.TrailingZeros64(word)
-				outIdx = append(outIdx, j)
-				outVal = append(outVal, acc[j])
-			}
-		}
-		return outIdx, outVal
+		return sweepDense(acc, occ, lo>>6, hi>>6, outIdx, outVal)
 	}
 	insertionSortInts(touched)
 	for _, j := range touched {
 		occ[j>>6] &^= uint64(1) << (uint(j) & 63)
 		outIdx = append(outIdx, j)
 		outVal = append(outVal, acc[j])
+		acc[j] = 0
+	}
+	return outIdx, outVal
+}
+
+// sweepDense emits the occupied columns of bitmap words first..last in
+// column order, clearing each word and each emitted cell as it goes.
+func sweepDense(acc []float64, occ []uint64, first, last int,
+	outIdx []int, outVal []float64) ([]int, []float64) {
+	for w := first; w <= last; w++ {
+		word := occ[w]
+		occ[w] = 0
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			outIdx = append(outIdx, j)
+			outVal = append(outVal, acc[j])
+			acc[j] = 0
+		}
 	}
 	return outIdx, outVal
 }

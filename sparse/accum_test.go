@@ -1,8 +1,11 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -274,7 +277,9 @@ func streamOperands(idx []int, val []float64, cols int) (a, b *CSR) {
 // TestMergeStrategiesMatchCombineRow drives every strategy over product
 // streams — duplicate-heavy, single-column, and empty — replayed through
 // ProductRow (see streamOperands), and requires bit-identical output to
-// CombineRow, the engine's historical sort-merge.
+// CombineRow, the engine's historical sort-merge. Each runs with the
+// merged population unknown (nnz 0) and with the exact count, which sends
+// the long streams' dense rows down the wide path.
 func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 	rng := testRNG(7)
 	const cols = 1 << 14
@@ -306,18 +311,20 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 		a, b := streamOperands(idx, val, cols)
 
 		for _, kind := range allAccumKinds {
-			m := NewRowMerger(cols)
-			gotIdx, gotVal := m.ProductRow(kind, a, b, 0, int64(len(idx)), 0, nil, nil)
-			bitIdenticalRows(t, kind.String(), wantIdx, gotIdx, wantVal, gotVal)
-			if len(idx) == 0 {
-				if m.Counts != (AccumCounts{}) {
-					t.Fatalf("stream %d: empty merge counted a row: %+v", si, m.Counts)
+			for _, nnz := range []int{0, len(wantIdx)} {
+				m := NewRowMerger(cols)
+				gotIdx, gotVal := m.ProductRow(kind, a, b, 0, int64(len(idx)), nnz, nil, nil)
+				bitIdenticalRows(t, fmt.Sprintf("%v, nnz %d", kind, nnz), wantIdx, gotIdx, wantVal, gotVal)
+				if len(idx) == 0 {
+					if m.Counts != (AccumCounts{}) {
+						t.Fatalf("stream %d: empty merge counted a row: %+v", si, m.Counts)
+					}
+				} else if m.Counts.Dense+m.Counts.Hash+m.Counts.Sort != 1 {
+					t.Fatalf("stream %d (%v, nnz %d): counts %+v, want exactly one row",
+						si, kind, nnz, m.Counts)
 				}
-			} else if m.Counts.Dense+m.Counts.Hash+m.Counts.Sort != 1 {
-				t.Fatalf("stream %d (%v): counts %+v, want exactly one row",
-					si, kind, m.Counts)
+				m.Release()
 			}
-			m.Release()
 		}
 	}
 }
@@ -326,9 +333,11 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 // only products are -0 (-1 times an explicit zero, or a negative product
 // that underflows): every accumulator starts a column's sum at +0, as
 // sparse.Multiply does, so the merged entry is +0 under all four kinds.
-// The B rows cover both dense emit branches: a narrow row the bitmap
-// sweep emits, and columns 0 and 4096 of a 4097-column operand, 64 words
-// apart, which the sort fallback emits.
+// The B rows cover the three dense emit branches: a 40-column row, whose
+// one-word bitmap makes it wide, swept whole; columns 3 and 4 of a
+// 4097-column operand, too few for its 65-word bitmap but in one word,
+// which the span sweep emits; and columns 0 and 4096 of that operand, 64
+// words apart, which the sort fallback emits.
 func TestNegativeZeroMergesToPositiveZero(t *testing.T) {
 	cases := []struct {
 		name string
@@ -337,8 +346,10 @@ func TestNegativeZeroMergesToPositiveZero(t *testing.T) {
 		bIdx []int
 		bVal []float64
 	}{
-		{"explicit zero, sweep", -1, 40, []int{17}, []float64{0}},
-		{"underflow, sweep", -1e-200, 40, []int{3, 4}, []float64{1e-200, 0}},
+		{"explicit zero, wide", -1, 40, []int{17}, []float64{0}},
+		{"underflow, wide", -1e-200, 40, []int{3, 4}, []float64{1e-200, 0}},
+		{"explicit zero, span sweep", -1, 4097, []int{3, 4}, []float64{0, 0}},
+		{"underflow, span sweep", -1e-200, 4097, []int{3, 4}, []float64{1e-200, 0}},
 		{"explicit zero, sort fallback", -1, 4097, []int{0, 4096}, []float64{0, 0}},
 		{"underflow, sort fallback", 1e-200, 4097, []int{0, 4096}, []float64{-1e-200, 0}},
 	}
@@ -444,5 +455,89 @@ func TestMultiplyConfiguredStrategies(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDenseScratchZeroBetweenRows pins the invariant the dense path's
+// branch-free scatter rests on: between rows, every accumulator cell is +0
+// and every occupancy bit is clear, whichever emit branch ran and whatever
+// the other strategies did in between. One merger runs rows that land on
+// the wide row's whole-bitmap sweep, the span sweep and the sort fallback,
+// interleaved with hash and sort rows, each holding a column of only -0
+// products and one of cancelling products, and each must match CombineRow
+// bit for bit. The merger's dense vector is drawn from an arena just
+// handed a dirty buffer. Unless it already runs under BLOCKREORG_PARANOID,
+// the test then runs itself again with it set, so that buffer comes back
+// poisoned with NaN.
+func TestDenseScratchZeroBetweenRows(t *testing.T) {
+	const cols = 4097 // 65 bitmap words: a row is wide from 9 merged columns
+	negZero := math.Copysign(0, -1)
+	wide := make([]int, 0, 24)
+	for j := 0; j < cols; j += 256 {
+		wide = append(wide, j, j) // 17 columns, each twice
+	}
+	rows := []struct {
+		kind AccumulatorKind
+		idx  []int
+	}{
+		{AccumDense, wide},
+		{AccumHash, []int{7, 4000, 7, 2048}},
+		{AccumDense, []int{3, 4, 3}},          // span sweep
+		{AccumSort, []int{4096, 0, 4096}},     // sort row
+		{AccumDense, []int{0, 4096, 0, 4096}}, // sort fallback
+		{AccumHash, wide},
+		{AccumDense, []int{60, 70, 60}}, // span sweep across a word boundary
+		{AccumDense, wide},
+	}
+	// Hand the arena a dirty buffer of the accumulator's size class first,
+	// so the merger's dense vector is likely a recycled one: 1s as left, or
+	// NaN once the arena poisons what it takes back.
+	dirty := parallel.GetFloats(cols)
+	for j := range dirty {
+		dirty[j] = 1
+	}
+	parallel.PutFloats(dirty)
+	m := NewRowMerger(cols)
+	defer m.Release()
+	for r, row := range rows {
+		val := make([]float64, len(row.idx))
+		for k := range val {
+			switch k % 4 {
+			case 0:
+				val[k] = negZero
+			case 1:
+				val[k] = float64(r + 1)
+			default:
+				val[k] = -float64(k)
+			}
+		}
+		wi := append([]int(nil), row.idx...)
+		wv := append([]float64(nil), val...)
+		wantIdx, wantVal := CombineRow(wi, wv, nil, nil)
+		a, b := streamOperands(row.idx, val, cols)
+		gotIdx, gotVal := m.ProductRow(row.kind, a, b, 0, int64(len(row.idx)), len(wantIdx), nil, nil)
+		bitIdenticalRows(t, fmt.Sprintf("row %d (%v)", r, row.kind), wantIdx, gotIdx, wantVal, gotVal)
+		for j, v := range m.acc[:cols] {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("after row %d (%v): acc[%d] = %v, want +0", r, row.kind, j, v)
+			}
+		}
+		for w, word := range m.occupied {
+			if word != 0 {
+				t.Fatalf("after row %d (%v): occupancy word %d = %#x, want 0", r, row.kind, w, word)
+			}
+		}
+	}
+	if m.Counts.Dense != 5 || m.Counts.Hash != 2 || m.Counts.Sort != 1 {
+		t.Fatalf("counts %+v, want 5 dense, 2 hash, 1 sort", m.Counts)
+	}
+
+	if os.Getenv("BLOCKREORG_PARANOID") != "" || testing.Short() {
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestDenseScratchZeroBetweenRows$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "BLOCKREORG_PARANOID=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("under BLOCKREORG_PARANOID=1: %v\n%s", err, out)
 	}
 }

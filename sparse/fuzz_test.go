@@ -58,8 +58,13 @@ func FuzzReadMatrixMarket(f *testing.F) {
 // signed zeros are compared too. The seed corpus pins the hostile shapes —
 // empty rows, all-duplicate rows, streams long enough to leave the
 // auto-selector's sort path, and rows that land on each of the dense
-// path's emit branches (the bitmap sweep and the sort fallback). Every
-// strategy also runs forced, so each merge path sees every input.
+// path's emit branches (the wide row's whole-bitmap sweep, the span sweep
+// and the sort fallback), each with a column of only -0 products. Every
+// strategy also runs forced, so each merge path sees every input, and
+// every strategy runs twice: with the merged population unknown (nnz 0),
+// which keeps the dense path on its first-touch loop, and with the exact
+// count, which sends rows of at least 9 merged columns (the 65-word bitmap
+// holds at most 8 words per column) down the wide path.
 func FuzzAccumulatorMerge(f *testing.F) {
 	f.Add([]byte{})                             // empty row
 	f.Add([]byte{7, 1})                         // singleton
@@ -75,9 +80,10 @@ func FuzzAccumulatorMerge(f *testing.F) {
 		wide = append(wide, byte(i), byte(i%7+1))
 	}
 	f.Add(wide)
-	// Dense emit by bitmap sweep: the top 17 words hold 64 touched
-	// columns, through the last one, with a -0 product and a -0
-	// duplicate among them.
+	// Dense emit by whole-bitmap sweep once nnz is known, and by span
+	// sweep when it is not: the top 17 words hold 64 touched columns,
+	// through the last one, with a -0 product and a -0 duplicate among
+	// them.
 	sweep := make([]byte, 0, 2*67)
 	for i := 0; i < 64; i++ {
 		sweep = append(sweep, byte(192+i), byte(i%9+1))
@@ -87,6 +93,13 @@ func FuzzAccumulatorMerge(f *testing.F) {
 	// Dense emit by sort fallback: the first and last columns, 64 words
 	// apart, the last holding only -0 products.
 	f.Add([]byte{255, 0x80, 0, 3, 255, 0x80, 0, 4, 255, 0x80})
+	// Dense emit by span sweep at every nnz: two columns in one word, the
+	// first holding only -0 products.
+	f.Add([]byte{1, 0x80, 2, 3, 1, 0x80})
+	// Wide dense row: 9 merged columns spread over the whole bitmap, the
+	// first and the last holding only -0 products.
+	f.Add([]byte{0, 0x80, 32, 1, 64, 2, 96, 3, 128, 4, 160, 5, 192, 6, 224, 7,
+		255, 0x80, 0, 0x80, 255, 0x80, 128, 1})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		const cols = 16*256 + 1 // not a power of two: exercises table wraparound
@@ -108,18 +121,20 @@ func FuzzAccumulatorMerge(f *testing.F) {
 		wantIdx, wantVal := CombineRow(wi, wv, nil, nil)
 		a, b := streamOperands(idx, val, cols)
 		for _, kind := range allAccumKinds {
-			m := NewRowMerger(cols)
-			gotIdx, gotVal := m.ProductRow(kind, a, b, 0, int64(n), 0, nil, nil)
-			if len(gotIdx) != len(wantIdx) {
-				t.Fatalf("%v: %d entries, want %d", kind, len(gotIdx), len(wantIdx))
-			}
-			for k := range wantIdx {
-				if gotIdx[k] != wantIdx[k] || math.Float64bits(gotVal[k]) != math.Float64bits(wantVal[k]) {
-					t.Fatalf("%v: entry %d = (%d, %v), want (%d, %v)",
-						kind, k, gotIdx[k], gotVal[k], wantIdx[k], wantVal[k])
+			for _, nnz := range []int{0, len(wantIdx)} {
+				m := NewRowMerger(cols)
+				gotIdx, gotVal := m.ProductRow(kind, a, b, 0, int64(n), nnz, nil, nil)
+				if len(gotIdx) != len(wantIdx) {
+					t.Fatalf("%v, nnz %d: %d entries, want %d", kind, nnz, len(gotIdx), len(wantIdx))
 				}
+				for k := range wantIdx {
+					if gotIdx[k] != wantIdx[k] || math.Float64bits(gotVal[k]) != math.Float64bits(wantVal[k]) {
+						t.Fatalf("%v, nnz %d: entry %d = (%d, %v), want (%d, %v)",
+							kind, nnz, k, gotIdx[k], gotVal[k], wantIdx[k], wantVal[k])
+					}
+				}
+				m.Release()
 			}
-			m.Release()
 		}
 	})
 }
