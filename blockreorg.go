@@ -316,22 +316,21 @@ func Square(a *sparse.CSR, opts Options) (*Result, error) {
 // Compare runs the same multiplication under every algorithm and returns
 // the results in evaluation order. The symbolic analysis of the operands is
 // computed once and shared across the seven runs; values are skipped (the
-// algorithms' numeric agreement is enforced by the library's tests).
+// algorithms' numeric agreement is enforced by the library's tests). Faulty
+// requests are reported with the typed errors Multiply uses.
 func Compare(a, b *sparse.CSR, gpu GPU) ([]*Result, error) {
-	if gpu == "" {
-		gpu = TitanXp
-	}
-	dev, err := gpusim.ByName(string(gpu))
+	opts := Options{GPU: gpu, SkipValues: true}
+	_, kopts, err := resolveOptions(a, b, &opts)
 	if err != nil {
-		return nil, fmt.Errorf("%w: unknown GPU %q", ErrInvalidOptions, gpu)
+		return nil, err
 	}
-	pc, err := kernels.Precompute(a, b)
+	kopts.Pre, err = kernels.PrecomputeOn(a, b, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Result, 0, 7)
 	for _, alg := range kernels.All() {
-		p, err := alg.Multiply(a, b, kernels.Options{Device: dev, SkipValues: true, Pre: pc})
+		p, err := alg.Multiply(a, b, kopts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,11 @@
 package blockreorg
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"github.com/blockreorg/blockreorg/internal/datasets"
 	"github.com/blockreorg/blockreorg/sparse"
 	"github.com/blockreorg/blockreorg/sparse/rmat"
 )
@@ -159,4 +162,69 @@ func TestDevicesDiffer(t *testing.T) {
 	if times[1] >= times[0] {
 		t.Fatalf("V100 (%.3fms) not faster than Titan Xp (%.3fms)", times[1]*1e3, times[0]*1e3)
 	}
+}
+
+// TestNewPlanMatchesMultiply pins that NewPlan builds the plan Multiply
+// builds under the same options: a run driven by it reports the timing,
+// classification and product of a run driven by the cold multiply's own
+// plan, for every accumulator and executor width.
+func TestNewPlanMatchesMultiply(t *testing.T) {
+	spec, err := datasets.ByName("as-caida")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := spec.Generate(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, accum := range []string{"auto", "dense", "hash", "sort"} {
+		for _, workers := range []int{0, 1, 3} {
+			opts := Options{Accumulator: accum, Workers: workers}
+			cold, err := Multiply(a, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := NewPlan(a, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := plan.Summary(); got != *cold.Plan {
+				t.Fatalf("%s/%d: NewPlan summary %+v, Multiply %+v", accum, workers, got, *cold.Plan)
+			}
+			opts.Plan = cold.ReusablePlan()
+			hit, err := Multiply(a, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Plan = plan
+			built, err := Multiply(a, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if built.TotalSeconds != hit.TotalSeconds || built.MergeSeconds != cold.MergeSeconds {
+				t.Fatalf("%s/%d: NewPlan-driven run took %g s (merge %g); cold plan %g s, cold merge %g",
+					accum, workers, built.TotalSeconds, built.MergeSeconds, hit.TotalSeconds, cold.MergeSeconds)
+			}
+			if *built.Plan != *cold.Plan {
+				t.Fatalf("%s/%d: NewPlan-driven run classified %+v, cold %+v", accum, workers, *built.Plan, *cold.Plan)
+			}
+			if !sameBits(built.C, cold.C) {
+				t.Fatalf("%s/%d: NewPlan-driven product differs from the cold one", accum, workers)
+			}
+		}
+	}
+}
+
+// sameBits reports whether two products match in structure and in every
+// value's bit pattern.
+func sameBits(x, y *sparse.CSR) bool {
+	if !slices.Equal(x.Ptr, y.Ptr) || !slices.Equal(x.Idx, y.Idx) || len(x.Val) != len(y.Val) {
+		return false
+	}
+	for i, v := range x.Val {
+		if math.Float64bits(v) != math.Float64bits(y.Val[i]) {
+			return false
+		}
+	}
+	return true
 }

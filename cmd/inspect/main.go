@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/bits"
 	"os"
 
@@ -32,13 +33,13 @@ func main() {
 		profile = flag.Bool("profile", false, "trace the preprocessing phases and print the workload histogram")
 	)
 	flag.Parse()
-	if err := run(*file, *dataset, *scale, *alpha, *beta, *sms, *profile); err != nil {
+	if err := run(os.Stdout, *file, *dataset, *scale, *alpha, *beta, *sms, *profile); err != nil {
 		fmt.Fprintln(os.Stderr, "inspect:", err)
 		os.Exit(1)
 	}
 }
 
-func run(file, dataset string, scale int, alpha, beta float64, sms int, profile bool) error {
+func run(w io.Writer, file, dataset string, scale int, alpha, beta float64, sms int, profile bool) error {
 	var m *sparse.CSR
 	var err error
 	name := file
@@ -72,33 +73,22 @@ func run(file, dataset string, scale int, alpha, beta float64, sms int, profile 
 	stats.AddRow("rows under warp size", fmt.Sprintf("%.1f%%", 100*st.RowsUnderWarp))
 	stats.AddRow("power-law alpha (MLE)", tableio.F2(st.PowerLawAlpha))
 	stats.AddRow("skewed", fmt.Sprintf("%v", st.IsSkewed()))
-	stats.Render(os.Stdout)
-	fmt.Println()
+	stats.Render(w)
+	fmt.Fprintln(w)
 
-	// With -profile, run the preprocessing the way the pipeline does — the
-	// shared symbolic analysis feeding the plan build — under a recorder, so
-	// the phase table reflects real relative costs.
+	// The plan is built the way a Block Reorganizer run builds it — the
+	// shared symbolic analysis feeding the plan build — and with -profile
+	// under a recorder, so the phase table reflects real relative costs.
 	var rec *trace.Recorder
 	if profile {
 		rec = trace.New()
 	}
-	var plan *core.Plan
-	params := core.Params{Alpha: alpha, Beta: beta, NumSMs: sms}
-	if profile {
-		pc, err := kernels.PrecomputeTraced(m, m, nil, rec)
-		if err != nil {
-			return err
-		}
-		plan, err = core.BuildPlanTraced(m, pc.ACSC, m, pc.RowWork, pc.RowNNZ, params, rec)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		plan, err = core.BuildPlan(m, m, params)
-		if err != nil {
-			return err
-		}
+	plan, _, err := kernels.BuildPlan(m, m, kernels.Options{
+		Core:  core.Params{Alpha: alpha, Beta: beta, NumSMs: sms},
+		Trace: rec,
+	})
+	if err != nil {
+		return err
 	}
 	ps := plan.Stats()
 	cls := tableio.New(fmt.Sprintf("%s — Block Reorganizer classification for C=A² (SMs=%d)", name, sms), "population", "count", "share")
@@ -117,31 +107,31 @@ func run(file, dataset string, scale int, alpha, beta float64, sms int, profile 
 	cls.AddRow("limited merge rows", tableio.Count(int64(ps.LimitedRows)), "-")
 	cls.AddRow("nnz(Ĉ) products", tableio.Count(ps.TotalWork), "-")
 	cls.AddRow("dominator threshold", tableio.Count(ps.Threshold), "-")
-	cls.Render(os.Stdout)
+	cls.Render(w)
 
 	if profile {
-		fmt.Println()
-		renderPhases(rec.Profile())
-		fmt.Println()
-		renderHistogram(plan)
+		fmt.Fprintln(w)
+		renderPhases(w, rec.Profile())
+		fmt.Fprintln(w)
+		renderHistogram(w, plan)
 	}
 	return nil
 }
 
 // renderPhases prints the preprocessing phase breakdown recorded by the
 // traced plan build.
-func renderPhases(p *trace.Profile) {
+func renderPhases(w io.Writer, p *trace.Profile) {
 	t := tableio.New("Preprocessing phases (host wall time)", "phase", "calls", "ms", "share", "items")
 	for _, b := range p.Phases {
 		t.AddRow(b.Phase, fmt.Sprintf("%d", b.Calls), fmt.Sprintf("%.3f", b.Seconds*1e3),
 			fmt.Sprintf("%.1f%%", 100*b.Share), tableio.Count(b.Items))
 	}
-	t.Render(os.Stdout)
+	t.Render(w)
 }
 
 // renderHistogram prints the per-pair workload distribution in log2 buckets
 // with the classification split — the shape the paper's thresholds cut.
-func renderHistogram(plan *core.Plan) {
+func renderHistogram(w io.Writer, plan *core.Plan) {
 	const buckets = 24 // 2^23 ≈ 8M products per pair tops out real grids
 	type bin struct{ dom, norm, low int }
 	hist := make([]bin, buckets)
@@ -177,5 +167,5 @@ func renderHistogram(plan *core.Plan) {
 		t.AddRow(fmt.Sprintf("2^%d..2^%d", b, b+1), tableio.Count(int64(n)),
 			tableio.Count(int64(h.dom)), tableio.Count(int64(h.norm)), tableio.Count(int64(h.low)))
 	}
-	t.Render(os.Stdout)
+	t.Render(w)
 }

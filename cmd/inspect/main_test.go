@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/blockreorg/blockreorg/sparse"
@@ -9,10 +12,10 @@ import (
 )
 
 func TestRunOnDataset(t *testing.T) {
-	if err := run("", "as-caida", 32, 0, 0, 30, false); err != nil {
+	if err := run(io.Discard, "", "as-caida", 32, 0, 0, 30, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "nosuch", 32, 0, 0, 30, false); err == nil {
+	if err := run(io.Discard, "", "nosuch", 32, 0, 0, 30, false); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
@@ -26,20 +29,38 @@ func TestRunOnFile(t *testing.T) {
 	if err := sparse.WriteMatrixMarketFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(path, "", 0, 20, 5, 80, true); err != nil {
+	if err := run(io.Discard, path, "", 0, 20, 5, 80, true); err != nil {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(t.TempDir(), "m.csrs")
 	if err := sparse.WriteSegmentedFile(seg, m, 128); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(seg, "", 0, 20, 5, 80, false); err != nil {
+	if err := run(io.Discard, seg, "", 0, 20, 5, 80, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(filepath.Join(t.TempDir(), "missing.mtx"), "", 0, 0, 0, 30, false); err == nil {
+	if err := run(io.Discard, filepath.Join(t.TempDir(), "missing.mtx"), "", 0, 0, 0, 30, false); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	if err := run("", "", 0, 0, 0, 30, false); err == nil {
+	if err := run(io.Discard, "", "", 0, 0, 0, 30, false); err == nil {
 		t.Fatal("no input accepted")
+	}
+}
+
+// TestProfileKeepsClassification pins that -profile only adds tables: the
+// distribution and classification it prints are those of a plain run.
+func TestProfileKeepsClassification(t *testing.T) {
+	var plain, profiled bytes.Buffer
+	if err := run(&plain, "", "as-caida", 32, 0, 0, 30, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&profiled, "", "as-caida", 32, 0, 0, 30, true); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plain.String(), "dominators") {
+		t.Fatalf("plain run printed no classification:\n%s", plain.String())
+	}
+	if !strings.HasPrefix(profiled.String(), plain.String()) {
+		t.Fatalf("-profile changed the classification:\nplain:\n%s\nprofiled:\n%s", plain.String(), profiled.String())
 	}
 }

@@ -163,6 +163,12 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := blockreorg.Compare(a, a, "no-such-gpu"); !errors.Is(err, blockreorg.ErrInvalidOptions) {
 		t.Fatalf("compare with bad GPU: got %v, want ErrInvalidOptions", err)
 	}
+	if _, err := blockreorg.Compare(nil, nil, ""); !errors.Is(err, blockreorg.ErrInvalidOptions) {
+		t.Fatalf("compare with nil operands: got %v, want ErrInvalidOptions", err)
+	}
+	if _, err := blockreorg.Compare(sparse.NewCSR(3, 4), sparse.NewCSR(5, 2), ""); !errors.Is(err, blockreorg.ErrDimensionMismatch) {
+		t.Fatalf("compare with mismatched shapes: got %v, want ErrDimensionMismatch", err)
+	}
 
 	// A plan bound to other operands must be rejected, not silently
 	// rebuilt: the caller's cache bookkeeping is wrong.

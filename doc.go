@@ -22,10 +22,11 @@
 // The Block Reorganizer's preprocessing depends only on the operands'
 // sparsity structure, so it can be paid once and reused: NewPlan builds a
 // reusable Plan, Plan.Rebind carries it to later operands with the same
-// pattern, and Options.Plan drives a multiplication with it. PlanCache
-// packages that sequence as a keyed LRU (PlanKeyFor builds the key, Bind
-// looks up and rebinds, Put stores the run's plan); the server, the
-// pipeline runner and the out-of-core engine all use it.
+// pattern, and Options.Plan drives a multiplication with it. PlanCache is
+// that sequence behind one call: PlanCache.Multiply keys the request on
+// the operands' structure fingerprints and plan-shaping options, rebinds
+// a cached plan on a hit, and stores the run's plan. The server, the
+// pipeline runner and the out-of-core engine all multiply through it.
 //
 // # Observability
 //

@@ -86,6 +86,36 @@ func ExampleNewPlan() {
 	// Output: plan reused: true, pairs classified: true
 }
 
+// ExamplePlanCache_Multiply multiplies through a structure-keyed plan
+// cache: the first request builds and stores the plan, and a request with
+// the same sparsity structure — here the same network re-weighted — rebinds
+// it and skips the preprocessing.
+func ExamplePlanCache_Multiply() {
+	g, err := rmat.PowerLaw(3000, 30000, 2.0, 11)
+	if err != nil {
+		panic(err)
+	}
+	h := g.Clone()
+	for k := range h.Val {
+		h.Val[k] *= 2
+	}
+	cache := blockreorg.NewPlanCache(8)
+	for _, m := range []*sparse.CSR{g, h} {
+		fp := m.StructureFingerprint()
+		res, err := cache.Multiply(context.Background(), m, m, fp, fp, blockreorg.Options{SkipValues: true})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("plan reused: %v\n", res.PlanReused)
+	}
+	st := cache.Stats()
+	fmt.Printf("hits %d, misses %d, entries %d\n", st.Hits, st.Misses, st.Size)
+	// Output:
+	// plan reused: false
+	// plan reused: true
+	// hits 1, misses 1, entries 1
+}
+
 // ExamplePlan_Rebind carries one preprocessing plan to new operands with the
 // same sparsity pattern but different values — the serving layer's
 // plan-cache hit.

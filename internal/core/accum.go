@@ -14,14 +14,9 @@ import (
 // The assignment depends only on the operand structure and the requested
 // kind, so rebound plans (Rebind) keep it.
 type AccumPlan struct {
-	// Requested is the kind the caller asked for; Rows holds the per-row
-	// resolution (Requested itself unless it was sparse.AccumAuto).
-	Requested sparse.AccumulatorKind
-	Rows      []sparse.AccumulatorKind
-	// Counts tallies the assigned rows per strategy, skipping zero-work
-	// rows (they merge through no strategy at all). The three fields sum
-	// to the product's populated row count.
-	Counts sparse.AccumCounts
+	// Rows holds the per-row resolution of the requested kind (the kind
+	// itself unless it was sparse.AccumAuto).
+	Rows []sparse.AccumulatorKind
 	// Cols is the output dimension the selection was made against; the
 	// merge cost model derives the sort strategy's radix pass count from
 	// it.
@@ -34,24 +29,11 @@ type AccumPlan struct {
 // only the Rows array.
 func BuildAccumPlan(requested sparse.AccumulatorKind, rowWork []int64, cols int) *AccumPlan {
 	ap := &AccumPlan{
-		Requested: requested,
-		Rows:      make([]sparse.AccumulatorKind, len(rowWork)),
-		Cols:      cols,
+		Rows: make([]sparse.AccumulatorKind, len(rowWork)),
+		Cols: cols,
 	}
 	for i, w := range rowWork {
-		kind := sparse.SelectAccumulator(requested, w, cols)
-		ap.Rows[i] = kind
-		if w == 0 {
-			continue
-		}
-		switch kind {
-		case sparse.AccumHash:
-			ap.Counts.Hash++
-		case sparse.AccumSort:
-			ap.Counts.Sort++
-		default:
-			ap.Counts.Dense++
-		}
+		ap.Rows[i] = sparse.SelectAccumulator(requested, w, cols)
 	}
 	return ap
 }

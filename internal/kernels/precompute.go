@@ -28,19 +28,10 @@ type Precomputed struct {
 	ACSC    *sparse.CSC
 }
 
-// Precompute runs the shared symbolic analysis for C = A×B on the
-// process-wide default executor.
-func Precompute(a, b *sparse.CSR) (*Precomputed, error) {
-	if err := checkShapes(a, b); err != nil {
-		return nil, err
-	}
-	return PrecomputeOn(a, b, nil)
-}
-
-// PrecomputeOn is Precompute on an explicit executor (nil selects the
-// process-wide default): both O(flops) sweeps — the intermediate-population
-// estimate and the symbolic row populations — run as chunked parallel
-// loops with pooled scratch.
+// PrecomputeOn runs the shared symbolic analysis for C = A×B on an
+// explicit executor (nil selects the process-wide default): both O(flops)
+// sweeps — the intermediate-population estimate and the symbolic row
+// populations — run as chunked parallel loops with pooled scratch.
 func PrecomputeOn(a, b *sparse.CSR, ex *parallel.Executor) (*Precomputed, error) {
 	if err := checkShapes(a, b); err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ func TestPrecomputeMatchesDirect(t *testing.T) {
 	rng := testRNG(71)
 	a := randomCSR(rng, 40, 30, 0.2)
 	b := randomCSR(rng, 30, 50, 0.2)
-	pc, err := Precompute(a, b)
+	pc, err := PrecomputeOn(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +32,12 @@ func TestPrecomputeMatchesDirect(t *testing.T) {
 }
 
 func TestPrecomputeShapeGuards(t *testing.T) {
-	if _, err := Precompute(sparse.NewCSR(2, 3), sparse.NewCSR(4, 2)); err == nil {
+	if _, err := PrecomputeOn(sparse.NewCSR(2, 3), sparse.NewCSR(4, 2), nil); err == nil {
 		t.Fatal("mismatched precompute accepted")
 	}
 	a := sparse.NewCSR(3, 4)
 	b := sparse.NewCSR(4, 5)
-	pc, err := Precompute(a, b)
+	pc, err := PrecomputeOn(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPrecomputedResultsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := Precompute(m, m)
+	pc, err := PrecomputeOn(m, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPrecomputedResultsIdentical(t *testing.T) {
 func TestPrecomputedMismatchIgnored(t *testing.T) {
 	a, _ := rmat.PowerLaw(500, 4000, 2.2, 73)
 	other, _ := rmat.PowerLaw(600, 4000, 2.2, 74)
-	wrongPC, err := Precompute(other, other)
+	wrongPC, err := PrecomputeOn(other, other, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,23 +21,24 @@ func (Reorganizer) Name() string { return "Block-Reorganizer" }
 
 // Multiply implements Algorithm.
 func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
-	if err := checkInputs(a, b, opts); err != nil {
-		return nil, err
-	}
-	sim, err := simFor(opts)
-	if err != nil {
-		return nil, err
-	}
 	// Plan-cache fast path: a caller-supplied plan bound to these exact
 	// operands skips construction — and, below, the precalculation kernel
 	// the plan's front-loaded analysis replaces.
 	plan := opts.Plan
 	reused := plan.BoundTo(a, b)
 	var pc *Precomputed
-	if reused {
-		if opts.Pre.matches(a, b) {
-			pc = opts.Pre
-		} else {
+	var err error
+	if !reused {
+		plan, pc, err = BuildPlan(a, b, opts)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		if err := checkInputs(a, b, opts); err != nil {
+			return nil, err
+		}
+		pc = opts.Pre
+		if !pc.matches(a, b) {
 			// The merge kernel still needs the structure-only row
 			// populations. The plan stashed them at build time (they
 			// survive Rebind, being structure-only), so a cache hit pays
@@ -51,25 +52,10 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 				ACSC:    plan.ACSC,
 			}
 		}
-	} else {
-		params := opts.Core
-		if params.NumSMs == 0 {
-			params.NumSMs = opts.Device.NumSMs
-		}
-		if params.Accumulator == sparse.AccumAuto {
-			// An explicit Core.Accumulator wins (plans stay
-			// self-describing); otherwise the run-level knob flows into the
-			// plan's strategy assignment.
-			params.Accumulator = opts.Accumulator
-		}
-		pc, err = pre(opts, a, b)
-		if err != nil {
-			return nil, err
-		}
-		plan, err = core.BuildPlanTraced(a, pc.ACSC, b, pc.RowWork, pc.RowNNZ, params, opts.Trace)
-		if err != nil {
-			return nil, err
-		}
+	}
+	sim, err := simFor(opts)
+	if err != nil {
+		return nil, err
 	}
 	if reused {
 		// The cached-plan path skips BuildPlanTraced, so record the plan's
@@ -127,6 +113,36 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 	prod.C = c
 	prod.NNZC = int64(c.NNZ())
 	return prod, nil
+}
+
+// BuildPlan runs the Block Reorganizer preprocessing for C = A×B under
+// opts — the shared symbolic analysis (opts.Pre when it matches, otherwise
+// fresh sweeps on the run's executor), classification, B-Splitting,
+// B-Gathering and B-Limiting — and returns the plan with that analysis.
+// Every plan is built here: by a cold Reorganizer run, blockreorg.NewPlan
+// and cmd/inspect. Core.NumSMs defaults to the device's SM count, and an
+// explicit Core.Accumulator wins over opts.Accumulator so plans stay
+// self-describing.
+func BuildPlan(a, b *sparse.CSR, opts Options) (*core.Plan, *Precomputed, error) {
+	if err := checkInputs(a, b, opts); err != nil {
+		return nil, nil, err
+	}
+	params := opts.Core
+	if params.NumSMs == 0 {
+		params.NumSMs = opts.Device.NumSMs
+	}
+	if params.Accumulator == sparse.AccumAuto {
+		params.Accumulator = opts.Accumulator
+	}
+	pc, err := pre(opts, a, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := core.BuildPlanTraced(a, pc.ACSC, b, pc.RowWork, pc.RowNNZ, params, opts.Trace)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan, pc, nil
 }
 
 // simulatePlan appends the plan's expansion and merge kernel results to

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // The arenas pool the scratch every numeric phase needs — dense float64
@@ -33,15 +32,6 @@ const (
 // PoisonFloat returns the float64 poison (NaN; a function because NaN is
 // not a constant).
 func PoisonFloat() float64 { return math.NaN() }
-
-// pooling gates the arenas: when disabled every Get allocates and every
-// Put discards, reproducing the library's pre-arena allocation behavior.
-// The benchmark harness flips it to measure the arenas' contribution.
-var poolingDisabled atomic.Bool
-
-// SetPooling enables or disables buffer recycling process-wide. Intended
-// for the benchmark harness and tests; leave it on in production.
-func SetPooling(on bool) { poolingDisabled.Store(!on) }
 
 // sizeClass returns the pool class for a request of n elements: the
 // smallest c with 1<<c >= n.
@@ -77,14 +67,12 @@ var (
 func (a *arena[T]) get(n int) []T {
 	stats.arenaGets.Add(1)
 	c := sizeClass(n)
-	if !poolingDisabled.Load() {
-		if v := a.classes[c].Get(); v != nil {
-			h := v.(*[]T)
-			s := (*h)[:n]
-			*h = nil
-			a.headers.Put(h)
-			return s
-		}
+	if v := a.classes[c].Get(); v != nil {
+		h := v.(*[]T)
+		s := (*h)[:n]
+		*h = nil
+		a.headers.Put(h)
+		return s
 	}
 	stats.arenaNews.Add(1)
 	return make([]T, n, 1<<c)
@@ -93,7 +81,7 @@ func (a *arena[T]) get(n int) []T {
 // put recycles a buffer obtained from get, filling it with poison first
 // under Paranoid mode.
 func (a *arena[T]) put(s []T, poison T) {
-	if cap(s) == 0 || poolingDisabled.Load() {
+	if cap(s) == 0 {
 		return
 	}
 	c := sizeClass(cap(s))

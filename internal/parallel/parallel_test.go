@@ -210,20 +210,6 @@ func TestArenaPoison(t *testing.T) {
 	PutInts(s2)
 }
 
-func TestArenaPoolingDisabled(t *testing.T) {
-	SetPooling(false)
-	defer SetPooling(true)
-	before := ReadStats()
-	s := GetInts(128)
-	PutInts(s)
-	s2 := GetInts(128)
-	PutInts(s2)
-	after := ReadStats()
-	if news := after.ArenaNews - before.ArenaNews; news != 2 {
-		t.Fatalf("pooling disabled: want 2 fresh allocations, got %d", news)
-	}
-}
-
 func TestSizeClass(t *testing.T) {
 	cases := map[int]int{0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 1024: 10, 1025: 11}
 	for n, want := range cases {

@@ -138,9 +138,10 @@ const (
 	CounterPipelinePlanMisses = "pipeline_plan_misses"
 	CounterPipelinePruned     = "pipeline_pruned_entries"
 	// Accumulator selection: rows merged per strategy (see
-	// sparse.AccumulatorKind). Recorded once per multiply — by the plan
-	// for reorganized runs, by the host engine otherwise — so the three
-	// counters sum to the product's populated row count.
+	// sparse.AccumulatorKind). Recorded once per numeric product by the
+	// host engine (sparse.MultiplyConfigured), for every algorithm, so the
+	// three counters sum to the product's populated row count; runs with
+	// SkipValues merge nothing and record none.
 	CounterAccumDenseRows = "accum_rows_dense"
 	CounterAccumHashRows  = "accum_rows_hash"
 	CounterAccumSortRows  = "accum_rows_sort"

@@ -4,9 +4,9 @@
 //
 // The engine partitions A into row panels and B into column panels sized
 // by a byte Budget and streams panel pairs through the in-memory planned
-// multiply (blockreorg.NewPlan / Plan.Rebind, with a blockreorg.PlanCache
-// keyed on the tile pair's structure so iterative workloads reuse tile
-// preprocessing across iterations). The tile loop runs one row panel at a
+// multiply (blockreorg.PlanCache.Multiply, keyed on the tile pair's
+// structure, so iterative workloads reuse tile preprocessing across
+// iterations; the multiply runs on the tile loop's goroutine). The tile loop runs one row panel at a
 // time: A's panel I meets every B column panel, and output row panel I is
 // emitted before panel I+1 is loaded — streamed to disk in the segmented
 // container format, or copied into a product the caller gets as a

@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -574,16 +575,10 @@ func (e *Engine) tile(aPanel *sparse.CSR, fpA uint64, bPanel *sparse.CSR, fpB ui
 		Accumulator: e.opts.Accumulator,
 		Trace:       e.opts.Trace,
 	}
-	key, cacheable := blockreorg.PlanKeyFor(fpA, fpB, mopts)
-	if cacheable {
-		mopts.Plan = e.plans.Bind(key, aPanel, bPanel)
-	}
-	res, err := blockreorg.Multiply(aPanel, bPanel, mopts)
+	// A Background context runs the multiply on this goroutine.
+	res, err := e.plans.Multiply(context.Background(), aPanel, bPanel, fpA, fpB, mopts)
 	if err != nil {
 		return nil, err
-	}
-	if cacheable {
-		e.plans.Put(key, res.ReusablePlan())
 	}
 	if res.PlanReused {
 		e.stats.PlanHits++

@@ -127,7 +127,7 @@ func TestPowerIterateExecuteVsExecuteOnBitIdentity(t *testing.T) {
 	}
 
 	// Same property one layer down, on the primitives themselves.
-	pc, err := kernels.Precompute(a, a)
+	pc, err := kernels.PrecomputeOn(a, a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

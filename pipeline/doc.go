@@ -17,8 +17,9 @@
 //
 // The Runner is where the serving stack's machinery finally meets an
 // iterative consumer. Every expansion step funnels through one multiply
-// path backed by a per-run blockreorg.PlanCache, keyed (PlanKeyFor) on the
-// operands' structure fingerprints and the run's options: when an iteration multiplies operands whose sparsity
+// path, a per-run blockreorg.PlanCache's Multiply, keyed on the operands'
+// structure fingerprints and the run's options: when an iteration
+// multiplies operands whose sparsity
 // pattern was seen before — a fixed operand in a power chain, or an MCL
 // iterate whose structure has stabilized — the cached preprocessing plan
 // is rebound to the new values (Plan.Rebind) and the precalculation phase

@@ -278,32 +278,25 @@ func (r *Runner) planReusable() bool {
 	return r.opts.Algorithm == "" || r.opts.Algorithm == blockreorg.BlockReorganizer
 }
 
-// multiply runs one expansion product through the engine, consulting the
-// run's plan cache first. On a structural hit the cached plan is rebound
-// to the new operands (Plan.Rebind, O(nnz(A))) and supplied through
-// Options.Plan so the multiply skips its precalculation; either way the
-// run's plan is cached afterwards, so the cache always holds the latest
-// binding.
+// multiply runs one expansion product through the run's plan cache
+// (blockreorg.PlanCache.Multiply): a structural hit is rebound to the new
+// operands and skips the precalculation. Without a cache (plan reuse off,
+// or an algorithm that builds no plans) the fingerprints are not taken.
 func (st *State) multiply(a, b *sparse.CSR) (*sparse.CSR, error) {
 	rs := st.run
 	if rs.ooc != nil {
 		return st.multiplyOOC(a, b)
 	}
 	opts := rs.runner.multiplyOptions()
-	var key blockreorg.PlanKey
-	cacheable := false
+	var fpA, fpB uint64
 	if rs.cache != nil {
-		key, cacheable = blockreorg.PlanKeyFor(a.StructureFingerprint(), b.StructureFingerprint(), opts)
-		if cacheable {
-			opts.Plan = rs.cache.Bind(key, a, b)
-		}
+		fpA, fpB = a.StructureFingerprint(), b.StructureFingerprint()
 	}
-	res, err := blockreorg.MultiplyContext(rs.ctx, a, b, opts)
+	res, err := rs.cache.Multiply(rs.ctx, a, b, fpA, fpB, opts)
 	if err != nil {
 		return nil, err
 	}
-	if cacheable {
-		rs.cache.Put(key, res.ReusablePlan())
+	if rs.cache != nil {
 		if res.PlanReused {
 			rs.hits++
 			rs.trace.Add(trace.CounterPipelinePlanHits, 1)

@@ -28,10 +28,11 @@ type Plan struct {
 }
 
 // NewPlan runs the full Block Reorganizer preprocessing for C = A×B under
-// opts and returns the reusable plan, bound to (a, b). The GPU and tuning
-// fields of opts are honored (the device's SM count shapes the dominator
-// threshold); Algorithm must be BlockReorganizer or empty. Faulty requests
-// are reported via the package's typed errors.
+// opts and returns the reusable plan, bound to (a, b). It builds exactly
+// the plan a Multiply with the same opts builds on its own: the GPU (whose
+// SM count shapes the dominator threshold), tuning, Accumulator, Workers
+// and Trace fields are honored. Algorithm must be BlockReorganizer or
+// empty. Faulty requests are reported via the package's typed errors.
 func NewPlan(a, b *sparse.CSR, opts Options) (*Plan, error) {
 	if opts.Algorithm != "" && opts.Algorithm != BlockReorganizer {
 		return nil, fmt.Errorf("%w: plans exist only for the %s algorithm, got %q",
@@ -43,15 +44,7 @@ func NewPlan(a, b *sparse.CSR, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc, err := kernels.PrecomputeTraced(a, b, nil, opts.Trace)
-	if err != nil {
-		return nil, err
-	}
-	params := kopts.Core
-	if params.NumSMs == 0 {
-		params.NumSMs = kopts.Device.NumSMs
-	}
-	cp, err := core.BuildPlanTraced(a, pc.ACSC, b, pc.RowWork, pc.RowNNZ, params, opts.Trace)
+	cp, pc, err := kernels.BuildPlan(a, b, kopts)
 	if err != nil {
 		return nil, err
 	}
@@ -110,8 +103,13 @@ func (p *Plan) Summary() PlanSummary {
 // background on its goroutine and is discarded, while the caller gets
 // ctx.Err() immediately. That trade (bounded caller latency over bounded
 // background work) is what a serving layer with per-request deadlines
-// wants; batch callers with no deadline should use Multiply.
+// wants; batch callers with no deadline should use Multiply. A context
+// that can never be done (ctx.Done() is nil, as for context.Background)
+// runs the multiplication on the caller's goroutine.
 func MultiplyContext(ctx context.Context, a, b *sparse.CSR, opts Options) (*Result, error) {
+	if ctx.Done() == nil {
+		return Multiply(a, b, opts)
+	}
 	// Validate first so a doomed request never launches a goroutine.
 	if _, _, err := resolveOptions(a, b, &opts); err != nil {
 		return nil, err

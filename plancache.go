@@ -2,17 +2,18 @@ package blockreorg
 
 import (
 	"container/list"
+	"context"
 	"sync"
 
 	"github.com/blockreorg/blockreorg/sparse"
 )
 
-// PlanKey identifies a reusable preprocessing plan: the sparsity
+// planKey identifies a reusable preprocessing plan: the sparsity
 // fingerprints of both operands (values excluded — refreshing a network's
 // weights keeps its plans hot) plus every option that shapes the
 // classification thresholds, the split/gather/limit decisions and the
-// per-row accumulator assignment. Build one with PlanKeyFor.
-type PlanKey struct {
+// per-row accumulator assignment. Build one with planKeyFor.
+type planKey struct {
 	fpA, fpB                                  uint64
 	gpu                                       GPU
 	alpha, beta                               float64
@@ -21,31 +22,33 @@ type PlanKey struct {
 	accum                                     sparse.AccumulatorKind
 }
 
-// PlanKeyFor returns the cache key of the plan a Block Reorganizer run of
+// planKeyFor returns the cache key of the plan a Block Reorganizer run of
 // operands with structure fingerprints fpA and fpB under opts builds. The
 // GPU, accumulator and tuning values are normalized the way Multiply
 // resolves them, so "" and TitanXp, "" and "auto", or a zero Alpha and
 // the default α share entries. ok is false when opts cannot produce a
-// reusable plan — another algorithm, or an accumulator name or tuning
-// value Multiply will reject — and such runs should bypass the cache. Rejecting a NaN threshold here also keeps every key equal to
-// itself, which the cache's map lookups and evictions rely on.
-func PlanKeyFor(fpA, fpB uint64, opts Options) (PlanKey, bool) {
-	if opts.Algorithm != "" && opts.Algorithm != BlockReorganizer {
-		return PlanKey{}, false
+// reusable plan — another algorithm, an accumulator name or tuning value
+// Multiply will reject, or a plan of the caller's own in opts.Plan — and
+// such runs bypass the cache. Rejecting a NaN threshold here also keeps
+// every key equal to itself, which the cache's map lookups and evictions
+// rely on.
+func planKeyFor(fpA, fpB uint64, opts Options) (planKey, bool) {
+	if opts.Plan != nil || opts.Algorithm != "" && opts.Algorithm != BlockReorganizer {
+		return planKey{}, false
 	}
 	params, err := opts.coreParams().Normalize()
 	if err != nil {
-		return PlanKey{}, false
+		return planKey{}, false
 	}
 	accum, err := sparse.ParseAccumulator(opts.Accumulator)
 	if err != nil {
-		return PlanKey{}, false
+		return planKey{}, false
 	}
 	gpu := opts.GPU
 	if gpu == "" {
 		gpu = TitanXp
 	}
-	return PlanKey{
+	return planKey{
 		fpA: fpA, fpB: fpB,
 		gpu:           gpu,
 		alpha:         params.Alpha,
@@ -67,21 +70,15 @@ type CacheStats struct {
 
 // PlanCache is a structure-keyed LRU of reusable Block Reorganizer plans:
 // the one cache behind the serving layer, the pipeline runner and the
-// out-of-core tile loop. Every caller runs the same sequence:
-//
-//	key, ok := PlanKeyFor(fpA, fpB, opts)
-//	opts.Plan = cache.Bind(key, a, b) // when ok
-//	res, err := Multiply(a, b, opts)
-//	cache.Put(key, res.ReusablePlan()) // when ok and err == nil
-//
+// out-of-core tile loop, all of which multiply through PlanCache.Multiply.
 // It is safe for concurrent use; cached plans are immutable, so one entry
 // may be bound by any number of goroutines at once. A nil *PlanCache is a
-// disabled cache: Bind always misses without counting and Put drops.
+// disabled cache: its Multiply is a plain MultiplyContext.
 type PlanCache struct {
 	mu        sync.Mutex
 	capacity  int
 	order     *list.List // front = most recently used
-	items     map[PlanKey]*list.Element
+	items     map[planKey]*list.Element
 	hits      uint64
 	misses    uint64
 	evictions uint64
@@ -89,7 +86,7 @@ type PlanCache struct {
 
 // cacheSlot is the list payload: the key is carried for eviction.
 type cacheSlot struct {
-	key  PlanKey
+	key  planKey
 	plan *Plan
 }
 
@@ -102,19 +99,43 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{
 		capacity: capacity,
 		order:    list.New(),
-		items:    make(map[PlanKey]*list.Element),
+		items:    make(map[planKey]*list.Element),
 	}
 }
 
-// Bind returns the plan cached under k rebound to (a, b), ready for
+// Multiply is MultiplyContext through the cache. A Block Reorganizer
+// request whose operands have structure fingerprints fpA and fpB
+// (sparse.CSR.StructureFingerprint) looks up the plan cached for them and
+// its plan-shaping options; a hit is rebound to (a, b) in O(nnz(A)) and
+// drives the run, skipping the precalculation; either way the run's plan
+// is stored afterwards, so the entry always holds the latest binding. A
+// cached plan that fails to rebind (a fingerprint collision) counts as a
+// miss and is replaced. Requests that cannot yield a reusable plan —
+// another algorithm, options Multiply rejects, or a plan of the caller's
+// own in opts.Plan — bypass the cache without being counted, as does
+// every request to a nil cache. A failed multiply stores nothing.
+func (c *PlanCache) Multiply(ctx context.Context, a, b *sparse.CSR, fpA, fpB uint64, opts Options) (*Result, error) {
+	k, cacheable := planKeyFor(fpA, fpB, opts)
+	cacheable = cacheable && c != nil
+	if cacheable {
+		opts.Plan = c.bind(k, a, b)
+	}
+	res, err := MultiplyContext(ctx, a, b, opts)
+	if err != nil {
+		return nil, err
+	}
+	if cacheable {
+		c.put(k, res.ReusablePlan())
+	}
+	return res, nil
+}
+
+// bind returns the plan cached under k rebound to (a, b), ready for
 // Options.Plan, and marks the entry most recently used. It returns nil on
 // a miss. A cached plan that fails to rebind — a fingerprint collision —
-// counts as a miss, so the caller builds a fresh plan and Puts it over
+// counts as a miss, so the caller builds a fresh plan and puts it over
 // the colliding entry.
-func (c *PlanCache) Bind(k PlanKey, a, b *sparse.CSR) *Plan {
-	if c == nil {
-		return nil
-	}
+func (c *PlanCache) bind(k planKey, a, b *sparse.CSR) *Plan {
 	c.mu.Lock()
 	var cached *Plan
 	if el, ok := c.items[k]; ok {
@@ -138,13 +159,10 @@ func (c *PlanCache) Bind(k PlanKey, a, b *sparse.CSR) *Plan {
 	return bound
 }
 
-// Put stores p under k, evicting the least recently used entry when the
+// put stores p under k, evicting the least recently used entry when the
 // cache is full. Re-putting an existing key replaces its plan with the
-// latest binding and refreshes its recency. Nil plans are dropped.
-func (c *PlanCache) Put(k PlanKey, p *Plan) {
-	if c == nil || p == nil {
-		return
-	}
+// latest binding and refreshes its recency.
+func (c *PlanCache) put(k planKey, p *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {

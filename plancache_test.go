@@ -1,6 +1,7 @@
 package blockreorg
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -10,77 +11,73 @@ import (
 	"github.com/blockreorg/blockreorg/sparse/rmat"
 )
 
-// cacheKey builds a distinct key per index.
-func cacheKey(i int) PlanKey {
-	return PlanKey{fpA: uint64(i), fpB: uint64(i) ^ 0xabcd, gpu: TitanXp}
-}
-
-// dummyPlan builds a real (small) plan so the cache holds live values,
-// and returns the operand it is bound to (as both A and B).
-func dummyPlan(t *testing.T) (*Plan, *sparse.CSR) {
+// cacheOperand returns a small operand for cache tests.
+func cacheOperand(t *testing.T) *sparse.CSR {
 	t.Helper()
 	a, err := rmat.PowerLaw(40, 200, 2.1, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlan(a, a, Options{})
+	return a
+}
+
+// cachedSquare multiplies a×a through c under fingerprints standing in for
+// entry i, so tests choose the entry a request lands on, and reports
+// whether the run reused a cached plan.
+func cachedSquare(t *testing.T, c *PlanCache, a *sparse.CSR, i int, opts Options) bool {
+	t.Helper()
+	opts.SkipValues = true
+	res, err := c.Multiply(context.Background(), a, a, uint64(i), uint64(i)^0xabcd, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, a
+	return res.PlanReused
 }
 
 func TestPlanCacheLRU(t *testing.T) {
-	p, a := dummyPlan(t)
+	a := cacheOperand(t)
 	c := NewPlanCache(2)
-	bind := func(i int) bool { return c.Bind(cacheKey(i), a, a) != nil }
+	hit := func(i int) bool { return cachedSquare(t, c, a, i, Options{}) }
 
-	if bind(1) {
+	if hit(1) {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.Put(cacheKey(1), p)
-	c.Put(cacheKey(2), p)
-	if !bind(1) {
-		t.Fatal("key 1 missing before eviction")
+	if !hit(1) {
+		t.Fatal("the stored plan missed")
 	}
-	// Key 1 is now most recent; inserting key 3 must evict key 2.
-	c.Put(cacheKey(3), p)
-	if bind(2) {
-		t.Fatal("LRU evicted the wrong entry (key 2 survived)")
+	hit(2)
+	hit(1)
+	// Entry 1 is now most recent; a miss on entry 3 must evict entry 2.
+	if hit(3) {
+		t.Fatal("fresh entry 3 hit")
 	}
-	if !bind(1) {
-		t.Fatal("recently used key 1 was evicted")
+	if !hit(1) {
+		t.Fatal("recently used entry 1 was evicted")
 	}
-	if !bind(3) {
-		t.Fatal("fresh key 3 missing")
+	if !hit(3) {
+		t.Fatal("entry 3 missing")
+	}
+	if hit(2) {
+		t.Fatal("LRU evicted the wrong entry (entry 2 survived)")
 	}
 
 	st := c.Stats()
-	if st.Evictions != 1 || st.Size != 2 || st.Capacity != 2 {
+	if st.Evictions != 2 || st.Size != 2 || st.Capacity != 2 {
 		t.Fatalf("stats after eviction: %+v", st)
 	}
-	// hits: 1(pre) + 1 + 3 misses: initial + key-2 probe
-	if st.Hits != 3 || st.Misses != 2 {
+	if st.Hits != 4 || st.Misses != 4 {
 		t.Fatalf("hit accounting: %+v", st)
 	}
 
-	// Re-putting refreshes rather than duplicating.
-	c.Put(cacheKey(3), p)
+	// A hit stores its rebinding over the entry rather than beside it.
+	hit(2)
 	if n := c.Stats().Size; n != 2 {
-		t.Fatalf("re-put grew the cache to %d", n)
+		t.Fatalf("re-storing grew the cache to %d", n)
 	}
 
-	// Keys differing only in tuning are distinct.
-	k := cacheKey(1)
-	k.alpha = 0.5
-	if c.Bind(k, a, a) != nil {
-		t.Fatal("tuning-variant key matched the base entry")
-	}
-
-	// Nil plans are never admitted.
-	c.Put(cacheKey(9), nil)
-	if bind(9) {
-		t.Fatal("nil plan was cached")
+	// Requests differing only in tuning use distinct entries.
+	if cachedSquare(t, c, a, 2, Options{Alpha: 4}) {
+		t.Fatal("tuning-variant request hit the base entry")
 	}
 }
 
@@ -92,31 +89,63 @@ func TestPlanCacheMinimumCapacity(t *testing.T) {
 }
 
 // TestPlanCacheBindRebindFailure: a cached plan whose cheap invariants do
-// not match the operands (a fingerprint collision) is not handed out and
-// counts as a miss, not a hit.
+// not match the operands (a fingerprint collision) is not used; the
+// request counts as a miss, multiplies cold and replaces the entry.
 func TestPlanCacheBindRebindFailure(t *testing.T) {
-	p, _ := dummyPlan(t)
+	a := cacheOperand(t)
 	other, err := rmat.PowerLaw(60, 300, 2.1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewPlanCache(4)
-	c.Put(cacheKey(1), p)
-	if got := c.Bind(cacheKey(1), other, other); got != nil {
-		t.Fatal("Bind returned a plan that cannot be bound to the operands")
+	cachedSquare(t, c, a, 1, Options{})
+	if cachedSquare(t, c, other, 1, Options{}) {
+		t.Fatal("a plan that cannot be bound to the operands drove the run")
 	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("rebind failure counted as %d hits, %d misses; want 0 and 1", st.Hits, st.Misses)
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 || st.Size != 1 {
+		t.Fatalf("after the collision: %+v; want 0 hits, 2 misses, 1 entry", st)
+	}
+	if !cachedSquare(t, c, other, 1, Options{}) {
+		t.Fatal("the colliding entry was not replaced")
 	}
 }
 
 // TestPlanCacheNil: a nil cache is a disabled one.
 func TestPlanCacheNil(t *testing.T) {
-	p, a := dummyPlan(t)
+	a := cacheOperand(t)
 	var c *PlanCache
-	c.Put(cacheKey(1), p)
-	if c.Bind(cacheKey(1), a, a) != nil {
-		t.Fatal("nil cache reported a hit")
+	for i := 0; i < 2; i++ {
+		if cachedSquare(t, c, a, 1, Options{}) {
+			t.Fatal("nil cache reported a hit")
+		}
+	}
+}
+
+// TestPlanCacheBypass: requests that cannot yield a reusable plan run
+// without touching the cache — neither counted nor stored — and a failed
+// multiply stores nothing.
+func TestPlanCacheBypass(t *testing.T) {
+	a := cacheOperand(t)
+	c := NewPlanCache(4)
+	ctx := context.Background()
+	if _, err := c.Multiply(ctx, a, a, 1, 2, Options{Alpha: math.NaN()}); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("NaN alpha: err %v, want ErrInvalidOptions", err)
+	}
+	res, err := c.Multiply(ctx, a, a, 1, 2, Options{Algorithm: CUSP})
+	if err != nil || res.Algorithm != CUSP {
+		t.Fatalf("CUSP through the cache: %v, %v", res, err)
+	}
+	if st := c.Stats(); st.Hits+st.Misses != 0 || st.Size != 0 {
+		t.Fatalf("bypassing requests touched the cache: %+v", st)
+	}
+
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := c.Multiply(canceled, a, a, 1, 2, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled context: err %v", err)
+	}
+	if st := c.Stats(); st.Size != 0 {
+		t.Fatalf("a failed multiply stored a plan: %+v", st)
 	}
 }
 
@@ -124,7 +153,7 @@ func TestPlanCacheNil(t *testing.T) {
 // separates entries, the defaulted spellings share them, and options that
 // cannot yield a reusable plan get no key.
 func TestPlanKeyFor(t *testing.T) {
-	base, ok := PlanKeyFor(1, 2, Options{})
+	base, ok := planKeyFor(1, 2, Options{})
 	if !ok {
 		t.Fatal("default options produced no key")
 	}
@@ -146,7 +175,7 @@ func TestPlanKeyFor(t *testing.T) {
 		{"DisableLimit", 1, 2, Options{DisableLimit: true}},
 		{"Accumulator", 1, 2, Options{Accumulator: "hash"}},
 	} {
-		k, ok := PlanKeyFor(tc.fpA, tc.fpB, tc.opts)
+		k, ok := planKeyFor(tc.fpA, tc.fpB, tc.opts)
 		if !ok {
 			t.Errorf("%s: no key", tc.name)
 		} else if k == base {
@@ -164,7 +193,7 @@ func TestPlanKeyFor(t *testing.T) {
 		// Options that do not shape the plan share its entry.
 		{"workers, paranoid", Options{Workers: 3, Paranoid: true}},
 	} {
-		if k, ok := PlanKeyFor(1, 2, tc.opts); !ok || k != base {
+		if k, ok := planKeyFor(1, 2, tc.opts); !ok || k != base {
 			t.Errorf("%s: key %+v (ok=%v), want the default key", tc.name, k, ok)
 		}
 	}
@@ -175,8 +204,9 @@ func TestPlanKeyFor(t *testing.T) {
 	}{
 		{"non-BR algorithm", Options{Algorithm: CuSPARSE}},
 		{"unknown accumulator", Options{Accumulator: "radix"}},
+		{"caller's plan", Options{Plan: &Plan{}}},
 	} {
-		if _, ok := PlanKeyFor(1, 2, tc.opts); ok {
+		if _, ok := planKeyFor(1, 2, tc.opts); ok {
 			t.Errorf("%s: got a key, want ok=false", tc.name)
 		}
 	}
@@ -189,28 +219,22 @@ func TestPlanKeyFor(t *testing.T) {
 func TestDefaultTuningSharesPlanEntry(t *testing.T) {
 	implicit := Options{}
 	explicit := Options{Alpha: 10, Beta: 10, LimitFactor: 4}
-	ki, ok1 := PlanKeyFor(1, 2, implicit)
-	ke, ok2 := PlanKeyFor(1, 2, explicit)
+	ki, ok1 := planKeyFor(1, 2, implicit)
+	ke, ok2 := planKeyFor(1, 2, explicit)
 	if !ok1 || !ok2 || ki != ke {
 		t.Fatalf("keys %+v (ok=%v) and %+v (ok=%v) differ", ki, ok1, ke, ok2)
 	}
-	_, a := dummyPlan(t)
+	a := cacheOperand(t)
 	fp := a.StructureFingerprint()
 	c := NewPlanCache(4)
 	for i, opts := range []Options{implicit, explicit} {
-		key, ok := PlanKeyFor(fp, fp, opts)
-		if !ok {
-			t.Fatalf("options %d produced no key", i)
-		}
-		opts.Plan = c.Bind(key, a, a)
-		res, err := Multiply(a, a, opts)
+		res, err := c.Multiply(context.Background(), a, a, fp, fp, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.PlanReused != (i == 1) {
 			t.Fatalf("multiply %d: plan reused %v", i, res.PlanReused)
 		}
-		c.Put(key, res.ReusablePlan())
 	}
 	if st := c.Stats(); st.Size != 1 {
 		t.Fatalf("cache holds %d entries, want 1", st.Size)
@@ -218,18 +242,13 @@ func TestDefaultTuningSharesPlanEntry(t *testing.T) {
 }
 
 // TestNonFiniteThresholdsRejected pins that NaN and ±Inf thresholds are
-// client faults: Multiply rejects them, PlanKeyFor gives no key, and so a
-// caller following the PlanCache sequence never stores a key that is
-// unequal to itself (which would grow the cache past capacity and evict
-// valid entries).
+// client faults: Multiply rejects them and planKeyFor gives no key, so the
+// cache never stores a key that is unequal to itself (which would grow it
+// past capacity and evict valid entries).
 func TestNonFiniteThresholdsRejected(t *testing.T) {
-	p, a := dummyPlan(t)
-	valid, ok := PlanKeyFor(1, 2, Options{})
-	if !ok {
-		t.Fatal("default options produced no key")
-	}
-	c := NewPlanCache(4)
-	c.Put(valid, p)
+	a := cacheOperand(t)
+	c := NewPlanCache(1)
+	cachedSquare(t, c, a, 1, Options{})
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for name, opts := range map[string]Options{
 			"Alpha": {Alpha: v, SkipValues: true},
@@ -238,40 +257,36 @@ func TestNonFiniteThresholdsRejected(t *testing.T) {
 			if _, err := Multiply(a, a, opts); !errors.Is(err, ErrInvalidOptions) {
 				t.Errorf("%s=%g: Multiply err %v, want ErrInvalidOptions", name, v, err)
 			}
-			// The same request repeated: a well-formed key replaces
-			// its own entry each time.
-			for i := 0; i < 10; i++ {
-				if k, ok := PlanKeyFor(1, 3, opts); ok {
-					c.Put(k, p)
-				}
+			if _, ok := planKeyFor(1, 3, opts); ok {
+				t.Errorf("%s=%g: got a key", name, v)
+			}
+			if _, err := c.Multiply(context.Background(), a, a, 1, 3, opts); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s=%g: PlanCache.Multiply err %v, want ErrInvalidOptions", name, v, err)
 			}
 		}
 	}
-	if st := c.Stats(); st.Size > st.Capacity {
-		t.Fatalf("cache holds %d entries, capacity %d", st.Size, st.Capacity)
-	}
-	if c.Bind(valid, a, a) == nil {
+	if !cachedSquare(t, c, a, 1, Options{}) {
 		t.Fatal("the valid entry was evicted")
 	}
 }
 
-// TestPlanCacheConcurrent hammers bind/put/evict from many goroutines; run
-// under -race by ci.sh.
+// TestPlanCacheConcurrent hammers lookups, stores and evictions from many
+// goroutines; run under -race by ci.sh.
 func TestPlanCacheConcurrent(t *testing.T) {
-	p, a := dummyPlan(t)
+	a := cacheOperand(t)
 	c := NewPlanCache(8)
+	const goroutines, perG = 8, 40
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := cacheKey((g + i) % 16) // 16 keys over capacity 8: constant eviction
-				if got := c.Bind(k, a, a); got != nil && !got.BoundTo(a, a) {
-					t.Error("hit returned a plan not bound to the operands")
+			for i := 0; i < perG; i++ {
+				k := uint64((g + i) % 16) // 16 entries over capacity 8: constant eviction
+				if _, err := c.Multiply(context.Background(), a, a, k, k, Options{SkipValues: true}); err != nil {
+					t.Error(err)
 					return
 				}
-				c.Put(k, p)
 			}
 		}(g)
 	}
@@ -280,7 +295,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	if st.Size > 8 {
 		t.Fatalf("cache grew past capacity: %d", st.Size)
 	}
-	if st.Hits+st.Misses != 8*200 {
-		t.Fatalf("lost lookups: hits %d + misses %d != %d", st.Hits, st.Misses, 8*200)
+	if st.Hits+st.Misses != goroutines*perG {
+		t.Fatalf("lost lookups: hits %d + misses %d != %d", st.Hits, st.Misses, goroutines*perG)
 	}
 }

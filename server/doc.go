@@ -12,9 +12,9 @@
 //     carrying its structure fingerprint;
 //   - the plan cache — a blockreorg.PlanCache (the LRU shared with the
 //     pipeline runner and the out-of-core engine) of reusable
-//     preprocessing plans, keyed by blockreorg.PlanKeyFor on the
-//     operands' sparsity fingerprints plus the device and tuning that
-//     shaped the plan;
+//     preprocessing plans, keyed on the operands' sparsity fingerprints
+//     plus the device and tuning that shaped the plan; every multiply job
+//     runs through its Multiply method;
 //   - Server — request admission (bounded queue, per-request deadlines,
 //     429 on saturation), the worker pool, job tracking, graceful drain,
 //     and the /healthz and /metrics endpoints;

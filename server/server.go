@@ -313,20 +313,12 @@ func (s *Server) runMultiply(ctx context.Context, j *job, workerGPU string, rec 
 		opts.GPU = blockreorg.GPU(workerGPU)
 	}
 
-	// Plan-cache lookup: the Block Reorganizer's preprocessing depends
-	// only on the operands' sparsity structure and the options the key
-	// captures. A hit is rebound to this job's operands (O(nnz)) and
-	// drives the run, skipping the precalculation.
-	key, cacheable := blockreorg.PlanKeyFor(j.fpA, j.fpB, opts)
-	if cacheable {
-		opts.Plan = s.cache.Bind(key, j.a, j.b)
-	}
-	res, err := blockreorg.MultiplyContext(ctx, j.a, j.b, opts)
+	// The Block Reorganizer's preprocessing depends only on the operands'
+	// sparsity structure and the options the cache keys, so a hit is
+	// rebound to this job's operands (O(nnz)) and skips the precalculation.
+	res, err := s.cache.Multiply(ctx, j.a, j.b, j.fpA, j.fpB, opts)
 	if err != nil {
 		return nil, err
-	}
-	if cacheable {
-		s.cache.Put(key, res.ReusablePlan())
 	}
 	out := &JobResult{
 		Algorithm:        string(res.Algorithm),
