@@ -1,6 +1,7 @@
 package blockreorg
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/blockreorg/blockreorg/internal/core"
@@ -175,22 +176,52 @@ func (r *Result) ReusablePlan() *Plan { return r.plan }
 // ErrDimensionMismatch, ErrUnknownAlgorithm or ErrInvalidOptions (matched
 // with errors.Is); any other error is an internal fault of the library.
 func Multiply(a, b *sparse.CSR, opts Options) (*Result, error) {
+	return run(context.Background(), a, b, opts, nil, 0, 0)
+}
+
+// run is the one path every multiplication takes: Multiply and
+// MultiplyContext call it without a cache, PlanCache.Multiply with itself
+// and the operands' structure fingerprints fpA and fpB. It validates the
+// request once, fails fast on a context that is already done, binds a
+// cached plan (counting the hit or miss), and runs the algorithm on the
+// caller's goroutine — on an executor view that stops at ctx, when ctx can
+// end. A run that fails or outlives ctx stores nothing; any other stores
+// its plan in the cache.
+func run(ctx context.Context, a, b *sparse.CSR, opts Options, cache *PlanCache, fpA, fpB uint64) (*Result, error) {
 	alg, kopts, err := resolveOptions(a, b, &opts)
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	key, cacheable := planKeyFor(fpA, fpB, &opts, kopts)
+	cacheable = cacheable && cache != nil
+	if cacheable {
+		if p := cache.bind(key, a, b); p != nil {
+			kopts.Plan = p.plan
+		}
+	}
+	kopts.Exec = kopts.Exec.WithContext(ctx)
 	var execBefore parallel.Stats
 	if opts.Trace.Enabled() {
 		execBefore = parallel.ReadStats()
 	}
 	p, err := alg.Multiply(a, b, kopts)
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		return nil, err
 	}
 	if opts.Trace.Enabled() {
 		recordExecutorDelta(opts.Trace, execBefore)
 	}
-	return wrapResult(p, opts.Algorithm), nil
+	res := wrapResult(p, opts.Algorithm)
+	if cacheable {
+		cache.put(key, res.plan)
+	}
+	return res, nil
 }
 
 // coreParams maps the Block Reorganizer tuning fields onto core.Params;
@@ -208,8 +239,10 @@ func (opts *Options) coreParams() core.Params {
 }
 
 // resolveOptions validates the operands and options, fills defaults in
-// place, and builds the internal kernel options. All client faults are
-// mapped onto the package's typed errors here, in one place.
+// place — the algorithm, the GPU and the Block Reorganizer tuning values,
+// so requests that differ only in spelling a default share a plan key —
+// and builds the internal kernel options. All client faults are mapped
+// onto the package's typed errors here, in one place.
 func resolveOptions(a, b *sparse.CSR, opts *Options) (kernels.Algorithm, kernels.Options, error) {
 	var kopts kernels.Options
 	if a == nil || b == nil {
@@ -240,6 +273,11 @@ func resolveOptions(a, b *sparse.CSR, opts *Options) (kernels.Algorithm, kernels
 	if err != nil {
 		return nil, kopts, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
+	params, err := opts.coreParams().Normalize()
+	if err != nil {
+		return nil, kopts, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+	}
+	opts.Alpha, opts.Beta, opts.LimitFactor = params.Alpha, params.Beta, params.LimitFactor
 	kopts = kernels.Options{
 		Device:      dev,
 		SkipValues:  opts.SkipValues,
@@ -247,9 +285,7 @@ func resolveOptions(a, b *sparse.CSR, opts *Options) (kernels.Algorithm, kernels
 		Trace:       opts.Trace,
 		Accumulator: accum,
 		Core:        opts.coreParams(),
-	}
-	if _, err := kopts.Core.Normalize(); err != nil {
-		return nil, kopts, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+		Exec:        parallel.Default(),
 	}
 	if opts.Workers > 0 {
 		kopts.Exec = parallel.NewExecutor(opts.Workers)
@@ -264,7 +300,6 @@ func resolveOptions(a, b *sparse.CSR, opts *Options) (kernels.Algorithm, kernels
 				ErrInvalidOptions)
 		}
 		kopts.Plan = opts.Plan.plan
-		kopts.Pre = opts.Plan.pre
 	}
 	return alg, kopts, nil
 }
@@ -285,7 +320,7 @@ func wrapResult(p *kernels.Product, alg Algorithm) *Result {
 		PlanReused:       p.PlanReused,
 	}
 	if p.Plan != nil {
-		res.plan = &Plan{plan: p.Plan, pre: p.Pre}
+		res.plan = &Plan{plan: p.Plan}
 	}
 	for _, k := range p.Report.Kernels {
 		res.BlocksLaunched += k.BlocksExecuted

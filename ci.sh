@@ -10,10 +10,12 @@
 #   4. vet allowlist  — blockreorg-vet -json diffed against the committed
 #                      vet_allowlist.json (empty), so any new finding fails
 #                      the build with a parseable, file:line diagnostic
-#   5. go test -race — the invariant-heavy packages, plus the two spgemmd
-#                      clients (spgemmload's live runner fires one goroutine
-#                      per request; spgemmctl polls jobs), under the race
-#                      detector, with BLOCKREORG_PARANOID=1 so every
+#   5. go test -race — the invariant-heavy packages, the host executor
+#                      (internal/parallel: work stealing, the shared slot
+#                      pool, the views a deadline stops), plus the two
+#                      spgemmd clients (spgemmload's live runner fires one
+#                      goroutine per request; spgemmctl polls jobs), under
+#                      the race detector, with BLOCKREORG_PARANOID=1 so every
 #                      multiplication in those suites runs the deep
 #                      sanitizer layer
 #   6. examples       — every runnable Example function executes with its
@@ -114,7 +116,7 @@ fi
 rm -f "$vet_json"
 
 echo "==> go test -race (paranoid)"
-BLOCKREORG_PARANOID=1 go test -race . ./internal/core/... ./internal/gpusim/... ./internal/kernels/... ./internal/trace/... ./internal/prom/... ./sparse/... ./server/... ./pipeline/... ./workload/... ./ooc/... \
+BLOCKREORG_PARANOID=1 go test -race . ./internal/core/... ./internal/gpusim/... ./internal/kernels/... ./internal/parallel/... ./internal/trace/... ./internal/prom/... ./sparse/... ./server/... ./pipeline/... ./workload/... ./ooc/... \
     ./cmd/spgemmload/... ./cmd/spgemmctl/...
 
 echo "==> examples (godoc Examples + example programs)"

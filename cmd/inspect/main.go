@@ -83,7 +83,7 @@ func run(w io.Writer, file, dataset string, scale int, alpha, beta float64, sms 
 	if profile {
 		rec = trace.New()
 	}
-	plan, _, err := kernels.BuildPlan(m, m, kernels.Options{
+	plan, err := kernels.BuildPlan(m, m, kernels.Options{
 		Core:  core.Params{Alpha: alpha, Beta: beta, NumSMs: sms},
 		Trace: rec,
 	})

@@ -3,6 +3,7 @@ package blockreorg_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -226,4 +227,46 @@ func TestMultiplyContext(t *testing.T) {
 	if _, err := blockreorg.MultiplyContext(ctx, big, big, blockreorg.Options{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: got %v, want context.DeadlineExceeded", err)
 	}
+}
+
+// TestMultiplyContextStopsWork pins that a deadline stops the multiply
+// instead of abandoning it: once MultiplyContext returns DeadlineExceeded
+// on an operand that needs far longer than its deadline, no executor chunk
+// runs and no goroutine of the run is left. Not parallel: the executor
+// counters and the goroutine count are process-wide.
+func TestMultiplyContextStopsWork(t *testing.T) {
+	big, err := rmat.PowerLaw(20_000, 400_000, 2.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		_, err := blockreorg.MultiplyContext(ctx, big, big, blockreorg.Options{Workers: 2, SkipValues: true})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: got %v, want context.DeadlineExceeded", i, err)
+		}
+		chunks := parallel.ReadStats().Chunks
+		time.Sleep(20 * time.Millisecond)
+		if ran := parallel.ReadStats().Chunks - chunks; ran != 0 {
+			t.Fatalf("call %d: %d executor chunks ran after MultiplyContext returned", i, ran)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Fatalf("call %d: %d goroutines after MultiplyContext returned, %d before", i, n, base)
+		}
+	}
+}
+
+// settledGoroutines waits up to a second for the goroutine count to fall
+// to base — an executor helper that has signalled its WaitGroup may still
+// be exiting — and returns the count.
+func settledGoroutines(base int) int {
+	deadline := time.Now().Add(time.Second)
+	n := runtime.NumGoroutine()
+	for n > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }

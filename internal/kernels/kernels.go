@@ -33,8 +33,9 @@ type Options struct {
 	CPU CPUConfig
 	// Pre optionally supplies the shared symbolic analysis of (A, B),
 	// letting callers that run several algorithms on the same operands
-	// (the benchmark harness) pay for it once. Ignored when it does not
-	// match the operands.
+	// (Compare, the benchmark harness) pay for it once. Ignored when it
+	// does not match the operands, and by a Reorganizer run driven by a
+	// bound Plan, which carries its own analysis.
 	Pre *Precomputed
 	// Plan optionally supplies a previously built Block Reorganizer plan
 	// bound to exactly these operands (core.Plan.Rebind) — the serving
@@ -90,9 +91,6 @@ type Product struct {
 	// (Reorganizer only). Callers may cache it and Rebind it to later
 	// operands with the same sparsity structure.
 	Plan *core.Plan
-	// Pre is the symbolic analysis of the operands when the run had one
-	// (supplied or computed); cache it alongside Plan for reuse.
-	Pre *Precomputed
 	// PlanReused reports that Plan was supplied by the caller, so the
 	// precalculation and classification work was skipped.
 	PlanReused bool

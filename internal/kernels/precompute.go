@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"errors"
-	"fmt"
-
 	"github.com/blockreorg/blockreorg/internal/parallel"
 	"github.com/blockreorg/blockreorg/internal/trace"
 	"github.com/blockreorg/blockreorg/sparse"
@@ -36,16 +33,14 @@ func PrecomputeOn(a, b *sparse.CSR, ex *parallel.Executor) (*Precomputed, error)
 	if err := checkShapes(a, b); err != nil {
 		return nil, err
 	}
-	return PrecomputeTraced(a, b, ex, nil)
+	return precompute(a, b, ex, nil)
 }
 
-// PrecomputeTraced is PrecomputeOn with phase-level tracing: the
-// intermediate sweep, the symbolic sweep and the CSC reorientation each
-// record a span (nil rec disables tracing at zero cost).
-func PrecomputeTraced(a, b *sparse.CSR, ex *parallel.Executor, rec *trace.Recorder) (*Precomputed, error) {
-	if err := checkShapes(a, b); err != nil {
-		return nil, err
-	}
+// precompute runs the analysis of operands whose shapes are already
+// checked. The intermediate sweep, the symbolic sweep and the CSC
+// reorientation each record a span on rec (nil disables tracing at zero
+// cost).
+func precompute(a, b *sparse.CSR, ex *parallel.Executor, rec *trace.Recorder) (*Precomputed, error) {
 	workStart := rec.Now()
 	rowWork, err := sparse.IntermediateRowNNZOn(a, b, ex)
 	if err != nil {
@@ -81,47 +76,17 @@ func PrecomputeTraced(a, b *sparse.CSR, ex *parallel.Executor, rec *trace.Record
 	}, nil
 }
 
-// Rebind returns a Precomputed for new operands that share the sparsity
-// structure of the ones this analysis was built from, reusing the symbolic
-// arrays (which are structure-only) and re-deriving only the value-bound
-// column orientation of A. acsc may supply an already-converted A (e.g.
-// the one a rebound core.Plan carries); nil converts here. The structural
-// match itself is the caller's contract — normally discharged by matching
-// sparse.StructureFingerprint digests — and only the shapes are re-checked.
-func (p *Precomputed) Rebind(a, b *sparse.CSR, acsc *sparse.CSC) (*Precomputed, error) {
-	if p == nil {
-		return nil, errors.New("kernels: rebind of nil analysis")
-	}
-	if err := checkShapes(a, b); err != nil {
-		return nil, err
-	}
-	if p.rows != a.Rows || p.mid != a.Cols || p.cols != b.Cols {
-		return nil, fmt.Errorf("kernels: cannot rebind analysis of %dx%dx%d operands to %dx%dx%d",
-			p.rows, p.mid, p.cols, a.Rows, a.Cols, b.Cols)
-	}
-	if acsc == nil {
-		acsc = a.ToCSC()
-	}
-	return &Precomputed{
-		rows: p.rows, mid: p.mid, cols: p.cols,
-		RowWork: p.RowWork,
-		RowNNZ:  p.RowNNZ,
-		Flops:   p.Flops,
-		NNZC:    p.NNZC,
-		ACSC:    acsc,
-	}, nil
-}
-
 // matches reports whether the cache was built for operands of these shapes.
 func (p *Precomputed) matches(a, b *sparse.CSR) bool {
 	return p != nil && p.rows == a.Rows && p.mid == a.Cols && p.cols == b.Cols
 }
 
-// pre resolves the analysis for (a, b): the cached one when compatible,
-// otherwise a fresh computation.
+// pre resolves the analysis for (a, b), whose shapes the caller's
+// checkInputs already validated: the cached one when compatible, otherwise
+// a fresh computation.
 func pre(opts Options, a, b *sparse.CSR) (*Precomputed, error) {
 	if opts.Pre.matches(a, b) {
 		return opts.Pre, nil
 	}
-	return PrecomputeTraced(a, b, executor(opts), opts.Trace)
+	return precompute(a, b, executor(opts), opts.Trace)
 }

@@ -23,34 +23,19 @@ func (Reorganizer) Name() string { return "Block-Reorganizer" }
 func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 	// Plan-cache fast path: a caller-supplied plan bound to these exact
 	// operands skips construction — and, below, the precalculation kernel
-	// the plan's front-loaded analysis replaces.
+	// the plan's front-loaded analysis replaces. Either way the plan
+	// carries the structure-only analysis the run needs (RowNNZ, NNZC and
+	// Cls.TotalWork survive Rebind), so a cache hit pays nothing for it.
 	plan := opts.Plan
 	reused := plan.BoundTo(a, b)
-	var pc *Precomputed
-	var err error
-	if !reused {
-		plan, pc, err = BuildPlan(a, b, opts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
+	if reused {
 		if err := checkInputs(a, b, opts); err != nil {
 			return nil, err
 		}
-		pc = opts.Pre
-		if !pc.matches(a, b) {
-			// The merge kernel still needs the structure-only row
-			// populations. The plan stashed them at build time (they
-			// survive Rebind, being structure-only), so a cache hit pays
-			// nothing here.
-			pc = &Precomputed{
-				rows: a.Rows, mid: a.Cols, cols: b.Cols,
-				RowWork: plan.Limit.RowWork,
-				RowNNZ:  plan.RowNNZ,
-				Flops:   plan.Cls.TotalWork,
-				NNZC:    plan.NNZC,
-				ACSC:    plan.ACSC,
-			}
+	} else {
+		var err error
+		if plan, err = BuildPlan(a, b, opts); err != nil {
+			return nil, err
 		}
 	}
 	sim, err := simFor(opts)
@@ -97,16 +82,16 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 
 	st := plan.Stats()
 	prod := &Product{Report: rep, Flops: plan.Cls.TotalWork, PlanStats: &st,
-		Plan: plan, Pre: pc, PlanReused: reused}
+		Plan: plan, PlanReused: reused}
 	if opts.SkipValues {
-		prod.NNZC = pc.NNZC
+		prod.NNZC = plan.NNZC
 		return prod, nil
 	}
 	// The numeric result comes from the host engine, which resolves the
 	// plan's requested accumulator with its own rule and counts the rows
 	// it merged per strategy.
 	c, err := sparse.MultiplyConfigured(a, b, executor(opts), opts.Trace,
-		sparse.MulConfig{Accum: plan.Params.Accumulator, RowNNZ: pc.RowNNZ})
+		sparse.MulConfig{Accum: plan.Params.Accumulator, RowNNZ: plan.RowNNZ})
 	if err != nil {
 		return nil, err
 	}
@@ -118,14 +103,14 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 // BuildPlan runs the Block Reorganizer preprocessing for C = A×B under
 // opts — the shared symbolic analysis (opts.Pre when it matches, otherwise
 // fresh sweeps on the run's executor), classification, B-Splitting,
-// B-Gathering and B-Limiting — and returns the plan with that analysis.
-// Every plan is built here: by a cold Reorganizer run, blockreorg.NewPlan
-// and cmd/inspect. Core.NumSMs defaults to the device's SM count, and an
-// explicit Core.Accumulator wins over opts.Accumulator so plans stay
-// self-describing.
-func BuildPlan(a, b *sparse.CSR, opts Options) (*core.Plan, *Precomputed, error) {
+// B-Gathering and B-Limiting — and returns the plan, which keeps the
+// analysis a later run needs. Every plan is built here: by a cold
+// Reorganizer run, blockreorg.NewPlan and cmd/inspect. Core.NumSMs
+// defaults to the device's SM count, and an explicit Core.Accumulator wins
+// over opts.Accumulator so plans stay self-describing.
+func BuildPlan(a, b *sparse.CSR, opts Options) (*core.Plan, error) {
 	if err := checkInputs(a, b, opts); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	params := opts.Core
 	if params.NumSMs == 0 {
@@ -136,13 +121,9 @@ func BuildPlan(a, b *sparse.CSR, opts Options) (*core.Plan, *Precomputed, error)
 	}
 	pc, err := pre(opts, a, b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plan, err := core.BuildPlanTraced(a, pc.ACSC, b, pc.RowWork, pc.RowNNZ, params, opts.Trace)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, pc, nil
+	return core.BuildPlanTraced(a, pc.ACSC, b, pc.RowWork, pc.RowNNZ, params, opts.Trace)
 }
 
 // simulatePlan appends the plan's expansion and merge kernel results to

@@ -25,8 +25,8 @@ func TestReorganizerPlanReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Plan == nil || first.Pre == nil {
-		t.Fatal("cold run did not expose its plan and analysis for caching")
+	if first.Plan == nil {
+		t.Fatal("cold run did not expose its plan for caching")
 	}
 	if first.PlanReused {
 		t.Fatal("cold run claims plan reuse")
@@ -40,16 +40,26 @@ func TestReorganizerPlanReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := first.Pre.Rebind(a2, a2, plan.ACSC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Reorganizer{}.Multiply(a2, a2, Options{Device: dev, Plan: plan, Pre: pre, Paranoid: true})
+	// The plan is the whole reusable handle: it carries the symbolic
+	// analysis, so the warm run needs no Options.Pre.
+	second, err := Reorganizer{}.Multiply(a2, a2, Options{Device: dev, Plan: plan, Paranoid: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !second.PlanReused {
 		t.Fatal("warm run did not reuse the supplied plan")
+	}
+	if second.Flops != first.Flops || second.NNZC != first.NNZC {
+		t.Fatalf("warm run counts flops %d, nnz %d; cold run %d, %d",
+			second.Flops, second.NNZC, first.Flops, first.NNZC)
+	}
+	skipped, err := Reorganizer{}.Multiply(a2, a2, Options{Device: dev, Plan: plan, SkipValues: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped.C != nil || skipped.Flops != first.Flops || skipped.NNZC != first.NNZC {
+		t.Fatalf("warm symbolic run: C %v, flops %d, nnz %d; want nil, %d, %d",
+			skipped.C != nil, skipped.Flops, skipped.NNZC, first.Flops, first.NNZC)
 	}
 
 	// The precalculation kernel must be absent from the warm report and
@@ -80,6 +90,24 @@ func TestReorganizerPlanReuse(t *testing.T) {
 	}
 	if !second.C.Equal(want.C, 1e-9) {
 		t.Fatal("warm run produced the wrong product for the rebound values")
+	}
+
+	// A reused plan ignores Options.Pre, even an analysis of other
+	// operands of the same shape.
+	other, err := rmat.PowerLaw(400, 6000, 2.1, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong, err := PrecomputeOn(other, other, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withPre, err := Reorganizer{}.Multiply(a2, a2, Options{Device: dev, Plan: plan, Pre: wrong})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !withPre.C.Equal(want.C, 1e-9) {
+		t.Fatal("a reused plan took its analysis from Options.Pre")
 	}
 
 	// A plan not bound to the operands must be ignored, not misused.

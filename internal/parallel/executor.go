@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,9 +20,16 @@ import (
 // GOMAXPROCS loop goroutines in total, no matter how many server
 // requests multiply at once — concurrent requests degrade gracefully to
 // sequential execution instead of oversubscribing the host.
+//
+// Cancellation: WithContext returns a view that stops dealing chunks once
+// its context is done, so a timed-out request stops using CPU within the
+// chunk each worker holds. A stopped loop leaves its skipped chunks'
+// output unwritten; callers check Err before reading it.
 type Executor struct {
 	workers int
 	slots   chan struct{} // capacity workers-1: slots for helper goroutines
+	ctx     context.Context
+	done    <-chan struct{} // ctx.Done(); nil for an executor that never stops
 }
 
 // NewExecutor returns an executor that runs at most workers chunks
@@ -35,6 +43,39 @@ func NewExecutor(workers int) *Executor {
 
 // Workers returns the executor's concurrency bound.
 func (e *Executor) Workers() int { return e.workers }
+
+// WithContext returns a view of e that deals no further chunk once ctx is
+// done. The view shares e's workers and slot pool, so the GOMAXPROCS bound
+// holds across every view of one executor; e itself is unaffected. A
+// context that can never be done (ctx.Done() is nil) returns e.
+func (e *Executor) WithContext(ctx context.Context) *Executor {
+	done := ctx.Done()
+	if done == nil {
+		return e
+	}
+	return &Executor{workers: e.workers, slots: e.slots, ctx: ctx, done: done}
+}
+
+// Err returns the view's context error once the context is done, and nil
+// otherwise or for an executor without a context. A loop that ran while
+// Err is non-nil may have skipped chunks, so its output must not be read.
+func (e *Executor) Err() error {
+	if e.ctx == nil {
+		return nil
+	}
+	return e.ctx.Err()
+}
+
+// closed reports, without blocking, whether done is closed. A nil done
+// never is.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
 
 var (
 	defaultOnce sync.Once
@@ -88,7 +129,9 @@ func (d *deque) steal() (Range, bool) {
 // owned by the chunk; ForEach returns when every chunk has run.
 //
 // With one worker, one chunk, or no free slots, everything runs inline on
-// the caller.
+// the caller. On a view from WithContext, no chunk starts once the view's
+// context is done: ForEach returns when the chunks already running finish,
+// and Err reports that the rest were skipped.
 func (e *Executor) ForEach(chunks []Range, fn func(Range)) {
 	if len(chunks) == 0 {
 		return
@@ -99,10 +142,15 @@ func (e *Executor) ForEach(chunks []Range, fn func(Range)) {
 	}
 	if nw <= 1 {
 		stats.inlineRuns.Add(1)
-		stats.chunks.Add(uint64(len(chunks)))
+		ran := 0
 		for _, r := range chunks {
+			if closed(e.done) {
+				break
+			}
 			fn(r)
+			ran++
 		}
+		stats.chunks.Add(uint64(ran))
 		return
 	}
 
@@ -112,7 +160,7 @@ func (e *Executor) ForEach(chunks []Range, fn func(Range)) {
 	// in one heap object and the spawned goroutines share one closure
 	// (each takes its worker index from the atomic counter), keeping the
 	// dispatch at three allocations per parallel call.
-	st := &forEachState{deques: make([]deque, nw), fn: fn}
+	st := &forEachState{deques: make([]deque, nw), fn: fn, done: e.done}
 	per := (len(chunks) + nw - 1) / nw
 	for w := 0; w < nw; w++ {
 		lo := w * per
@@ -158,20 +206,22 @@ spawn:
 }
 
 // forEachState is the per-call state of one parallel ForEach: the dealt
-// deques, the user function, the helper index counter, and the completion
-// group.
+// deques, the user function, the executor's stop channel, the helper
+// index counter, and the completion group.
 type forEachState struct {
 	deques []deque
 	fn     func(Range)
+	done   <-chan struct{}
 	next   atomic.Int32
 	wg     sync.WaitGroup
 }
 
 // work drains the worker's own deque tail-first, then steals from the
-// other deques' heads until no chunks remain anywhere.
+// other deques' heads until no chunks remain anywhere or the executor's
+// context is done.
 func (st *forEachState) work(self int) {
 	nw := len(st.deques)
-	for {
+	for !closed(st.done) {
 		r, ok := st.deques[self].pop()
 		if !ok {
 			// Steal sweep: scan the other deques once, starting just

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -125,6 +127,55 @@ func TestForEachConcurrentCallers(t *testing.T) {
 	wg.Wait()
 	if total.Load() != 16*1000 {
 		t.Fatalf("lost work: covered %d of %d items", total.Load(), 16*1000)
+	}
+}
+
+// TestWithContextStops: a view whose context is cancelled mid-loop starts
+// no further chunk — on the inline loop (one worker) and the stealing loop
+// (four) — and reports the cancellation through Err, while the executor it
+// came from still runs every chunk.
+func TestWithContextStops(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		e := NewExecutor(workers)
+		if e.WithContext(context.Background()) != e {
+			t.Fatalf("workers=%d: a context that is never done got a new view", workers)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		view := e.WithContext(ctx)
+		if view.Workers() != workers || view.Err() != nil {
+			t.Fatalf("workers=%d: fresh view has %d workers, err %v", workers, view.Workers(), view.Err())
+		}
+		const n, stopAt = 256, 3
+		var ran, late atomic.Int32
+		view.ForEach(UniformRanges(n, n), func(Range) {
+			if ctx.Err() != nil {
+				late.Add(1)
+			}
+			if ran.Add(1) == stopAt {
+				cancel()
+			}
+		})
+		// Each other worker may start one chunk it took just before the
+		// cancel; after that none starts.
+		if got := late.Load(); got > int32(workers-1) {
+			t.Fatalf("workers=%d: %d chunks started after the cancel, want at most %d", workers, got, workers-1)
+		}
+		if got := ran.Load(); workers == 1 && got != stopAt {
+			t.Fatalf("one worker: %d chunks ran, cancelled at chunk %d", got, stopAt)
+		}
+		if !errors.Is(view.Err(), context.Canceled) {
+			t.Fatalf("workers=%d: view Err %v, want context.Canceled", workers, view.Err())
+		}
+		view.ForEachN(n, func(Range) { t.Fatalf("workers=%d: a stopped view ran a chunk", workers) })
+
+		if e.Err() != nil {
+			t.Fatalf("workers=%d: the executor inherited its view's error %v", workers, e.Err())
+		}
+		var all atomic.Int32
+		e.ForEach(UniformRanges(n, n), func(Range) { all.Add(1) })
+		if all.Load() != n {
+			t.Fatalf("workers=%d: the executor ran %d of %d chunks after its view stopped", workers, all.Load(), n)
+		}
 	}
 }
 

@@ -575,7 +575,7 @@ func (e *Engine) tile(aPanel *sparse.CSR, fpA uint64, bPanel *sparse.CSR, fpB ui
 		Accumulator: e.opts.Accumulator,
 		Trace:       e.opts.Trace,
 	}
-	// A Background context runs the multiply on this goroutine.
+	// The engine takes no context: a tile's multiply runs to its end.
 	res, err := e.plans.Multiply(context.Background(), aPanel, bPanel, fpA, fpB, mopts)
 	if err != nil {
 		return nil, err

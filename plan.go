@@ -24,7 +24,6 @@ import (
 // any number of multiplications.
 type Plan struct {
 	plan *core.Plan
-	pre  *kernels.Precomputed
 }
 
 // NewPlan runs the full Block Reorganizer preprocessing for C = A×B under
@@ -44,11 +43,11 @@ func NewPlan(a, b *sparse.CSR, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp, pc, err := kernels.BuildPlan(a, b, kopts)
+	cp, err := kernels.BuildPlan(a, b, kopts)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{plan: cp, pre: pc}, nil
+	return &Plan{plan: cp}, nil
 }
 
 // BoundTo reports whether the plan is bound to exactly these operand
@@ -75,11 +74,7 @@ func (p *Plan) Rebind(a, b *sparse.CSR) (*Plan, error) {
 	if cp == p.plan {
 		return p, nil
 	}
-	pre, err := p.pre.Rebind(a, b, cp.ACSC)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-	}
-	return &Plan{plan: cp, pre: pre}, nil
+	return &Plan{plan: cp}, nil
 }
 
 // Summary returns the plan's classification counts, matching what a
@@ -97,39 +92,15 @@ func (p *Plan) Summary() PlanSummary {
 	}
 }
 
-// MultiplyContext is Multiply under a context: a context that is already
-// done fails fast before any work launches, and a context that expires
-// mid-run abandons the multiplication — the computation finishes in the
-// background on its goroutine and is discarded, while the caller gets
-// ctx.Err() immediately. That trade (bounded caller latency over bounded
-// background work) is what a serving layer with per-request deadlines
-// wants; batch callers with no deadline should use Multiply. A context
-// that can never be done (ctx.Done() is nil, as for context.Background)
-// runs the multiplication on the caller's goroutine.
+// MultiplyContext is Multiply under a context, run on the caller's
+// goroutine. A request that fails validation reports its fault whatever
+// the context's state; a valid one under a context that is already done
+// fails fast before any work. A context that ends mid-run stops the
+// multiplication: the host executor deals no further chunk, and the call
+// returns ctx.Err() once the chunk or sequential phase in flight (a plan
+// build stage, a simulated kernel) finishes. Nothing of the run keeps
+// using CPU after the call returns. A context that can never be done
+// (ctx.Done() is nil, as for context.Background) runs exactly as Multiply.
 func MultiplyContext(ctx context.Context, a, b *sparse.CSR, opts Options) (*Result, error) {
-	if ctx.Done() == nil {
-		return Multiply(a, b, opts)
-	}
-	// Validate first so a doomed request never launches a goroutine.
-	if _, _, err := resolveOptions(a, b, &opts); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	type outcome struct {
-		res *Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := Multiply(a, b, opts)
-		ch <- outcome{res, err}
-	}()
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case o := <-ch:
-		return o.res, o.err
-	}
+	return run(ctx, a, b, opts, nil, 0, 0)
 }

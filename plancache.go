@@ -5,6 +5,8 @@ import (
 	"context"
 	"sync"
 
+	"github.com/blockreorg/blockreorg/internal/core"
+	"github.com/blockreorg/blockreorg/internal/kernels"
 	"github.com/blockreorg/blockreorg/sparse"
 )
 
@@ -14,52 +16,26 @@ import (
 // classification thresholds, the split/gather/limit decisions and the
 // per-row accumulator assignment. Build one with planKeyFor.
 type planKey struct {
-	fpA, fpB                                  uint64
-	gpu                                       GPU
-	alpha, beta                               float64
-	splitFactor, limitFactor                  int
-	disableSplit, disableGather, disableLimit bool
-	accum                                     sparse.AccumulatorKind
+	fpA, fpB uint64
+	gpu      GPU
+	params   core.Params
+	accum    sparse.AccumulatorKind
 }
 
-// planKeyFor returns the cache key of the plan a Block Reorganizer run of
-// operands with structure fingerprints fpA and fpB under opts builds. The
-// GPU, accumulator and tuning values are normalized the way Multiply
-// resolves them, so "" and TitanXp, "" and "auto", or a zero Alpha and
-// the default α share entries. ok is false when opts cannot produce a
-// reusable plan — another algorithm, an accumulator name or tuning value
-// Multiply will reject, or a plan of the caller's own in opts.Plan — and
-// such runs bypass the cache. Rejecting a NaN threshold here also keeps
-// every key equal to itself, which the cache's map lookups and evictions
-// rely on.
-func planKeyFor(fpA, fpB uint64, opts Options) (planKey, bool) {
-	if opts.Plan != nil || opts.Algorithm != "" && opts.Algorithm != BlockReorganizer {
+// planKeyFor returns the cache key of the plan a run of operands with
+// structure fingerprints fpA and fpB builds, from the options
+// resolveOptions validated and defaulted in place and the kernel options
+// it built. Defaulting makes "" and TitanXp, "" and "auto", or a zero
+// Alpha and the default α share entries; validation keeps NaN thresholds
+// out, so every key is equal to itself, which the cache's map lookups and
+// evictions rely on. ok is false when the run cannot yield a reusable
+// plan — another algorithm, or a plan of the caller's own in opts.Plan —
+// and such runs bypass the cache.
+func planKeyFor(fpA, fpB uint64, opts *Options, kopts kernels.Options) (planKey, bool) {
+	if opts.Plan != nil || opts.Algorithm != BlockReorganizer {
 		return planKey{}, false
 	}
-	params, err := opts.coreParams().Normalize()
-	if err != nil {
-		return planKey{}, false
-	}
-	accum, err := sparse.ParseAccumulator(opts.Accumulator)
-	if err != nil {
-		return planKey{}, false
-	}
-	gpu := opts.GPU
-	if gpu == "" {
-		gpu = TitanXp
-	}
-	return planKey{
-		fpA: fpA, fpB: fpB,
-		gpu:           gpu,
-		alpha:         params.Alpha,
-		beta:          params.Beta,
-		splitFactor:   params.SplitFactorOverride,
-		limitFactor:   params.LimitFactor,
-		disableSplit:  opts.DisableSplit,
-		disableGather: opts.DisableGather,
-		disableLimit:  opts.DisableLimit,
-		accum:         accum,
-	}, true
+	return planKey{fpA: fpA, fpB: fpB, gpu: opts.GPU, params: kopts.Core, accum: kopts.Accumulator}, true
 }
 
 // CacheStats is a point-in-time snapshot of a PlanCache's counters.
@@ -110,24 +86,13 @@ func NewPlanCache(capacity int) *PlanCache {
 // drives the run, skipping the precalculation; either way the run's plan
 // is stored afterwards, so the entry always holds the latest binding. A
 // cached plan that fails to rebind (a fingerprint collision) counts as a
-// miss and is replaced. Requests that cannot yield a reusable plan —
-// another algorithm, options Multiply rejects, or a plan of the caller's
-// own in opts.Plan — bypass the cache without being counted, as does
-// every request to a nil cache. A failed multiply stores nothing.
+// miss and is replaced. Only requests that pass validation under a live
+// context are looked up and counted. Requests that cannot yield a
+// reusable plan — another algorithm, or a plan of the caller's own in
+// opts.Plan — bypass the cache without being counted, as does every
+// request to a nil cache. A failed or cancelled multiply stores nothing.
 func (c *PlanCache) Multiply(ctx context.Context, a, b *sparse.CSR, fpA, fpB uint64, opts Options) (*Result, error) {
-	k, cacheable := planKeyFor(fpA, fpB, opts)
-	cacheable = cacheable && c != nil
-	if cacheable {
-		opts.Plan = c.bind(k, a, b)
-	}
-	res, err := MultiplyContext(ctx, a, b, opts)
-	if err != nil {
-		return nil, err
-	}
-	if cacheable {
-		c.put(k, res.ReusablePlan())
-	}
-	return res, nil
+	return run(ctx, a, b, opts, c, fpA, fpB)
 }
 
 // bind returns the plan cached under k rebound to (a, b), ready for

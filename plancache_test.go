@@ -139,21 +139,40 @@ func TestPlanCacheBypass(t *testing.T) {
 		t.Fatalf("bypassing requests touched the cache: %+v", st)
 	}
 
+	// Requests that never run are neither counted nor stored: one under a
+	// context that is already done, one whose B has a row too many.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
 	if _, err := c.Multiply(canceled, a, a, 1, 2, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context: err %v", err)
 	}
-	if st := c.Stats(); st.Size != 0 {
-		t.Fatalf("a failed multiply stored a plan: %+v", st)
+	tall := sparse.NewCSR(a.Cols+1, a.Cols)
+	if _, err := c.Multiply(ctx, a, tall, 1, 2, Options{}); !errors.Is(err, ErrDimensionMismatch) {
+		t.Fatalf("B with a row too many: err %v", err)
 	}
+	if st := c.Stats(); st != (CacheStats{Capacity: 4}) {
+		t.Fatalf("requests that never ran touched the cache: %+v", st)
+	}
+}
+
+// keyOf resolves opts as a run does, over operands of the cache tests'
+// shape, and returns the request's plan key; ok is false when the request
+// is rejected or cannot yield a reusable plan.
+func keyOf(t *testing.T, fpA, fpB uint64, opts Options) (planKey, bool) {
+	t.Helper()
+	a := cacheOperand(t)
+	_, kopts, err := resolveOptions(a, a, &opts)
+	if err != nil {
+		return planKey{}, false
+	}
+	return planKeyFor(fpA, fpB, &opts, kopts)
 }
 
 // TestPlanKeyFor pins what the key covers: every plan-shaping option
 // separates entries, the defaulted spellings share them, and options that
 // cannot yield a reusable plan get no key.
 func TestPlanKeyFor(t *testing.T) {
-	base, ok := planKeyFor(1, 2, Options{})
+	base, ok := keyOf(t, 1, 2, Options{})
 	if !ok {
 		t.Fatal("default options produced no key")
 	}
@@ -175,7 +194,7 @@ func TestPlanKeyFor(t *testing.T) {
 		{"DisableLimit", 1, 2, Options{DisableLimit: true}},
 		{"Accumulator", 1, 2, Options{Accumulator: "hash"}},
 	} {
-		k, ok := planKeyFor(tc.fpA, tc.fpB, tc.opts)
+		k, ok := keyOf(t, tc.fpA, tc.fpB, tc.opts)
 		if !ok {
 			t.Errorf("%s: no key", tc.name)
 		} else if k == base {
@@ -193,7 +212,7 @@ func TestPlanKeyFor(t *testing.T) {
 		// Options that do not shape the plan share its entry.
 		{"workers, paranoid", Options{Workers: 3, Paranoid: true}},
 	} {
-		if k, ok := planKeyFor(1, 2, tc.opts); !ok || k != base {
+		if k, ok := keyOf(t, 1, 2, tc.opts); !ok || k != base {
 			t.Errorf("%s: key %+v (ok=%v), want the default key", tc.name, k, ok)
 		}
 	}
@@ -204,11 +223,25 @@ func TestPlanKeyFor(t *testing.T) {
 	}{
 		{"non-BR algorithm", Options{Algorithm: CuSPARSE}},
 		{"unknown accumulator", Options{Accumulator: "radix"}},
-		{"caller's plan", Options{Plan: &Plan{}}},
 	} {
-		if _, ok := planKeyFor(1, 2, tc.opts); ok {
+		if _, ok := keyOf(t, 1, 2, tc.opts); ok {
 			t.Errorf("%s: got a key, want ok=false", tc.name)
 		}
+	}
+
+	// A plan of the caller's own drives the run and is not cached.
+	a := cacheOperand(t)
+	plan, err := NewPlan(a, a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Plan: plan}
+	_, kopts, err := resolveOptions(a, a, &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := planKeyFor(1, 2, &opts, kopts); ok {
+		t.Error("caller's plan: got a key, want ok=false")
 	}
 }
 
@@ -219,8 +252,8 @@ func TestPlanKeyFor(t *testing.T) {
 func TestDefaultTuningSharesPlanEntry(t *testing.T) {
 	implicit := Options{}
 	explicit := Options{Alpha: 10, Beta: 10, LimitFactor: 4}
-	ki, ok1 := planKeyFor(1, 2, implicit)
-	ke, ok2 := planKeyFor(1, 2, explicit)
+	ki, ok1 := keyOf(t, 1, 2, implicit)
+	ke, ok2 := keyOf(t, 1, 2, explicit)
 	if !ok1 || !ok2 || ki != ke {
 		t.Fatalf("keys %+v (ok=%v) and %+v (ok=%v) differ", ki, ok1, ke, ok2)
 	}
@@ -242,7 +275,7 @@ func TestDefaultTuningSharesPlanEntry(t *testing.T) {
 }
 
 // TestNonFiniteThresholdsRejected pins that NaN and ±Inf thresholds are
-// client faults: Multiply rejects them and planKeyFor gives no key, so the
+// client faults: Multiply rejects them before any key is built, so the
 // cache never stores a key that is unequal to itself (which would grow it
 // past capacity and evict valid entries).
 func TestNonFiniteThresholdsRejected(t *testing.T) {
@@ -257,7 +290,7 @@ func TestNonFiniteThresholdsRejected(t *testing.T) {
 			if _, err := Multiply(a, a, opts); !errors.Is(err, ErrInvalidOptions) {
 				t.Errorf("%s=%g: Multiply err %v, want ErrInvalidOptions", name, v, err)
 			}
-			if _, ok := planKeyFor(1, 3, opts); ok {
+			if _, ok := keyOf(t, 1, 3, opts); ok {
 				t.Errorf("%s=%g: got a key", name, v)
 			}
 			if _, err := c.Multiply(context.Background(), a, a, 1, 3, opts); !errors.Is(err, ErrInvalidOptions) {

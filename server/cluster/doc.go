@@ -14,7 +14,8 @@
 //     (wrapping a *server.Server directly, no sockets) or remote (an HTTP
 //     base URL), so the same router fronts a sharded single binary and a
 //     fleet of separate processes;
-//   - Policy — the routing-policy registry: round-robin, least-loaded
+//   - Policy — a closed set of routing policies that NewPolicy builds
+//     by name: round-robin, least-loaded
 //     (outstanding jobs × estimated pending work), and structure-affinity
 //     (a bounded fingerprint→instance table with least-loaded fallback
 //     for cold structures);

@@ -3,11 +3,9 @@ package cluster
 import (
 	"container/list"
 	"fmt"
-	"sort"
-	"sync"
 )
 
-// Built-in policy names, all registered at init.
+// The routing policy names NewPolicy accepts.
 const (
 	PolicyRoundRobin  = "round-robin"
 	PolicyLeastLoaded = "least-loaded"
@@ -81,56 +79,23 @@ type PolicyOptions struct {
 	AffinityEntries int
 }
 
-// PolicyFactory builds a fresh policy instance; each router gets its own.
-type PolicyFactory func(PolicyOptions) Policy
-
-var (
-	policyMu        sync.RWMutex
-	policyFactories = make(map[string]PolicyFactory)
-)
-
-// RegisterPolicy adds a routing policy to the registry. Registering an
-// empty name, a nil factory, or a duplicate panics: registration happens
-// at init time and a collision is a programmer error.
-func RegisterPolicy(name string, factory PolicyFactory) {
-	if name == "" || factory == nil {
-		panic("cluster: RegisterPolicy with empty name or nil factory")
-	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := policyFactories[name]; dup {
-		panic(fmt.Sprintf("cluster: policy %q registered twice", name))
-	}
-	policyFactories[name] = factory
-}
-
-// NewPolicy builds a fresh instance of the named policy.
+// NewPolicy builds a fresh instance of the named policy; each router gets
+// its own.
 func NewPolicy(name string, opts PolicyOptions) (Policy, error) {
-	policyMu.RLock()
-	factory, ok := policyFactories[name]
-	policyMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown routing policy %q (have %v)", name, Policies())
+	switch name {
+	case PolicyRoundRobin:
+		return &roundRobin{}, nil
+	case PolicyLeastLoaded:
+		return &leastLoaded{}, nil
+	case PolicyAffinity:
+		return newAffinityPolicy(opts.AffinityEntries), nil
 	}
-	return factory(opts), nil
+	return nil, fmt.Errorf("cluster: unknown routing policy %q (have %v)", name, Policies())
 }
 
-// Policies returns the registered policy names, sorted.
+// Policies returns the policy names NewPolicy accepts, sorted.
 func Policies() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	out := make([]string, 0, len(policyFactories))
-	for name := range policyFactories {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	RegisterPolicy(PolicyRoundRobin, func(PolicyOptions) Policy { return &roundRobin{} })
-	RegisterPolicy(PolicyLeastLoaded, func(PolicyOptions) Policy { return &leastLoaded{} })
-	RegisterPolicy(PolicyAffinity, func(opts PolicyOptions) Policy { return newAffinityPolicy(opts.AffinityEntries) })
+	return []string{PolicyAffinity, PolicyLeastLoaded, PolicyRoundRobin}
 }
 
 // roundRobin cycles through the eligible instances in order. The counter

@@ -34,15 +34,6 @@ func TestPoliciesRegistry(t *testing.T) {
 	}
 }
 
-func TestRegisterPolicyRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate RegisterPolicy did not panic")
-		}
-	}()
-	RegisterPolicy(PolicyRoundRobin, func(PolicyOptions) Policy { return &roundRobin{} })
-}
-
 func TestRoundRobinCycles(t *testing.T) {
 	p, _ := NewPolicy(PolicyRoundRobin, PolicyOptions{})
 	in := PickInput{Eligible: eligible(3)}

@@ -66,7 +66,7 @@ type PipelineRequest struct {
 	// the inner multiply phases — in the job result.
 	Profile bool `json:"profile,omitempty"`
 	// TimeoutMillis bounds queue plus execution time; expiry cancels the
-	// run between steps and abandons any in-flight multiply.
+	// run between steps and stops an in-flight multiply at its next chunk.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -150,9 +150,10 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // runPipeline runs one pipeline job. The job deadline is ctx's deadline,
-// so an expired job cancels between pipeline steps and abandons any
-// in-flight multiply — the worker is back on the queue promptly and
-// Shutdown's drain never waits on a dead run's full workload.
+// so an expired job cancels between pipeline steps and stops an in-flight
+// multiply once the chunk or phase it is running ends — the worker is
+// back on the queue promptly, no CPU goes to a dead run, and Shutdown's
+// drain never waits on a dead run's full workload.
 func (s *Server) runPipeline(ctx context.Context, j *job, workerGPU string, rec *blockreorg.Trace) (*JobResult, error) {
 	req := j.preq
 	gpu := req.GPU

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -385,6 +387,58 @@ func TestServerQueuedDeadline(t *testing.T) {
 	st := pollDone(t, ts.URL, id)
 	if st.State != StateFailed || st.ErrorKind != FailTimeout {
 		t.Fatalf("got state %s kind %s, want failed/timeout", st.State, st.ErrorKind)
+	}
+}
+
+// TestServerTimeoutStopsWork: a multiply whose deadline expires mid-run
+// fails as a timeout, and once the job is terminal no goroutine of its run
+// is left — the run stops on the worker's goroutine instead of finishing
+// in the background. The test drives the handler directly, so no
+// connection goroutines blur the count.
+func TestServerTimeoutStopsWork(t *testing.T) {
+	reg := NewRegistry()
+	if _, err := reg.Register("a", testNetwork(t, 20_000, 150_000, 7)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: 1}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+	base := runtime.NumGoroutine()
+
+	serve := func(method, path string, in, out any) {
+		t.Helper()
+		body, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if err := json.NewDecoder(rr.Body).Decode(out); err != nil {
+			t.Fatalf("%s %s: status %d: %v", method, path, rr.Code, err)
+		}
+	}
+	var accepted map[string]string
+	serve(http.MethodPost, "/v1/multiply", MultiplyRequest{A: Operand{Name: "a"}, TimeoutMillis: 10}, &accepted)
+	var st JobStatus
+	for st.State != StateDone && st.State != StateFailed {
+		time.Sleep(2 * time.Millisecond)
+		serve(http.MethodGet, "/v1/jobs/"+accepted["job"], nil, &st)
+	}
+	if st.State != StateFailed || st.ErrorKind != FailTimeout {
+		t.Fatalf("got state %s kind %s, want failed/timeout", st.State, st.ErrorKind)
+	}
+	// An executor helper that has signalled its WaitGroup may still be
+	// exiting; give the count 100 ms to settle, well short of the ~300 ms
+	// the whole multiply takes.
+	n := runtime.NumGoroutine()
+	for end := time.Now().Add(100 * time.Millisecond); n > base && time.Now().Before(end); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after the job timed out, %d before it ran", n, base)
 	}
 }
 

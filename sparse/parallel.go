@@ -43,7 +43,9 @@ func recordAccumCounts(rec *trace.Recorder, counts AccumCounts) {
 // pass (skipped when cfg.RowNNZ supplies the populations) sizes every
 // output row exactly, and the numeric pass merges each row on the strategy
 // cfg.Accum resolves to (see AccumulatorKind), writing straight into its
-// final slot.
+// final slot. On an executor view whose context ends mid-run
+// (parallel.Executor.WithContext) it stops after the loop in flight and
+// returns the context's error, never a half-written product.
 //
 // Canonical order: every output entry sums its intermediate products in
 // ascending k over A's row entries, and in B-row order within one k. The
@@ -70,6 +72,9 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 	rowWork := parallel.GetInt64s(a.Rows)
 	defer parallel.PutInt64s(rowWork)
 	intermediateRowWorkInto(rowWork, a, b, ex)
+	if err := ex.Err(); err != nil {
+		return nil, err
+	}
 	chunks := parallel.WeightedRanges(rowWork, 4*ex.Workers())
 	if rec.Enabled() {
 		var flops int64
@@ -90,6 +95,9 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 		rowNNZ = parallel.GetInts(a.Rows)
 		defer parallel.PutInts(rowNNZ)
 		symbolicRowsOn(rowNNZ, a, b, ex, chunks)
+		if err := ex.Err(); err != nil {
+			return nil, err
+		}
 		if rec.Enabled() {
 			var nnzc int64
 			for _, n := range rowNNZ {
@@ -129,6 +137,9 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 		mg.Release()
 	})
 	endExp()
+	if err := ex.Err(); err != nil {
+		return nil, err
+	}
 	if badRow >= 0 {
 		return nil, fmt.Errorf("sparse: row %d merged to a population different from its symbolic size", badRow)
 	}
@@ -139,7 +150,7 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 // SymbolicRowNNZOn is SymbolicRowNNZ on an explicit executor: the marker
 // sweep runs per work-weighted row chunk with pooled marker arrays, each
 // chunk writing its disjoint range of the counts. A nil executor selects
-// the process-wide default.
+// the process-wide default; a stopped executor view returns its error.
 func SymbolicRowNNZOn(a, b *CSR, ex *parallel.Executor) ([]int, error) {
 	if a.Cols != b.Rows {
 		return nil, shapeError("SymbolicRowNNZOn", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -152,9 +163,16 @@ func SymbolicRowNNZOn(a, b *CSR, ex *parallel.Executor) ([]int, error) {
 	// intermediate counts are its exact work profile.
 	rowWork := parallel.GetInt64s(a.Rows)
 	intermediateRowWorkInto(rowWork, a, b, ex)
+	if err := ex.Err(); err != nil {
+		parallel.PutInt64s(rowWork)
+		return nil, err
+	}
 	chunks := parallel.WeightedRanges(rowWork, 4*ex.Workers())
 	parallel.PutInt64s(rowWork)
 	symbolicRowsOn(counts, a, b, ex, chunks)
+	if err := ex.Err(); err != nil {
+		return nil, err
+	}
 	return counts, nil
 }
 
@@ -186,7 +204,8 @@ func symbolicRowsOn(counts []int, a, b *CSR, ex *parallel.Executor, chunks []par
 }
 
 // IntermediateRowNNZOn is IntermediateRowNNZ on an explicit executor with
-// pooled scratch. A nil executor selects the process-wide default.
+// pooled scratch. A nil executor selects the process-wide default; a
+// stopped executor view returns its error.
 func IntermediateRowNNZOn(a, b *CSR, ex *parallel.Executor) ([]int64, error) {
 	if a.Cols != b.Rows {
 		return nil, shapeError("IntermediateRowNNZOn", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -196,6 +215,9 @@ func IntermediateRowNNZOn(a, b *CSR, ex *parallel.Executor) ([]int64, error) {
 	}
 	out := make([]int64, a.Rows)
 	intermediateRowWorkInto(out, a, b, ex)
+	if err := ex.Err(); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -1,9 +1,12 @@
 package sparse
 
 import (
+	"context"
+	"errors"
 	"runtime/debug"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/blockreorg/blockreorg/internal/parallel"
 )
@@ -213,6 +216,49 @@ func TestPrecalcSweepsMatchSerial(t *testing.T) {
 	}
 	if _, err := IntermediateRowNNZOn(NewCSR(2, 3), NewCSR(4, 2), ex); err == nil {
 		t.Fatal("IntermediateRowNNZOn accepted mismatched shapes")
+	}
+}
+
+// TestStoppedViewReturnsItsError: on an executor view whose context is
+// done, every loop of the host engine returns the context's error instead
+// of output its skipped chunks never wrote, and a deadline that lands
+// anywhere in a run yields that error or the exact product, never a
+// half-written one.
+func TestStoppedViewReturnsItsError(t *testing.T) {
+	a := randomCSR(testRNG(29), 400, 400, 0.05)
+	want, err := Multiply(a, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := parallel.NewExecutor(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	view := ex.WithContext(ctx)
+	if _, err := MultiplyConfigured(a, a, view, nil, MulConfig{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MultiplyConfigured on a stopped view: err %v", err)
+	}
+	if _, err := SymbolicRowNNZOn(a, a, view); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SymbolicRowNNZOn on a stopped view: err %v", err)
+	}
+	if _, err := IntermediateRowNNZOn(a, a, view); !errors.Is(err, context.Canceled) {
+		t.Fatalf("IntermediateRowNNZOn on a stopped view: err %v", err)
+	}
+
+	start := time.Now()
+	if _, err := MultiplyConfigured(a, a, ex, nil, MulConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	for i := 0; i <= 20; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), full*time.Duration(i)/20)
+		got, err := MultiplyConfigured(a, a, ex.WithContext(ctx), nil, MulConfig{})
+		cancel()
+		switch {
+		case err != nil && !errors.Is(err, context.DeadlineExceeded):
+			t.Fatalf("deadline %d/20: err %v", i, err)
+		case err == nil && !got.Equal(want, 0):
+			t.Fatalf("deadline %d/20: a run that reported success returned a wrong product", i)
+		}
 	}
 }
 
