@@ -77,7 +77,11 @@ type Options struct {
 	// for every setting — the knob trades merge time, never values. Any
 	// other string is ErrInvalidOptions. The fixed-strategy library
 	// baselines (cuSPARSE, CUSP, bhSPARSE, MKL) keep their published
-	// timing models regardless.
+	// timing models regardless. The knob chooses the host merge of cold
+	// runs only: a run driven by a plan that holds its product's
+	// structure (Plan) fills values into it with the dense accumulator,
+	// whatever the setting, and its rows count as dense in the
+	// accum_rows_dense trace counter.
 	Accumulator string
 	// Workers bounds the host-side executor this run's numeric phases use:
 	// 0 shares the process-wide work-stealing executor (sized to
@@ -103,10 +107,14 @@ type Options struct {
 	// NewPlan (directly or via Result.ReusablePlan) and bound to the
 	// operands with Plan.Rebind. The multiplication then skips the
 	// precalculation and classification work — the serving layer's
-	// plan-cache fast path. Requires Algorithm == BlockReorganizer (or
-	// empty) and a plan bound to exactly (a, b); anything else is
-	// ErrInvalidOptions. The plan's embedded tuning governs the run, so
-	// the tuning fields above are ignored.
+	// plan-cache fast path. A plan from Result.ReusablePlan of a run that
+	// computed values also holds its product's column indices, and the
+	// run only fills values into them: no merge, no per-row accumulator
+	// choice. Requires Algorithm == BlockReorganizer (or empty) and a plan
+	// bound to exactly (a, b); anything else is ErrInvalidOptions. The
+	// operands a plan is bound to must keep their sparsity structure for
+	// as long as the plan is used. The plan's embedded tuning governs the
+	// run, so the tuning fields above are ignored.
 	Plan *Plan
 
 	// Trace optionally attaches a phase-level tracing recorder
@@ -164,8 +172,9 @@ type Result struct {
 
 // ReusablePlan returns the preprocessing plan this run built (or reused),
 // ready to be cached and rebound to later operands with the same sparsity
-// structure. It is nil for algorithms other than the Block Reorganizer;
-// see NewPlan to build one without multiplying.
+// structure. A plan this run built while computing values holds the
+// product's column indices too. It is nil for algorithms other than the
+// Block Reorganizer; see NewPlan to build one without multiplying.
 func (r *Result) ReusablePlan() *Plan { return r.plan }
 
 // Multiply computes C = A×B with the configured algorithm on the simulated

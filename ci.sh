@@ -17,7 +17,11 @@
 #                      goroutine per request; spgemmctl polls jobs), under
 #                      the race detector, with BLOCKREORG_PARANOID=1 so every
 #                      multiplication in those suites runs the deep
-#                      sanitizer layer
+#                      sanitizer layer. Plan-cache hits are among them
+#                      (TestConcurrentKnownStructureHits: eight goroutines
+#                      on one plan a cold Multiply built), so the Paranoid
+#                      cross-check of every known-structure hit against
+#                      the accumulator engine runs here
 #   6. examples       — every runnable Example function executes with its
 #                      Output pinned, and every example program compiles,
 #                      so the documented code paths cannot drift from the

@@ -3,6 +3,7 @@ package blockreorg_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -76,6 +77,59 @@ func TestConcurrentMultiply(t *testing.T) {
 			wantScaled.Scale(float64(w+2) * float64(w+2))
 			if !res2.C.Equal(wantScaled, 1e-6) {
 				errs <- errors.New("plan-driven multiply diverged")
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestConcurrentKnownStructureHits: eight goroutines hit one shared plan
+// that a cold Multiply built, so it carries the product's column indices
+// and every hit fills them without merging. Each goroutine rebinds the
+// plan to its own operands with new values, and its product must equal
+// the sequential engine's bit for bit. Run under -race with
+// BLOCKREORG_PARANOID=1 by ci.sh, which also cross-checks every hit
+// against the accumulator engine.
+func TestConcurrentKnownStructureHits(t *testing.T) {
+	a := testMatrix(t, 13)
+	cold, err := blockreorg.Multiply(a, a, blockreorg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := cold.ReusablePlan()
+
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m := a.Clone()
+			for k := range m.Val {
+				m.Val[k] = float64((k+w)%9-4) / 8
+			}
+			bound, err := plan.Rebind(m, m)
+			if err != nil {
+				errs <- err
+				return
+			}
+			res, err := blockreorg.Multiply(m, m, blockreorg.Options{Plan: bound})
+			if err != nil {
+				errs <- err
+				return
+			}
+			want, err := sparse.Multiply(m, m)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if !res.PlanReused || !res.C.Equal(want, 0) {
+				errs <- fmt.Errorf("goroutine %d: reused %v, product equal %v", w, res.PlanReused, res.C.Equal(want, 0))
 			}
 		}(w)
 	}

@@ -10,7 +10,8 @@ import (
 // ExecuteOn computes the plan's product on the host numeric engine
 // (sparse.MultiplyConfigured) on an explicit executor (nil selects the
 // process-wide default), merging each row on the plan's accumulator and
-// writing it into the slot its stashed population sizes. The engine's
+// writing it into the slot its stashed population sizes; the chunks are
+// weighted by the plan's stashed row work. The engine's
 // canonical summation order makes the result bit-identical to Execute's
 // block walk. The maxIntermediate guard (0 = no limit) rejects products
 // with more than that many intermediate products, as Execute does.
@@ -19,5 +20,5 @@ func (p *Plan) ExecuteOn(ex *parallel.Executor, maxIntermediate int64) (*sparse.
 		return nil, fmt.Errorf("core: intermediate matrix has %d products, over limit %d", p.Cls.TotalWork, maxIntermediate)
 	}
 	return sparse.MultiplyConfigured(p.A, p.B, ex, nil,
-		sparse.MulConfig{Accum: p.Params.Accumulator, RowNNZ: p.RowNNZ})
+		sparse.MulConfig{Accum: p.Params.Accumulator, RowNNZ: p.RowNNZ, RowWork: p.Limit.RowWork})
 }

@@ -86,7 +86,7 @@ func PlanGather(cls *Classification, p Params) (*GatherPlan, error) {
 			}
 			plan.Combined = append(plan.Combined, CombinedBlock{
 				MaxEff: bin.MaxEff,
-				Pairs:  append([]int(nil), bin.Pairs[lo:hi]...),
+				Pairs:  bin.Pairs[lo:hi:hi],
 			})
 		}
 	}

@@ -67,6 +67,14 @@ type Plan struct {
 	RowNNZ []int
 	NNZC   int64
 
+	// CIdx holds C's column indices row by row, the rows' offsets given
+	// by RowNNZ, when the plan was built by a run that computed the
+	// product's values; nil otherwise. It is set before the plan is
+	// returned and never changes afterwards, so a rebound plan shares it
+	// read-only, and a run driven by the plan fills values into this
+	// known structure (sparse.MultiplyKnown) instead of merging rows.
+	CIdx []int
+
 	// Accum is the per-row merge-strategy assignment resolved from
 	// Params.Accumulator and Limit.RowWork. Structure-only like RowNNZ, so
 	// rebound plans keep their selection.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/blockreorg/blockreorg/sparse"
 )
@@ -28,15 +29,16 @@ func (p *Plan) BoundTo(a, b *sparse.CSR) bool {
 
 // Rebind returns a copy of the plan bound to new operands that carry the
 // same sparsity structure as the ones it was built for. The classification,
-// split layout, gather packing and limit set are shared with the original
-// (they are immutable after construction and structure-only); the column
-// orientation of A and the split matrix A′ are rebuilt from the new values.
+// split layout, gather packing, limit set and product structure are shared
+// with the original (they are immutable after construction and
+// structure-only); the column orientation of A and the split matrix A′ are
+// rebuilt from the new values.
 //
-// Rebind verifies the cheap structural invariants — dimensions, nnz totals,
-// per-row populations of B and per-column populations of A — and rejects
-// operands that fail them. Full pattern equality is the caller's contract,
-// normally discharged by matching sparse.StructureFingerprint digests;
-// Paranoid mode additionally re-verifies the rebound plan on the device.
+// Rebind compares the whole pattern — dimensions, row offsets and column
+// indices of both operands — with the operands the plan is bound to, in
+// O(nnz(A)+nnz(B)), and rejects operands that differ: a plan carrying the
+// product's column indices (CIdx) would otherwise fill a wrong structure.
+// The operands the plan is bound to must therefore keep their structure.
 //
 // The original plan is not modified; both plans may execute concurrently.
 func (p *Plan) Rebind(a, b *sparse.CSR) (*Plan, error) {
@@ -53,30 +55,37 @@ func (p *Plan) Rebind(a, b *sparse.CSR) (*Plan, error) {
 		return nil, fmt.Errorf("core: cannot rebind plan built for %dx%d × %dx%d to %dx%d × %dx%d",
 			p.A.Rows, p.A.Cols, p.B.Rows, p.B.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	if a.NNZ() != p.A.NNZ() || b.NNZ() != p.B.NNZ() {
-		return nil, fmt.Errorf("core: cannot rebind plan built for nnz (%d, %d) to nnz (%d, %d)",
-			p.A.NNZ(), p.B.NNZ(), a.NNZ(), b.NNZ())
+	if i := patternDiff(a, p.A); i >= 0 {
+		return nil, fmt.Errorf("core: rebind operand A row %d differs from the plan's pattern", i)
 	}
-	for i := 0; i < b.Rows; i++ {
-		if b.RowNNZ(i) != p.B.RowNNZ(i) {
-			return nil, fmt.Errorf("core: rebind operand B row %d holds %d entries, plan expects %d",
-				i, b.RowNNZ(i), p.B.RowNNZ(i))
-		}
+	if i := patternDiff(b, p.B); i >= 0 {
+		return nil, fmt.Errorf("core: rebind operand B row %d differs from the plan's pattern", i)
 	}
 	acsc := a.ToCSC()
-	for j := 0; j < acsc.Cols; j++ {
-		if acsc.ColNNZ(j) != p.ACSC.ColNNZ(j) {
-			return nil, fmt.Errorf("core: rebind operand A column %d holds %d entries, plan expects %d",
-				j, acsc.ColNNZ(j), p.ACSC.ColNNZ(j))
-		}
-	}
 	q := *p
 	q.A, q.ACSC, q.B = a, acsc, b
 	// A′ holds copies of the dominator column values; rebuild it so the
 	// rebound plan multiplies with the new operand's numbers. The chunk
-	// boundaries are safe: every column population was just checked.
+	// boundaries are safe: the pattern, and so every column population,
+	// was just checked.
 	split := *p.Split
 	split.buildAPrime(acsc)
 	q.Split = &split
 	return &q, nil
+}
+
+// patternDiff returns the first row whose column indices differ between x
+// and y, which have the same shape, or -1 when their patterns are equal.
+func patternDiff(x, y *sparse.CSR) int {
+	if x == y || (slices.Equal(x.Ptr, y.Ptr) && slices.Equal(x.Idx, y.Idx)) {
+		return -1
+	}
+	for i := 0; i < x.Rows; i++ {
+		xi, _ := x.Row(i)
+		yi, _ := y.Row(i)
+		if !slices.Equal(xi, yi) {
+			return i
+		}
+	}
+	return x.Rows
 }

@@ -152,7 +152,11 @@ func (s *Simulator) Run(k *Kernel) (*KernelResult, error) {
 	cursor := newClassCursor(k, s.chunkSizes(k))
 
 	now := float64(cfg.KernelOverheadCycles)
-	var running []*runningBlock
+	// The resident dispatches live in one slab per run; running holds
+	// their slab indices in dispatch order, and a retired dispatch's slot
+	// goes on the free list for the next placement.
+	var slab []runningBlock
+	var running, free []int
 
 	fill := func() {
 		for {
@@ -169,7 +173,14 @@ func (s *Simulator) Run(k *Kernel) (*KernelResult, error) {
 				r := s.place(b, &sms[i], gpu, chunk, now, res)
 				sms[i].place(cfg, b)
 				gpu.accumBytes += float64(b.AccumBytes)
-				running = append(running, r)
+				if n := len(free); n > 0 {
+					slab[free[n-1]] = r
+					running = append(running, free[n-1])
+					free = free[:n-1]
+				} else {
+					slab = append(slab, r)
+					running = append(running, len(slab)-1)
+				}
 				placed = true
 			}
 			if !placed {
@@ -183,8 +194,8 @@ func (s *Simulator) Run(k *Kernel) (*KernelResult, error) {
 	// uniformly when the aggregate exceeds the (hit-mix weighted) pipe.
 	reallocate := func() {
 		var mlpSum, pipeWeighted float64
-		for _, r := range running {
-			if r.remBytes > 0 {
+		for _, ri := range running {
+			if r := &slab[ri]; r.remBytes > 0 {
 				mlpSum += r.mlp
 				pipeWeighted += r.mlp * r.pipe
 			}
@@ -196,8 +207,8 @@ func (s *Simulator) Run(k *Kernel) (*KernelResult, error) {
 				scale = pipeEff / mlpSum
 			}
 		}
-		for _, r := range running {
-			if r.remBytes > 0 {
+		for _, ri := range running {
+			if r := &slab[ri]; r.remBytes > 0 {
 				r.bw = r.mlp * scale
 			}
 		}
@@ -208,8 +219,8 @@ func (s *Simulator) Run(k *Kernel) (*KernelResult, error) {
 		reallocate()
 		// Next completion time under current rates.
 		next := math.Inf(1)
-		for _, r := range running {
-			if f := r.finishEstimate(now); f < next {
+		for _, ri := range running {
+			if f := slab[ri].finishEstimate(now); f < next {
 				next = f
 			}
 		}
@@ -218,8 +229,8 @@ func (s *Simulator) Run(k *Kernel) (*KernelResult, error) {
 		}
 		// Drain memory demand up to the completion instant.
 		elapsed := next - now
-		for _, r := range running {
-			if r.remBytes > 0 {
+		for _, ri := range running {
+			if r := &slab[ri]; r.remBytes > 0 {
 				r.remBytes -= r.bw * elapsed
 				if r.remBytes < 0.5 {
 					r.remBytes = 0
@@ -237,11 +248,12 @@ func (s *Simulator) Run(k *Kernel) (*KernelResult, error) {
 		now = next
 		// Retire every block that is done at this instant.
 		keep := running[:0]
-		for _, r := range running {
-			if r.remBytes <= 0 && r.fixedEnd <= now+timeEps {
+		for _, ri := range running {
+			if r := &slab[ri]; r.remBytes <= 0 && r.fixedEnd <= now+timeEps {
 				s.retire(r, &sms[r.sm], gpu, now, res)
+				free = append(free, ri)
 			} else {
-				keep = append(keep, r)
+				keep = append(keep, ri)
 			}
 		}
 		running = keep
@@ -290,7 +302,7 @@ func (s *Simulator) mlpBandwidth(b *BlockWork, latency float64) float64 {
 
 // place prices the fixed (non-memory) portion of a dispatch, registers its
 // traffic statistics, and returns its running state.
-func (s *Simulator) place(b *BlockWork, sm *smState, gpu *gpuState, chunk int, now float64, res *KernelResult) *runningBlock {
+func (s *Simulator) place(b *BlockWork, sm *smState, gpu *gpuState, chunk int, now float64, res *KernelResult) runningBlock {
 	cfg := &s.cfg
 	ipi := float64(b.InstrPerIter)
 	if ipi == 0 {
@@ -361,7 +373,7 @@ func (s *Simulator) place(b *BlockWork, sm *smState, gpu *gpuState, chunk int, n
 	fixed := float64(cfg.BlockOverhead) + math.Max(issueCycles, math.Max(critCycles, atomCycles))
 	fchunk := float64(chunk)
 
-	r := &runningBlock{
+	r := runningBlock{
 		block:      b,
 		chunk:      chunk,
 		sm:         sm.id,

@@ -193,10 +193,11 @@ func finishProduct(a, b *sparse.CSR, opts Options, rep *gpusim.Report, pc *Preco
 	if opts.SkipValues {
 		return p, nil
 	}
-	// The shared analysis already holds the exact symbolic populations, so
-	// the numeric engine skips its own symbolic sweep.
+	// The shared analysis already holds the intermediate counts and the
+	// exact symbolic populations, so the numeric engine counts and sweeps
+	// nothing of its own.
 	c, err := sparse.MultiplyConfigured(a, b, executor(opts), opts.Trace,
-		sparse.MulConfig{Accum: opts.Accumulator, RowNNZ: pc.RowNNZ})
+		sparse.MulConfig{Accum: opts.Accumulator, RowNNZ: pc.RowNNZ, RowWork: pc.RowWork})
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,8 @@ type Precomputed struct {
 // PrecomputeOn runs the shared symbolic analysis for C = A×B on an
 // explicit executor (nil selects the process-wide default): both O(flops)
 // sweeps — the intermediate-population estimate and the symbolic row
-// populations — run as chunked parallel loops with pooled scratch.
+// populations — run as chunked parallel loops with pooled scratch, the
+// second chunked by the first's counts.
 func PrecomputeOn(a, b *sparse.CSR, ex *parallel.Executor) (*Precomputed, error) {
 	if err := checkShapes(a, b); err != nil {
 		return nil, err
@@ -53,7 +54,7 @@ func precompute(a, b *sparse.CSR, ex *parallel.Executor, rec *trace.Recorder) (*
 	rec.Observe(trace.PhaseIntermediate, flops, rec.Since(workStart))
 
 	symStart := rec.Now()
-	rowNNZ, err := sparse.SymbolicRowNNZOn(a, b, ex)
+	rowNNZ, err := sparse.SymbolicRowNNZWith(a, b, ex, rowWork)
 	if err != nil {
 		return nil, err
 	}

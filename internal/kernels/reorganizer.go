@@ -2,7 +2,9 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 
 	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/gpusim"
@@ -87,17 +89,64 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 		prod.NNZC = plan.NNZC
 		return prod, nil
 	}
-	// The numeric result comes from the host engine, which resolves the
-	// plan's requested accumulator with its own rule and counts the rows
-	// it merged per strategy.
-	c, err := sparse.MultiplyConfigured(a, b, executor(opts), opts.Trace,
-		sparse.MulConfig{Accum: plan.Params.Accumulator, RowNNZ: plan.RowNNZ})
+	c, err := hostProduct(a, b, plan, reused, opts)
 	if err != nil {
 		return nil, err
 	}
 	prod.C = c
 	prod.NNZC = int64(c.NNZ())
 	return prod, nil
+}
+
+// hostProduct computes the run's numeric result on the host. A reused plan
+// that carries the product's structure (CIdx) only fills values into it;
+// Paranoid mode also runs the accumulator engine and fails, naming the
+// first row, on any bitwise difference. Any other run merges on the host
+// engine, which resolves the plan's requested accumulator with its own
+// rule and counts the rows it merged per strategy; a plan built here then
+// keeps the product's column indices, before anyone else can see the plan,
+// so later runs driven by it skip the merge.
+func hostProduct(a, b *sparse.CSR, plan *core.Plan, reused bool, opts Options) (*sparse.CSR, error) {
+	ex := executor(opts)
+	cfg := sparse.MulConfig{Accum: plan.Params.Accumulator, RowNNZ: plan.RowNNZ, RowWork: plan.Limit.RowWork}
+	if !reused || plan.CIdx == nil {
+		c, err := sparse.MultiplyConfigured(a, b, ex, opts.Trace, cfg)
+		if err == nil && !reused {
+			plan.CIdx = append([]int(nil), c.Idx...)
+		}
+		return c, err
+	}
+	c, err := sparse.MultiplyKnown(a, b, ex, opts.Trace, plan.Limit.RowWork, plan.RowNNZ, plan.CIdx)
+	if err != nil || !paranoid(opts) {
+		return c, err
+	}
+	ref, err := sparse.MultiplyConfigured(a, b, ex, nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if i := firstDifferingRow(c, ref); i >= 0 {
+		return nil, fmt.Errorf("kernels: known-structure product row %d differs from the accumulator engine's", i)
+	}
+	return c, nil
+}
+
+// firstDifferingRow returns the first row whose column indices or value
+// bits differ between x and y, which have the same shape, or -1 when the
+// two are bitwise identical.
+func firstDifferingRow(x, y *sparse.CSR) int {
+	for i := 0; i < x.Rows; i++ {
+		xi, xv := x.Row(i)
+		yi, yv := y.Row(i)
+		if !slices.Equal(xi, yi) {
+			return i
+		}
+		for t := range xv {
+			if math.Float64bits(xv[t]) != math.Float64bits(yv[t]) {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // BuildPlan runs the Block Reorganizer preprocessing for C = A×B under

@@ -9,8 +9,9 @@
 // iterations; the multiply runs on the tile loop's goroutine). The tile loop runs one row panel at a
 // time: A's panel I meets every B column panel, and output row panel I is
 // emitted before panel I+1 is loaded — streamed to disk in the segmented
-// container format, or copied into a product the caller gets as a
-// *sparse.CSR, reserved once at its exact size. When B fits one column
+// container format, or kept until the loop ends and then copied into a
+// product the caller gets as a *sparse.CSR, reserved once at the panels'
+// exact total. When B fits one column
 // panel, tile (I, 0) is row panel I itself: it is emitted as it stands,
 // and the B panel and its fingerprint stay resident for the whole
 // multiply. Wider grids spill each tile of panel I to the spill directory

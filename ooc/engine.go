@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/blockreorg/blockreorg"
-	"github.com/blockreorg/blockreorg/internal/parallel"
 	"github.com/blockreorg/blockreorg/internal/trace"
 	"github.com/blockreorg/blockreorg/sparse"
 )
@@ -167,9 +166,10 @@ func (e *Engine) dropReshard() {
 // Multiply computes C = A×B out of core and returns the assembled result.
 // The product is bit-identical to blockreorg.Multiply and sparse.Multiply
 // on the same operands, for every budget. The result matrix is the
-// caller's: it is reserved once at its exact size and each row panel is
-// copied into place as the tile loop emits it. The engine's own working
-// set stays within the budget.
+// caller's: the emitted row panels are kept until the tile loop ends,
+// then the result is reserved once at their exact total and each panel is
+// copied into place, so the caller's memory briefly holds the product
+// twice. The engine's own working set stays within the budget.
 //
 // Passing the same b object to consecutive calls reuses its on-disk
 // column reshard — the M ← M·A iteration pattern pays the reshard once.
@@ -205,37 +205,43 @@ func (e *Engine) Multiply(a, b *sparse.CSR) (*sparse.CSR, error) {
 }
 
 // multiplyResident runs the tile loop over a resident A against the
-// cached reshard of b and assembles the product in place.
+// cached reshard of b and assembles the product. The emitted row panels
+// are kept until the loop ends: their populations size the product
+// exactly, so it is reserved once and each panel is copied into place,
+// with no symbolic sweep of its own. The panels must cover A's rows in
+// order.
 func (e *Engine) multiplyResident(a, b *sparse.CSR) (*sparse.CSR, error) {
 	flops, err := outEstimate(memSource{a}, memSource{b})
 	if err != nil {
 		return nil, err
 	}
-	counts, err := sparse.SymbolicRowNNZOn(a, b, parallel.NewExecutor(e.opts.Workers))
-	if err != nil {
-		return nil, err
-	}
-	var nnz int64
-	for _, n := range counts {
-		nnz += int64(n)
-	}
-	// The product is reserved once at its exact size, and every emitted
-	// row panel is copied into place.
-	c := sparse.NewCSR(a.Rows, b.Cols)
-	c.Idx = make([]int, 0, nnz)
-	c.Val = make([]float64, 0, nnz)
-	err = e.tiles(memSource{a}, flops, e.bPanels, func(lo, _ int64, panel *sparse.CSR) error {
-		for r := 0; r < panel.Rows; r++ {
-			idx, val := panel.Row(r)
-			c.AppendRow(int(lo)+r, idx, val)
+	var panels []*sparse.CSR
+	var next, nnz int64
+	err = e.tiles(memSource{a}, flops, e.bPanels, func(lo, hi int64, panel *sparse.CSR) error {
+		if lo != next || int64(panel.Rows) != hi-lo {
+			return fmt.Errorf("ooc: row panel [%d,%d) of %d rows emitted after row %d", lo, hi, panel.Rows, next)
 		}
+		panels = append(panels, panel)
+		next = hi
+		nnz += int64(panel.NNZ())
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if n := c.NNZ(); int64(n) != nnz || cap(c.Idx) != n {
-		return nil, fmt.Errorf("ooc: row panels hold %d entries, the symbolic product %d", n, nnz)
+	if next != int64(a.Rows) {
+		return nil, fmt.Errorf("ooc: row panels cover %d of %d rows", next, a.Rows)
+	}
+	c := sparse.NewCSR(a.Rows, b.Cols)
+	c.Idx = make([]int, 0, nnz)
+	c.Val = make([]float64, 0, nnz)
+	row := 0
+	for _, panel := range panels {
+		for r := 0; r < panel.Rows; r++ {
+			idx, val := panel.Row(r)
+			c.AppendRow(row, idx, val)
+			row++
+		}
 	}
 	return c, nil
 }
@@ -417,8 +423,8 @@ func outEstimate(a, b source) ([]int64, error) {
 }
 
 // emitFunc receives output row panel [lo, hi) with global column
-// indices, in row order. The panel is the engine's: emit copies what it
-// keeps.
+// indices, in row order. The engine never touches a panel again once it
+// is emitted, so emit may keep it.
 type emitFunc func(lo, hi int64, panel *sparse.CSR) error
 
 // tiles runs the tile loop one row panel at a time: A's panel I is

@@ -12,7 +12,9 @@ import (
 // Plan is a reusable Block Reorganizer preprocessing result: the
 // precalculation, classification, B-Splitting, B-Gathering and B-Limiting
 // decisions for one (A, B) operand pair, bound to concrete operand
-// objects. Every decision depends only on the operands' sparsity structure
+// objects. A plan a Multiply built while computing values (see
+// Result.ReusablePlan) also holds the product's column indices, 8 bytes
+// per stored entry of C, so a run it drives only fills in values. Every decision depends only on the operands' sparsity structure
 // (sparse.CSR.StructureFingerprint), so a plan built once can be rebound
 // to any later operands with the same pattern — even with different
 // numeric values — and drive their multiplication through Options.Plan,
@@ -21,16 +23,20 @@ import (
 // requests (see the server package).
 //
 // A Plan is immutable after construction and safe for concurrent use by
-// any number of multiplications.
+// any number of multiplications. The operands it is bound to must keep
+// their sparsity structure while the plan is in use: Rebind compares new
+// operands with them.
 type Plan struct {
 	plan *core.Plan
 }
 
 // NewPlan runs the full Block Reorganizer preprocessing for C = A×B under
 // opts and returns the reusable plan, bound to (a, b). It builds exactly
-// the plan a Multiply with the same opts builds on its own: the GPU (whose
-// SM count shapes the dominator threshold), tuning, Accumulator, Workers
-// and Trace fields are honored. Algorithm must be BlockReorganizer or
+// the plan a Multiply with the same opts builds on its own, but without
+// the product's column indices, which only a multiply computes: a run it
+// drives merges its rows as a cold run does. The GPU (whose SM count
+// shapes the dominator threshold), tuning, Accumulator, Workers and Trace
+// fields are honored. Algorithm must be BlockReorganizer or
 // empty. Faulty requests are reported via the package's typed errors.
 func NewPlan(a, b *sparse.CSR, opts Options) (*Plan, error) {
 	if opts.Algorithm != "" && opts.Algorithm != BlockReorganizer {
@@ -58,11 +64,13 @@ func (p *Plan) BoundTo(a, b *sparse.CSR) bool {
 
 // Rebind returns a plan bound to new operands sharing the sparsity
 // structure of the ones this plan was built for, rebuilding only the
-// value-carrying pieces in O(nnz(A)). Callers guarantee the structural
-// match — normally by comparing StructureFingerprint digests — and Rebind
-// re-checks the cheap invariants (dimensions, nnz, row/column
-// populations), returning ErrInvalidOptions when they fail. Rebinding to
-// the operands the plan is already bound to returns the plan itself.
+// value-carrying pieces in O(nnz(A)). Rebind compares the whole pattern
+// of both operands — dimensions, row offsets and column indices — with
+// the operands the plan is bound to, in O(nnz(A)+nnz(B)), and returns
+// ErrInvalidOptions when they differ, so a plan never drives a product
+// whose structure it does not hold; matching StructureFingerprint
+// digests, as the plan cache does, only finds the candidate. Rebinding
+// to the operands the plan is already bound to returns the plan itself.
 func (p *Plan) Rebind(a, b *sparse.CSR) (*Plan, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: rebind of nil plan", ErrInvalidOptions)

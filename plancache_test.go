@@ -332,3 +332,42 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		t.Fatalf("lost lookups: hits %d + misses %d != %d", st.Hits, st.Misses, goroutines*perG)
 	}
 }
+
+// TestRebindChecksThePattern: a plan built on the 64×64 identity must not
+// rebind to a cyclic shift, although every row and every column of the
+// two holds one entry; a cache entry colliding that way is a miss, and
+// the run computes the shift's own product.
+func TestRebindChecksThePattern(t *testing.T) {
+	const n = 64
+	id := sparse.Identity(n)
+	shift := sparse.NewCSR(n, n)
+	for i := 0; i < n; i++ {
+		shift.AppendRow(i, []int{(i + 1) % n}, []float64{float64(i + 1)})
+	}
+	plan, err := NewPlan(id, id, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Rebind(shift, shift); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("rebind of an identity plan to a cyclic shift: err %v, want ErrInvalidOptions", err)
+	}
+	if _, err := plan.Rebind(id, shift); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("rebind of an identity plan to B a cyclic shift: err %v, want ErrInvalidOptions", err)
+	}
+
+	c := NewPlanCache(1)
+	if _, err := c.Multiply(context.Background(), id, id, 1, 1, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Multiply(context.Background(), shift, shift, 1, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sparse.Multiply(shift, shift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PlanReused || !res.C.Equal(want, 0) {
+		t.Fatalf("colliding entry: reused %v, product equal %v", res.PlanReused, res.C.Equal(want, 0))
+	}
+}

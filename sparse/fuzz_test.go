@@ -64,7 +64,9 @@ func FuzzReadMatrixMarket(f *testing.F) {
 // every strategy runs twice: with the merged population unknown (nnz 0),
 // which keeps the dense path on its first-touch loop, and with the exact
 // count, which sends rows of at least 9 merged columns (the 65-word bitmap
-// holds at most 8 words per column) down the wide path.
+// holds at most 8 words per column) down the wide path. Each product is
+// also recomputed by the known-structure pass (MultiplyKnown) into
+// CombineRow's columns, which must hold the same bits.
 func FuzzAccumulatorMerge(f *testing.F) {
 	f.Add([]byte{})                             // empty row
 	f.Add([]byte{7, 1})                         // singleton
@@ -134,6 +136,18 @@ func FuzzAccumulatorMerge(f *testing.F) {
 					}
 				}
 				m.Release()
+			}
+		}
+		// The known-structure pass fills CombineRow's columns with the
+		// same bits.
+		c, err := MultiplyKnown(a, b, nil, nil, []int64{int64(n)}, []int{len(wantIdx)}, wantIdx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range wantIdx {
+			if math.Float64bits(c.Val[k]) != math.Float64bits(wantVal[k]) {
+				t.Fatalf("known structure: entry %d = (%d, %v), want (%d, %v)",
+					k, c.Idx[k], c.Val[k], wantIdx[k], wantVal[k])
 			}
 		}
 	})

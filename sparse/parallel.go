@@ -21,6 +21,12 @@ type MulConfig struct {
 	// precompute layers already paid for it. Ignored unless its length is
 	// exactly a.Rows. The caller keeps ownership.
 	RowNNZ []int
+	// RowWork optionally supplies the per-row intermediate product counts
+	// of the product (sparse.IntermediateRowNNZ of the same operands),
+	// letting the engine skip its own count: they weight the row chunks
+	// and drive the accumulator selector. Ignored unless its length is
+	// exactly a.Rows. The caller keeps ownership.
+	RowWork []int64
 }
 
 // recordAccumCounts publishes the rows one run merged per strategy.
@@ -37,7 +43,8 @@ func recordAccumCounts(rec *trace.Recorder, counts AccumCounts) {
 // Gustavson on an explicit executor (nil selects the process-wide default),
 // with all scratch drawn from the shared arenas and phase-level spans
 // recorded on rec (nil disables tracing at zero cost). Rows are dealt in
-// contiguous chunks sized by intermediate work rather than row count, so
+// contiguous chunks sized by intermediate work (counted here unless
+// cfg.RowWork supplies it) rather than row count, so
 // one hub row cannot serialize the computation — the CPU analogue of the
 // load-balancing problem the Block Reorganizer solves on GPUs. A symbolic
 // pass (skipped when cfg.RowNNZ supplies the populations) sizes every
@@ -68,21 +75,24 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 	// Work-weighted chunking: split rows so each chunk holds a similar
 	// number of intermediate products. The same per-row upper bounds
 	// drive the host accumulator selector.
-	workStart := rec.Now()
-	rowWork := parallel.GetInt64s(a.Rows)
-	defer parallel.PutInt64s(rowWork)
-	intermediateRowWorkInto(rowWork, a, b, ex)
-	if err := ex.Err(); err != nil {
-		return nil, err
+	rowWork := cfg.RowWork
+	if len(rowWork) != a.Rows {
+		workStart := rec.Now()
+		rowWork = parallel.GetInt64s(a.Rows)
+		defer parallel.PutInt64s(rowWork)
+		intermediateRowWorkInto(rowWork, a, b, ex)
+		if err := ex.Err(); err != nil {
+			return nil, err
+		}
+		if rec.Enabled() {
+			var flops int64
+			for _, w := range rowWork {
+				flops += w
+			}
+			rec.Observe(trace.PhaseIntermediate, flops, rec.Since(workStart))
+		}
 	}
 	chunks := parallel.WeightedRanges(rowWork, 4*ex.Workers())
-	if rec.Enabled() {
-		var flops int64
-		for _, w := range rowWork {
-			flops += w
-		}
-		rec.Observe(trace.PhaseIntermediate, flops, rec.Since(workStart))
-	}
 
 	// Symbolic phase: size every output row exactly, so the numeric phase
 	// writes straight into the final arrays — no per-chunk growth, no
@@ -152,24 +162,33 @@ func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, c
 // chunk writing its disjoint range of the counts. A nil executor selects
 // the process-wide default; a stopped executor view returns its error.
 func SymbolicRowNNZOn(a, b *CSR, ex *parallel.Executor) ([]int, error) {
+	return SymbolicRowNNZWith(a, b, ex, nil)
+}
+
+// SymbolicRowNNZWith is SymbolicRowNNZOn for a caller that already holds
+// the per-row intermediate product counts of the same operands
+// (IntermediateRowNNZOn): they weight the sweep's chunks, and the sweep
+// skips counting them again. rowWork is ignored unless its length is
+// exactly a.Rows; the caller keeps ownership.
+func SymbolicRowNNZWith(a, b *CSR, ex *parallel.Executor, rowWork []int64) ([]int, error) {
 	if a.Cols != b.Rows {
 		return nil, shapeError("SymbolicRowNNZOn", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	if ex == nil {
 		ex = parallel.Default()
 	}
-	counts := make([]int, a.Rows)
-	// The sweep visits every intermediate product once, so the per-row
-	// intermediate counts are its exact work profile.
-	rowWork := parallel.GetInt64s(a.Rows)
-	intermediateRowWorkInto(rowWork, a, b, ex)
-	if err := ex.Err(); err != nil {
-		parallel.PutInt64s(rowWork)
-		return nil, err
+	if len(rowWork) != a.Rows {
+		// The sweep visits every intermediate product once, so the
+		// per-row intermediate counts are its exact work profile.
+		rowWork = parallel.GetInt64s(a.Rows)
+		defer parallel.PutInt64s(rowWork)
+		intermediateRowWorkInto(rowWork, a, b, ex)
+		if err := ex.Err(); err != nil {
+			return nil, err
+		}
 	}
-	chunks := parallel.WeightedRanges(rowWork, 4*ex.Workers())
-	parallel.PutInt64s(rowWork)
-	symbolicRowsOn(counts, a, b, ex, chunks)
+	counts := make([]int, a.Rows)
+	symbolicRowsOn(counts, a, b, ex, parallel.WeightedRanges(rowWork, 4*ex.Workers()))
 	if err := ex.Err(); err != nil {
 		return nil, err
 	}

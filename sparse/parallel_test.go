@@ -243,6 +243,17 @@ func TestStoppedViewReturnsItsError(t *testing.T) {
 	if _, err := IntermediateRowNNZOn(a, a, view); !errors.Is(err, context.Canceled) {
 		t.Fatalf("IntermediateRowNNZOn on a stopped view: err %v", err)
 	}
+	rowWork, err := IntermediateRowNNZ(a, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowNNZ, err := SymbolicRowNNZ(a, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MultiplyKnown(a, a, view, nil, rowWork, rowNNZ, want.Idx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MultiplyKnown on a stopped view: err %v", err)
+	}
 
 	start := time.Now()
 	if _, err := MultiplyConfigured(a, a, ex, nil, MulConfig{}); err != nil {
@@ -252,12 +263,17 @@ func TestStoppedViewReturnsItsError(t *testing.T) {
 	for i := 0; i <= 20; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), full*time.Duration(i)/20)
 		got, err := MultiplyConfigured(a, a, ex.WithContext(ctx), nil, MulConfig{})
+		known, kerr := MultiplyKnown(a, a, ex.WithContext(ctx), nil, rowWork, rowNNZ, want.Idx)
 		cancel()
 		switch {
 		case err != nil && !errors.Is(err, context.DeadlineExceeded):
 			t.Fatalf("deadline %d/20: err %v", i, err)
 		case err == nil && !got.Equal(want, 0):
 			t.Fatalf("deadline %d/20: a run that reported success returned a wrong product", i)
+		case kerr != nil && !errors.Is(kerr, context.DeadlineExceeded):
+			t.Fatalf("deadline %d/20: MultiplyKnown err %v", i, kerr)
+		case kerr == nil && !known.Equal(want, 0):
+			t.Fatalf("deadline %d/20: a MultiplyKnown run that reported success returned a wrong product", i)
 		}
 	}
 }
