@@ -71,13 +71,18 @@
 #                      so the routing and fleet-scrape paths of
 #                      docs/CLUSTER.md stay exercised end to end
 #  12. out-of-core smoke — genmat -stream writes a segmented R-MAT network,
-#                      graphrun powers it twice: once in memory, once under
-#                      a deliberately tiny -mem-budget, and the two result
-#                      files must compare byte-identical — the engine's
-#                      bit-identity contract enforced end to end at the CLI.
+#                      graphrun powers it in memory and then under two
+#                      deliberately tiny -mem-budgets. Each budgeted result
+#                      file must compare byte-identical to the in-memory
+#                      one — the engine's bit-identity contract enforced
+#                      end to end at the CLI — and each run must tile
+#                      (ooc_tiles > 1) with its tracked peak within the
+#                      budget (ooc_peak_tracked_bytes <= ooc_budget_bytes).
 #                      64K splits B into about 3 column panels, so tiles
 #                      still spill and each row panel is merged from its
-#                      files (a one-column grid emits tiles unspilled)
+#                      files. 160K keeps B in one column panel, so A's row
+#                      panels are cut by the budget B leaves and each tile
+#                      is emitted unspilled
 #  13. scorecard gate — blockreorg-bench regenerates the ablation-alpha table
 #                      at scale 8 (deterministic, about ten seconds) and
 #                      it must compare byte-identical to the committed
@@ -259,19 +264,27 @@ echo "==> out-of-core smoke (genmat -stream -> graphrun -mem-budget, byte-identi
 go run ./cmd/genmat -kind rmat -n 256 -nnz 2048 -seed 9 -stream -panel 32 -o "$smoke_dir/net.csrs"
 go run ./cmd/graphrun -workload power -in "$smoke_dir/net.csrs" -k 3 \
     -o "$smoke_dir/power_mem.mtx"
-go run ./cmd/graphrun -workload power -in "$smoke_dir/net.csrs" -k 3 \
-    -mem-budget 64K -spill-dir "$smoke_dir/spill" -profile \
-    -o "$smoke_dir/power_ooc.mtx" | tee "$smoke_dir/power_ooc.txt"
-if ! cmp -s "$smoke_dir/power_mem.mtx" "$smoke_dir/power_ooc.mtx"; then
-    echo "out-of-core smoke: budgeted result differs from the in-memory run" >&2
-    exit 1
-fi
-ooc_tiles=$(awk '$1 == "ooc_tiles" { print $2 }' "$smoke_dir/power_ooc.txt")
-if [ -z "$ooc_tiles" ] || [ "$ooc_tiles" -le 1 ]; then
-    echo "out-of-core smoke: budget did not force a tile grid (ooc_tiles='${ooc_tiles:-missing}')" >&2
-    exit 1
-fi
-echo "out-of-core smoke: $ooc_tiles tiles, byte-identical result"
+for budget in 64K 160K; do
+    go run ./cmd/graphrun -workload power -in "$smoke_dir/net.csrs" -k 3 \
+        -mem-budget "$budget" -spill-dir "$smoke_dir/spill" -profile \
+        -o "$smoke_dir/power_ooc_$budget.mtx" | tee "$smoke_dir/power_ooc_$budget.txt"
+    if ! cmp -s "$smoke_dir/power_mem.mtx" "$smoke_dir/power_ooc_$budget.mtx"; then
+        echo "out-of-core smoke: result under $budget differs from the in-memory run" >&2
+        exit 1
+    fi
+    ooc_tiles=$(awk '$1 == "ooc_tiles" { print $2 }' "$smoke_dir/power_ooc_$budget.txt")
+    if [ -z "$ooc_tiles" ] || [ "$ooc_tiles" -le 1 ]; then
+        echo "out-of-core smoke: $budget did not force a tile grid (ooc_tiles='${ooc_tiles:-missing}')" >&2
+        exit 1
+    fi
+    ooc_peak=$(awk '$1 == "ooc_peak_tracked_bytes" { print $2 }' "$smoke_dir/power_ooc_$budget.txt")
+    ooc_budget=$(awk '$1 == "ooc_budget_bytes" { print $2 }' "$smoke_dir/power_ooc_$budget.txt")
+    if [ -z "$ooc_peak" ] || [ -z "$ooc_budget" ] || [ "$ooc_peak" -gt "$ooc_budget" ]; then
+        echo "out-of-core smoke: tracked peak '${ooc_peak:-missing}' over the budget '${ooc_budget:-missing}'" >&2
+        exit 1
+    fi
+    echo "out-of-core smoke: $budget, $ooc_tiles tiles, peak $ooc_peak of $ooc_budget bytes, byte-identical result"
+done
 
 echo "==> scorecard gate (ablation-alpha CSV regenerated, byte-identical to results/)"
 go run ./cmd/blockreorg-bench -scale 8 -csv "$smoke_dir/results" fig8 fig10 ablation-alpha >/dev/null

@@ -173,7 +173,7 @@ func TestConcurrentPoisonedArenaReuse(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !got.Equal(want, 0) {
+				if !got.Identical(want) {
 					errs <- errors.New("concurrent poisoned MultiplyConfigured diverged")
 					return
 				}
@@ -182,7 +182,7 @@ func TestConcurrentPoisonedArenaReuse(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !res.C.Equal(want, 1e-9) {
+				if !res.C.Identical(want) {
 					errs <- errors.New("concurrent poisoned Reorganizer diverged")
 					return
 				}

@@ -62,7 +62,7 @@ func TestAccumGridBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !walk.Equal(want, 0) {
+				if !walk.Identical(want) {
 					t.Fatalf("rebound=%v: Execute not bit-identical to Multiply", rebound)
 				}
 				for _, kind := range accumKinds {
@@ -89,7 +89,7 @@ func TestAccumGridBitIdentical(t *testing.T) {
 						if err := prod.C.Validate(); err != nil {
 							t.Fatalf("%v workers=%d rebound=%v: %v", kind, ex.Workers(), rebound, err)
 						}
-						if !prod.C.Equal(want, 0) || !prod.C.Equal(walk, 0) {
+						if !prod.C.Identical(want) || !prod.C.Identical(walk) {
 							t.Fatalf("%v workers=%d rebound=%v: Reorganizer product not bit-identical to Multiply and Execute",
 								kind, ex.Workers(), rebound)
 						}

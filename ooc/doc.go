@@ -27,16 +27,23 @@
 // contributions without reordering the survivors, so the reassembled
 // out-of-core product is bit-identical to the in-memory blockreorg
 // product and to sparse.Multiply for every budget and tile grid. Tests
-// assert Equal(·, 0), not approximate agreement.
+// assert Identical — the same Ptr, Idx and value bits — not approximate
+// agreement.
 //
 // # Memory accounting
 //
 // Every panel, tile and merge buffer the engine materializes is tracked
 // by an Accountant; its high-water mark is surfaced through Stats and the
 // ooc_peak_tracked_bytes trace gauge, and stays under the configured
-// budget for any feasible grid. The budget is split into quarters: one
-// for the resident A row panel, one for the resident B column panel, and
-// two for the result tile plus merge working set. The write buffers of
+// budget for any feasible grid. B is cut into column panels of a quarter
+// of the budget. When it fits one, that panel is loaded first and stays
+// resident, and A's row panels are cut so that one of them plus its
+// estimated result tile fits in what B leaves: the budget minus the B
+// panel's bytes. No merge runs on that path, so nothing else is charged.
+// Wider grids split the budget into quarters: one for the resident A row
+// panel, one for the resident B column panel, and two for the result
+// tile plus merge working set. The inner multiplications' own scratch
+// is not tracked; it grows with the tile. The write buffers of
 // the segmented containers (64 KiB each, one per B column panel while B
 // is resharded) are outside the accountant. Operands or results the
 // caller holds in memory are the caller's, not the engine's — the

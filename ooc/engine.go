@@ -20,12 +20,15 @@ const tilePlanCacheSize = 64
 
 // Options configures an out-of-core engine.
 type Options struct {
-	// Budget caps the engine's working set in bytes. It sizes the tile
-	// grid — a quarter each for the resident A row panel and B column
-	// panel, the rest for the result tile and merge buffers — and must be
-	// positive. The cap is soft: a single row or column heavier than its
-	// share still gets a panel of its own, and the overshoot shows up
-	// honestly in Stats.PeakBytes.
+	// Budget caps the engine's working set in bytes and must be positive.
+	// It sizes the tile grid. B is cut into column panels of a quarter
+	// of the budget each. When B fits one such panel, that panel stays
+	// resident and A's row panels take what it leaves: each A panel plus
+	// its estimated result tile fits in Budget minus B's bytes. Wider
+	// grids give a quarter to the A row panel and the other half to the
+	// result tile and merge buffers. The cap is soft: a single row or
+	// column heavier than its share still gets a panel of its own, and
+	// the overshoot shows up honestly in Stats.PeakBytes.
 	Budget int64
 	// Dir hosts the engine's scratch and spill files. Empty creates a
 	// private temporary directory that Close removes; a caller-supplied
@@ -145,11 +148,30 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// shareA and shareB are the byte budgets of one resident A row panel and
-// one resident B column panel; the remaining half of the budget covers
-// the result tile and the merge working set.
-func (e *Engine) shareA() int64 { return e.opts.Budget / 4 }
+// shareB is the byte budget of one resident B column panel: B is resharded
+// into panels of a quarter of the budget, and in chunks of that size.
 func (e *Engine) shareB() int64 { return e.opts.Budget / 4 }
+
+// quarterFits is the row-panel test of a grid of several column panels.
+// The budget divides into quarters: the resident A row panel, the
+// resident B column panel, the result tile and the merge working set. An
+// A row panel of in bytes and its result tile, estimated at out bytes,
+// must each fit a quarter.
+func (e *Engine) quarterFits(in, out int64) bool {
+	q := e.opts.Budget / 4
+	return in <= q && out <= q
+}
+
+// oneColumnFits returns the row-panel test of a one-column grid whose B
+// panel of bBytes stays resident: an A row panel plus its estimated
+// result tile must fit in the rest of the budget. The tracked peak, B
+// plus one A panel plus its tile, then stays within the budget, since a
+// tile holds no more entries than its estimate. A B heavier than the
+// whole budget leaves nothing, and every row is a panel of its own.
+func (e *Engine) oneColumnFits(bBytes int64) func(in, out int64) bool {
+	limit := e.opts.Budget - bBytes
+	return func(in, out int64) bool { return in+out <= limit }
+}
 
 // scratchPath returns a fresh file path inside the engine's directory.
 func (e *Engine) scratchPath(name string) string {
@@ -376,7 +398,8 @@ func (e *Engine) reshard(b source) (bp *colPanels, err error) {
 		bp.paths = append(bp.paths, path)
 	}
 	var written int64
-	for _, chunk := range ranges(b.rowCuts(e.shareB(), nil, 0)) {
+	share := e.shareB()
+	for _, chunk := range ranges(b.rowCuts(nil, func(in, _ int64) bool { return in <= share })) {
 		slab, lerr := b.loadRows(chunk.lo, chunk.hi)
 		if lerr != nil {
 			return nil, lerr
@@ -430,22 +453,25 @@ type emitFunc func(lo, hi int64, panel *sparse.CSR) error
 // tiles runs the tile loop one row panel at a time: A's panel I is
 // multiplied against every B column panel, and output row panel I is
 // assembled and emitted before panel I+1 is loaded. On a one-column grid
-// tile (I, 0) is row panel I itself, so it is emitted as it stands, and
-// the single B panel is loaded once and stays resident across every I.
-// Wider grids spill each tile and merge panel I from its own files right
-// after its last tile, so at most one row panel's spills are on disk at a
-// time. Plans are cached by the panel pair's structure fingerprints and
+// the single B panel is loaded first and stays resident across every I,
+// A's rows are cut by the budget it leaves, and tile (I, 0) is row panel
+// I itself, so it is emitted as it stands. Wider grids cut A by quarters,
+// spill each tile and merge panel I from its own files right after its
+// last tile, so at most one row panel's spills are on disk at a time.
+// Plans are cached by the panel pair's structure fingerprints and
 // rebound on reuse.
 func (e *Engine) tiles(a source, outWeight []int64, bp *colPanels, emit emitFunc) error {
-	aCuts := a.rowCuts(e.shareA(), outWeight, e.opts.Budget/4)
-	nI, nJ := len(aCuts)-1, len(bp.cuts)-1
-	e.stats.Grid = [2]int{nI, nJ}
+	nJ := len(bp.cuts) - 1
 	if nJ == 1 {
 		bPanel, fpB, err := e.loadB(bp, 0)
 		if err != nil {
 			return err
 		}
-		defer e.acct.Release(csrBytes(bPanel))
+		bBytes := csrBytes(bPanel)
+		defer e.acct.Release(bBytes)
+		aCuts := a.rowCuts(outWeight, e.oneColumnFits(bBytes))
+		nI := len(aCuts) - 1
+		e.stats.Grid = [2]int{nI, 1}
 		for I := 0; I < nI; I++ {
 			if err := e.emitTile(a, aCuts[I], aCuts[I+1], bPanel, fpB, emit); err != nil {
 				return err
@@ -453,6 +479,9 @@ func (e *Engine) tiles(a source, outWeight []int64, bp *colPanels, emit emitFunc
 		}
 		return nil
 	}
+	aCuts := a.rowCuts(outWeight, e.quarterFits)
+	nI := len(aCuts) - 1
+	e.stats.Grid = [2]int{nI, nJ}
 	for I := 0; I < nI; I++ {
 		if err := e.spillRowPanel(a, I, aCuts[I], aCuts[I+1], bp, emit); err != nil {
 			return err

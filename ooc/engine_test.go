@@ -3,6 +3,7 @@ package ooc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -81,7 +82,7 @@ func TestMultiplyBitIdenticalAcrossBudgets(t *testing.T) {
 			if err := got.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(want, 0) {
+			if !got.Identical(want) {
 				t.Fatal("out-of-core product differs bitwise from the in-memory engine")
 			}
 			st := e.Stats()
@@ -122,7 +123,7 @@ func TestMultiplyBitIdenticalRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !got.Equal(want, 0) {
+		if !got.Identical(want) {
 			t.Fatalf("seed %d: out-of-core product differs from sparse.Multiply", seed)
 		}
 		e.Close()
@@ -164,7 +165,7 @@ func TestMergedPanelsArePreSized(t *testing.T) {
 		for r := 0; r < panel.Rows; r++ {
 			gi, gv := panel.Row(r)
 			wi, wv := want.Row(int(lo) + r)
-			if !slices.Equal(gi, wi) || !slices.Equal(gv, wv) {
+			if !slices.Equal(gi, wi) || !slices.EqualFunc(gv, wv, sameBits) {
 				t.Errorf("panel [%d,%d) row %d differs from the in-memory product", lo, hi, r)
 			}
 		}
@@ -185,7 +186,7 @@ func TestMergedPanelsArePreSized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want, 0) {
+	if !got.Identical(want) {
 		t.Fatal("out-of-core product differs bitwise from the in-memory engine")
 	}
 	if cap(got.Idx) != got.NNZ() || cap(got.Val) != got.NNZ() {
@@ -196,12 +197,15 @@ func TestMergedPanelsArePreSized(t *testing.T) {
 
 // A grid whose B fits one column panel emits each tile as its output row
 // panel: nothing spills but the reshard, B is loaded once per multiply,
-// and the directory holds only the reshard between calls.
+// and the directory holds only the reshard between calls. B takes about
+// 107 KB, so the budget keeps it in one column panel while the A panels
+// and tiles it leaves room for still need two row panels.
 func TestOneColumnGridEmitsTiles(t *testing.T) {
 	a, b, want := testOperands(t)
 	rec := blockreorg.NewTrace()
 	dir := t.TempDir()
-	e, err := New(Options{Budget: 1 << 20, Dir: dir, Trace: rec})
+	const budget = 512 << 10
+	e, err := New(Options{Budget: budget, Dir: dir, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +216,16 @@ func TestOneColumnGridEmitsTiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want, 0) {
+		if !got.Identical(want) {
 			t.Fatalf("call %d differs bitwise from the in-memory engine", k)
 		}
 	}
 	st := e.Stats()
 	if st.Grid[0] < 2 || st.Grid[1] != 1 {
 		t.Fatalf("grid %dx%d, want several row panels and one column panel", st.Grid[0], st.Grid[1])
+	}
+	if st.PeakBytes > budget {
+		t.Fatalf("peak tracked bytes %d over budget %d", st.PeakBytes, budget)
 	}
 	p := rec.Profile()
 	byPhase := map[string]trace.PhaseBreakdown{}
@@ -292,6 +299,9 @@ func TestSpillFailureCleansUp(t *testing.T) {
 	}
 }
 
+// sameBits reports whether two values have the same IEEE 754 bits.
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
 func randomCSR(rng *rand.Rand, rows, cols int, density float64) *sparse.CSR {
 	m := sparse.NewCSR(rows, cols)
 	var idx []int
@@ -311,13 +321,14 @@ func randomCSR(rng *rand.Rand, rows, cols int, density float64) *sparse.CSR {
 
 // The file-to-file path: both operands live in segmented containers, the
 // result streams into one, and nothing but panels is ever resident. The
-// assembled result must match the in-memory product bitwise.
+// assembled result must match the in-memory product bitwise, on a grid
+// that spills and merges and on a one-column grid cut at stored panels
+// by the budget the resident B leaves.
 func TestMultiplyFilesBitIdentical(t *testing.T) {
 	a, b, want := testOperands(t)
 	dir := t.TempDir()
 	aPath := filepath.Join(dir, "a.seg")
 	bPath := filepath.Join(dir, "b.seg")
-	outPath := filepath.Join(dir, "c.seg")
 	// Stored panels bound the grid planner's cut granularity (a file cut
 	// must land on a stored panel boundary), so keep them fine relative
 	// to the budget's panel share.
@@ -327,27 +338,36 @@ func TestMultiplyFilesBitIdentical(t *testing.T) {
 	if err := sparse.WriteSegmentedFile(bPath, b, 32); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Options{Budget: 200 << 10, Dir: filepath.Join(dir, "scratch")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.MultiplyFiles(aPath, bPath, outPath); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sparse.ReadSegmentedFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want, 0) {
-		t.Fatal("file-to-file product differs bitwise from the in-memory engine")
-	}
-	st := e.Stats()
-	if st.Grid[0] < 2 || st.Grid[1] < 2 {
-		t.Fatalf("grid %dx%d, want a real tiling", st.Grid[0], st.Grid[1])
-	}
-	if st.PeakBytes > 200<<10 {
-		t.Fatalf("peak tracked bytes %d over budget", st.PeakBytes)
+	for _, tc := range []struct {
+		name   string
+		budget int64
+		wide   bool // B splits into two or more column panels
+	}{{"grid", 200 << 10, true}, {"one-column", 512 << 10, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			outPath := filepath.Join(t.TempDir(), "c.seg")
+			e, err := New(Options{Budget: tc.budget, Dir: filepath.Join(t.TempDir(), "scratch")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if err := e.MultiplyFiles(aPath, bPath, outPath); err != nil {
+				t.Fatal(err)
+			}
+			got, err := sparse.ReadSegmentedFile(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Identical(want) {
+				t.Fatal("file-to-file product differs bitwise from the in-memory engine")
+			}
+			st := e.Stats()
+			if st.Grid[0] < 2 || (st.Grid[1] >= 2) != tc.wide {
+				t.Fatalf("grid %dx%d, want a real tiling with wide=%v", st.Grid[0], st.Grid[1], tc.wide)
+			}
+			if st.PeakBytes > tc.budget {
+				t.Fatalf("peak tracked bytes %d over budget %d", st.PeakBytes, tc.budget)
+			}
+		})
 	}
 }
 
@@ -373,7 +393,7 @@ func TestPlanAndReshardReuseAcrossIterations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want.C, 0) {
+		if !got.Identical(want.C) {
 			t.Fatalf("iteration %d differs from the in-memory engine", k)
 		}
 		m = got
@@ -533,6 +553,113 @@ func TestAccountingBalanced(t *testing.T) {
 	}
 	if cur := e.acct.Current(); cur != 0 {
 		t.Fatalf("tracked bytes leaked: %d still resident", cur)
+	}
+}
+
+// The one-column cut: an A row panel plus its estimated tile fits in the
+// budget the resident B leaves, unless the panel is one row (or one
+// stored panel of a file) that does not fit alone, and every cut is
+// maximal: the panel with the next row or stored panel added would not
+// fit. Both sources cut by the same rule at their own granularity.
+func TestOneColumnCuts(t *testing.T) {
+	a, b, _ := testOperands(t)
+	flops, err := outEstimate(memSource{a}, memSource{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "a.seg")
+	if err := sparse.WriteSegmentedFile(path, a, 32); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := sparse.OpenSegmented(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	rowEnds := make([]int64, a.Rows)
+	for i := range rowEnds {
+		rowEnds[i] = int64(i + 1)
+	}
+	var panelEnds []int64
+	for _, p := range seg.Panels() {
+		panelEnds = append(panelEnds, p.End)
+	}
+	// bytes is what the cut charges rows [lo, hi): the A panel plus the
+	// tile its flop count bounds.
+	bytes := func(lo, hi int64) int64 {
+		var nnz, w int64
+		for i := lo; i < hi; i++ {
+			nnz += int64(a.RowNNZ(int(i)))
+			w += flops[i]
+		}
+		return csrBytesFor(hi-lo, nnz) + csrBytesFor(hi-lo, w)
+	}
+	bBytes := csrBytes(b)
+	for _, budget := range []int64{300 << 10, 512 << 10, 768 << 10} {
+		e, err := New(Options{Budget: budget, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		limit := budget - bBytes
+		for _, src := range []struct {
+			name string
+			s    source
+			ends []int64 // the cut candidates: every end of a row or stored panel
+		}{{"mem", memSource{a}, rowEnds}, {"file", fileSource{seg}, panelEnds}} {
+			cuts := src.s.rowCuts(flops, e.oneColumnFits(bBytes))
+			if len(cuts) < 3 || cuts[0] != 0 || cuts[len(cuts)-1] != int64(a.Rows) {
+				t.Fatalf("%s, budget %d: cuts %v, want several panels over [0,%d)", src.name, budget, cuts, a.Rows)
+			}
+			for I := 0; I+1 < len(cuts); I++ {
+				lo, hi := cuts[I], cuts[I+1]
+				k, ok := slices.BinarySearch(src.ends, hi)
+				if !ok || src.ends[k] <= lo {
+					t.Fatalf("%s, budget %d: cut %d is not a boundary after %d", src.name, budget, hi, lo)
+				}
+				lone := k == 0 || src.ends[k-1] <= lo
+				if n := bytes(lo, hi); n > limit && !lone {
+					t.Fatalf("%s, budget %d: panel [%d,%d) charges %d over the limit %d",
+						src.name, budget, lo, hi, n, limit)
+				}
+				if k+1 < len(src.ends) && bytes(lo, src.ends[k+1]) <= limit {
+					t.Fatalf("%s, budget %d: panel [%d,%d) could extend to %d within the limit %d",
+						src.name, budget, lo, hi, src.ends[k+1], limit)
+				}
+			}
+		}
+	}
+}
+
+// A B heavier than the whole budget that still forms one column panel
+// leaves no room for A: every row is a panel of its own, and the multiply
+// still succeeds, bit-identical to the in-memory product.
+func TestOneColumnHeavyB(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	a := randomCSR(rng, 40, 300, 0.1)
+	b := randomCSR(rng, 300, 1, 0.9)
+	const budget = 4 << 10
+	if csrBytes(b) <= budget {
+		t.Fatalf("B takes %d bytes, want more than the budget %d", csrBytes(b), budget)
+	}
+	want, err := sparse.Multiply(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Options{Budget: budget, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	got, err := e.Multiply(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Identical(want) {
+		t.Fatal("out-of-core product differs bitwise from sparse.Multiply")
+	}
+	if g := e.Stats().Grid; g != [2]int{a.Rows, 1} {
+		t.Fatalf("grid %dx%d, want one row per panel: %dx1", g[0], g[1], a.Rows)
 	}
 }
 

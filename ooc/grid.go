@@ -14,16 +14,16 @@ import (
 type source interface {
 	dims() (rows, cols int64)
 	nnz() int64
-	// rowCuts partitions the rows into panels of at most share input
-	// bytes (csrBytesFor) and, when outWeight is non-nil, at most
-	// outShare estimated output bytes (16 per weighted unit plus the
-	// pointer array) — outWeight[i] is an upper bound on the output
-	// population of row i, so the result tiles and merge panels stay
-	// inside their budget slice too. A single row — or, for file
-	// sources, a single stored panel — over the share becomes a panel of
-	// its own: the budget is a target, and the accountant reports the
-	// overshoot honestly.
-	rowCuts(share int64, outWeight []int64, outShare int64) []int64
+	// rowCuts partitions the rows into the longest panels fits accepts:
+	// fits(in, out) reports whether a panel of in input bytes
+	// (csrBytesFor) and out estimated output bytes (16 per weighted unit
+	// plus the pointer array) may be resident. outWeight[i] is an upper
+	// bound on the output population of row i, so the result tiles and
+	// merge panels are sized too; a nil outWeight charges no output. A
+	// single row — or, for file sources, a single stored panel — that
+	// does not fit alone becomes a panel of its own: the budget is a
+	// target, and the accountant reports the overshoot honestly.
+	rowCuts(outWeight []int64, fits func(in, out int64) bool) []int64
 	// rowNNZ returns the per-row entry counts, O(rows) memory.
 	rowNNZ() ([]int64, error)
 	// rowFlops returns, per row, the number of products the row expands
@@ -48,7 +48,7 @@ type memSource struct {
 func (s memSource) dims() (int64, int64) { return int64(s.m.Rows), int64(s.m.Cols) }
 func (s memSource) nnz() int64           { return int64(s.m.NNZ()) }
 
-func (s memSource) rowCuts(share int64, outWeight []int64, outShare int64) []int64 {
+func (s memSource) rowCuts(outWeight []int64, fits func(in, out int64) bool) []int64 {
 	cuts := []int64{0}
 	inB, outB := int64(8), int64(8)
 	for i := 0; i < s.m.Rows; i++ {
@@ -57,8 +57,7 @@ func (s memSource) rowCuts(share int64, outWeight []int64, outShare int64) []int
 		if outWeight != nil {
 			rout = 8 + 16*outWeight[i]
 		}
-		over := inB+rin > share || (outWeight != nil && outB+rout > outShare)
-		if over && int64(i) > cuts[len(cuts)-1] {
+		if !fits(inB+rin, outB+rout) && int64(i) > cuts[len(cuts)-1] {
 			cuts = append(cuts, int64(i))
 			inB, outB = 8, 8
 		}
@@ -121,7 +120,7 @@ func (s fileSource) dims() (int64, int64) {
 
 func (s fileSource) nnz() int64 { return s.seg.Header().NNZ }
 
-func (s fileSource) rowCuts(share int64, outWeight []int64, outShare int64) []int64 {
+func (s fileSource) rowCuts(outWeight []int64, fits func(in, out int64) bool) []int64 {
 	cuts := []int64{0}
 	inB, outB := int64(8), int64(8)
 	for _, p := range s.seg.Panels() {
@@ -133,8 +132,7 @@ func (s fileSource) rowCuts(share int64, outWeight []int64, outShare int64) []in
 				pout += 16 * w
 			}
 		}
-		over := inB+pin > share || (outWeight != nil && outB+pout > outShare)
-		if over && p.Start > cuts[len(cuts)-1] {
+		if !fits(inB+pin, outB+pout) && p.Start > cuts[len(cuts)-1] {
 			cuts = append(cuts, p.Start)
 			inB, outB = 8, 8
 		}

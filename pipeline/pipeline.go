@@ -281,7 +281,8 @@ func (r *Runner) planReusable() bool {
 // multiply runs one expansion product through the run's plan cache
 // (blockreorg.PlanCache.Multiply): a structural hit is rebound to the new
 // operands and skips the precalculation. Without a cache (plan reuse off,
-// or an algorithm that builds no plans) the fingerprints are not taken.
+// or an algorithm that builds no plans) the fingerprints are not taken,
+// and a squared operand (MCL's expand) is fingerprinted once.
 func (st *State) multiply(a, b *sparse.CSR) (*sparse.CSR, error) {
 	rs := st.run
 	if rs.ooc != nil {
@@ -290,7 +291,11 @@ func (st *State) multiply(a, b *sparse.CSR) (*sparse.CSR, error) {
 	opts := rs.runner.multiplyOptions()
 	var fpA, fpB uint64
 	if rs.cache != nil {
-		fpA, fpB = a.StructureFingerprint(), b.StructureFingerprint()
+		fpA = a.StructureFingerprint()
+		fpB = fpA
+		if b != a {
+			fpB = b.StructureFingerprint()
+		}
 	}
 	res, err := rs.cache.Multiply(rs.ctx, a, b, fpA, fpB, opts)
 	if err != nil {

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/blockreorg/blockreorg/internal/parallel"
@@ -152,6 +153,23 @@ func (m *CSR) Equal(o *CSR, tol float64) bool {
 			return false
 		}
 		if d := m.Val[k] - o.Val[k]; d > tol || d < -tol {
+			return false
+		}
+	}
+	return true
+}
+
+// Identical reports whether m and o are the same matrix bit for bit: the
+// same shape, Ptr and Idx, and the same IEEE 754 bits in every value.
+// Unlike Equal(o, 0) it tells −0 from +0 and never matches a NaN to a
+// number, so it is the check behind any bit-identity claim.
+func (m *CSR) Identical(o *CSR) bool {
+	if m.Rows != o.Rows || m.Cols != o.Cols ||
+		!slices.Equal(m.Ptr, o.Ptr) || !slices.Equal(m.Idx, o.Idx) || len(m.Val) != len(o.Val) {
+		return false
+	}
+	for k, v := range m.Val {
+		if math.Float64bits(v) != math.Float64bits(o.Val[k]) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -100,6 +101,33 @@ func TestCSRCloneIndependent(t *testing.T) {
 	c.Idx[0] = (c.Idx[0] + 1) % c.Cols
 	if m.Equal(c, 0) {
 		t.Fatal("mutating clone affected original comparison")
+	}
+}
+
+// Identical compares bits where Equal(·, 0) compares values: a −0 against
+// a +0 and a NaN against itself split the two.
+func TestCSRIdenticalComparesBits(t *testing.T) {
+	m := &CSR{Rows: 1, Cols: 3, Ptr: []int{0, 2}, Idx: []int{0, 2}, Val: []float64{0, math.NaN()}}
+	if !m.Identical(m.Clone()) {
+		t.Fatal("a matrix is not identical to its clone")
+	}
+	neg := m.Clone()
+	neg.Val[0] = math.Copysign(0, -1)
+	if m.Identical(neg) {
+		t.Fatal("−0 is identical to +0")
+	}
+	num := m.Clone()
+	num.Val[1] = 1
+	if !m.Equal(num, 0) || m.Identical(num) {
+		t.Fatal("Equal should match a NaN to a number and Identical should not")
+	}
+	moved := m.Clone()
+	moved.Idx[1] = 1
+	if m.Identical(moved) {
+		t.Fatal("a moved column is identical")
+	}
+	if m.Identical(&CSR{Rows: 1, Cols: 4, Ptr: []int{0, 2}, Idx: []int{0, 2}, Val: m.Val}) {
+		t.Fatal("a wider matrix is identical")
 	}
 }
 
