@@ -77,7 +77,10 @@ type Options struct {
 	// for every setting — the knob trades merge time, never values. Any
 	// other string is ErrInvalidOptions. The fixed-strategy library
 	// baselines (cuSPARSE, CUSP, bhSPARSE, MKL) keep their published
-	// timing models regardless. The knob chooses the host merge of cold
+	// timing models regardless. It is a choice of each run, never part of
+	// a plan: requests that differ only in it share a plan and a
+	// PlanCache entry, and each prices its merge under its own setting.
+	// The knob chooses the host merge of cold
 	// runs only: a run driven by a plan that holds its product's
 	// structure (Plan) fills values into it with the dense accumulator,
 	// whatever the setting, and its rows count as dense in the
@@ -114,7 +117,8 @@ type Options struct {
 	// bound to exactly (a, b); anything else is ErrInvalidOptions. The
 	// operands a plan is bound to must keep their sparsity structure for
 	// as long as the plan is used. The plan's embedded tuning governs the
-	// run, so the tuning fields above are ignored.
+	// run, so the Block Reorganizer tuning fields above are ignored; a
+	// plan holds no accumulator, so Accumulator applies as on any run.
 	Plan *Plan
 
 	// Trace optionally attaches a phase-level tracing recorder

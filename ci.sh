@@ -83,15 +83,19 @@
 #                      files. 160K keeps B in one column panel, so A's row
 #                      panels are cut by the budget B leaves and each tile
 #                      is emitted unspilled
-#  13. scorecard gate — blockreorg-bench regenerates the ablation-alpha table
-#                      at scale 8 (deterministic, about ten seconds) and
-#                      it must compare byte-identical to the committed
-#                      results/ablation-alpha_0.csv, so the α-sensitivity
-#                      claims in EXPERIMENTS.md cannot drift silently. It
-#                      runs in one invocation with fig8 and fig10, so its
-#                      outer-product and α=10 columns are read from the
-#                      runs those figures made: the gate also covers the
-#                      harness's shared memo. The figure CSVs are not
+#  13. scorecard gate — blockreorg-bench regenerates, in one invocation at
+#                      scale 8 (deterministic, about half a minute), every
+#                      scorecard CSV that reproduces today: ablation-alpha,
+#                      casestudy_0, fig3a, fig3b, fig11 (both), fig12, fig13,
+#                      tab1, tab2 and tab3 (both). Each must compare
+#                      byte-identical to its committed results/ file, so
+#                      the claims EXPERIMENTS.md makes from them cannot
+#                      drift silently. fig8 and fig10 run in the same
+#                      invocation, so ablation-alpha's outer-product and
+#                      α=10 columns are read from the runs those figures
+#                      made: the gate also covers the harness's shared
+#                      memo. The other 9 CSVs (casestudy_1, fig3c, fig8,
+#                      fig9, fig10, fig14, fig15, fig16a, fig16b) are not
 #                      gated yet (ROADMAP item 1)
 #
 # Run from the repository root. Exits non-zero on the first failure.
@@ -286,12 +290,16 @@ for budget in 64K 160K; do
     echo "out-of-core smoke: $budget, $ooc_tiles tiles, peak $ooc_peak of $ooc_budget bytes, byte-identical result"
 done
 
-echo "==> scorecard gate (ablation-alpha CSV regenerated, byte-identical to results/)"
-go run ./cmd/blockreorg-bench -scale 8 -csv "$smoke_dir/results" fig8 fig10 ablation-alpha >/dev/null
-if ! cmp "$smoke_dir/results/ablation-alpha_0.csv" results/ablation-alpha_0.csv; then
-    echo "scorecard gate: ablation-alpha at scale 8 differs from results/ablation-alpha_0.csv" >&2
-    echo "(regenerate with: go run ./cmd/blockreorg-bench -scale 8 -csv results ablation-alpha)" >&2
-    exit 1
-fi
+echo "==> scorecard gate (12 scorecard CSVs regenerated, byte-identical to results/)"
+go run ./cmd/blockreorg-bench -scale 8 -csv "$smoke_dir/results" \
+    fig8 fig10 ablation-alpha casestudy fig3a fig3b fig11 fig12 fig13 tab1 tab2 tab3 >/dev/null
+for csv in ablation-alpha_0 casestudy_0 fig11_0 fig11_1 fig12_0 fig13_0 fig3a_0 fig3b_0 \
+    tab1_0 tab2_0 tab3_0 tab3_1; do
+    if ! cmp "$smoke_dir/results/$csv.csv" "results/$csv.csv"; then
+        echo "scorecard gate: $csv at scale 8 differs from results/$csv.csv" >&2
+        echo "(regenerate with: go run ./cmd/blockreorg-bench -scale 8 -csv results all)" >&2
+        exit 1
+    fi
+done
 
 echo "ci.sh: all gates passed"

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"github.com/blockreorg/blockreorg/sparse"
 )
 
 // Default parameter values; see Params.
@@ -52,10 +50,6 @@ type Params struct {
 	// LimitFactor is the number of LimitUnit shared-memory increments
 	// added to limited merge blocks (the Figure 14 x-axis).
 	LimitFactor int
-	// Accumulator selects the merge strategy assigned to output rows (the
-	// plan's AccumPlan); the zero value, sparse.AccumAuto, picks per row
-	// from the intermediate populations.
-	Accumulator sparse.AccumulatorKind
 	// Toggles let the evaluation ablate each technique (Figure 10).
 	DisableSplit  bool
 	DisableGather bool
@@ -98,8 +92,6 @@ func (p Params) Normalize() (Params, error) {
 		return p, fmt.Errorf("core: split factor override %d must be a power of two", p.SplitFactorOverride)
 	case p.LimitFactor < 0:
 		return p, errors.New("core: negative limit factor")
-	case p.Accumulator > sparse.AccumSort:
-		return p, fmt.Errorf("core: unknown accumulator kind %d", p.Accumulator)
 	}
 	return p, nil
 }

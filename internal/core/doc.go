@@ -14,7 +14,7 @@
 //  3. gathers low-performer pairs into combined 32-thread blocks of
 //     micro-block partitions (PlanGather — B-Gathering);
 //  4. marks long output rows whose merge blocks get extra shared memory so
-//     fewer of them co-reside per SM (PlanLimit — B-Limiting).
+//     fewer of them co-reside per SM (PlanLimitFrom — B-Limiting).
 //
 // BuildPlan runs all four and yields a Plan that can be executed
 // functionally (Plan.Execute, used to prove the transformation preserves

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"github.com/blockreorg/blockreorg/sparse"
-)
-
 // LimitPlan is the outcome of B-Limiting: the merge blocks of long output
 // rows are granted extra shared memory so fewer of them co-reside on an SM,
 // reducing L2 contention during the atomic accumulation (paper §IV-D).
@@ -28,19 +24,10 @@ type LimitPlan struct {
 	RowWork []int64
 }
 
-// PlanLimit computes the B-Limiting plan for C = A×B from the row-wise
-// intermediate populations. With DisableLimit no rows are limited but the
-// row populations are still returned for merge-kernel construction.
-func PlanLimit(a, b *sparse.CSR, cls *Classification, p Params) (*LimitPlan, error) {
-	rowWork, err := sparse.IntermediateRowNNZ(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return PlanLimitFrom(rowWork, cls, p)
-}
-
-// PlanLimitFrom is PlanLimit over precomputed row-wise intermediate
-// populations.
+// PlanLimitFrom computes the B-Limiting plan for C = A×B from the
+// row-wise intermediate populations of C. With DisableLimit no rows are
+// limited but the row populations are still returned for merge-kernel
+// construction.
 func PlanLimitFrom(rowWork []int64, cls *Classification, p Params) (*LimitPlan, error) {
 	p, err := p.Normalize()
 	if err != nil {

@@ -75,41 +75,44 @@ type Plan struct {
 	// known structure (sparse.MultiplyKnown) instead of merging rows.
 	CIdx []int
 
-	// Accum is the per-row merge-strategy assignment resolved from
-	// Params.Accumulator and Limit.RowWork. Structure-only like RowNNZ, so
-	// rebound plans keep their selection.
-	Accum *AccumPlan
-
-	// Sim memoizes the simulated expansion and merge kernels per device.
-	// It is held by pointer, so a rebound copy shares it with the plan it
-	// came from and every later hit on the same device reuses one
-	// simulation.
+	// Sim memoizes the simulated expansion and merge kernels per device
+	// and accumulator. It is held by pointer, so a rebound copy shares it
+	// with the plan it came from and every later hit on the same device
+	// and accumulator reuses one simulation.
 	Sim *SimMemo
 }
 
-// BuildPlan runs the full Block Reorganizer preprocessing for C = A×B.
+// BuildPlan runs the full Block Reorganizer preprocessing for C = A×B,
+// computing the symbolic analysis BuildPlanCached takes first.
 func BuildPlan(a, b *sparse.CSR, p Params) (*Plan, error) {
 	if a == nil || b == nil {
 		return nil, errors.New("core: nil operand")
 	}
-	return BuildPlanCached(a, nil, b, nil, nil, p)
+	rowWork, err := sparse.IntermediateRowNNZ(a, b)
+	if err != nil {
+		return nil, err
+	}
+	rowNNZ, err := sparse.SymbolicRowNNZOn(a, b, nil)
+	if err != nil {
+		return nil, err
+	}
+	return BuildPlanCached(a, a.ToCSC(), b, rowWork, rowNNZ, p)
 }
 
-// BuildPlanCached is BuildPlan with optionally precomputed inputs: acsc is
-// A in column orientation, rowWork the per-row intermediate populations of
-// C, and rowNNZ its exact merged row populations (the symbolic product);
-// any may be nil to compute it here. Callers that analyze the same operands
-// repeatedly (the precompute layer, the benchmark harness) share these
-// across runs.
+// BuildPlanCached builds the plan from the operands' symbolic analysis:
+// acsc is A in column orientation, rowWork the per-row intermediate
+// populations of C, and rowNNZ its exact merged row populations (the
+// symbolic product). Callers that analyze the same operands repeatedly
+// (the precompute layer, the benchmark harness) share these across runs.
+// Analysis that does not fit the operands is an error.
 func BuildPlanCached(a *sparse.CSR, acsc *sparse.CSC, b *sparse.CSR, rowWork []int64, rowNNZ []int, p Params) (*Plan, error) {
 	return BuildPlanTraced(a, acsc, b, rowWork, rowNNZ, p, nil)
 }
 
 // BuildPlanTraced is BuildPlanCached with phase-level tracing: the
-// classification, B-Splitting, B-Gathering and B-Limiting stages (and any
-// symbolic sweeps computed here rather than supplied) each record a span
-// on rec. A nil rec disables tracing at zero cost; the plan never retains
-// the recorder.
+// classification, B-Splitting, B-Gathering and B-Limiting stages each
+// record a span on rec. A nil rec disables tracing at zero cost; the plan
+// never retains the recorder.
 func BuildPlanTraced(a *sparse.CSR, acsc *sparse.CSC, b *sparse.CSR, rowWork []int64, rowNNZ []int, p Params, rec *trace.Recorder) (*Plan, error) {
 	p, err := p.Normalize()
 	if err != nil {
@@ -118,10 +121,12 @@ func BuildPlanTraced(a *sparse.CSR, acsc *sparse.CSC, b *sparse.CSR, rowWork []i
 	if a == nil || b == nil {
 		return nil, errors.New("core: nil operand")
 	}
-	if acsc == nil {
-		endConv := rec.SpanItems(trace.PhaseConvert, int64(a.NNZ()))
-		acsc = a.ToCSC()
-		endConv()
+	switch {
+	case acsc == nil || acsc.Rows != a.Rows || acsc.Cols != a.Cols:
+		return nil, fmt.Errorf("core: column-oriented A does not have A's %dx%d shape", a.Rows, a.Cols)
+	case len(rowWork) != a.Rows || len(rowNNZ) != a.Rows:
+		return nil, fmt.Errorf("core: %d row works and %d row populations for %d rows",
+			len(rowWork), len(rowNNZ), a.Rows)
 	}
 	endCls := rec.SpanItems(trace.PhaseClassify, int64(acsc.Cols))
 	cls, err := Classify(acsc, b, p)
@@ -141,27 +146,11 @@ func BuildPlanTraced(a *sparse.CSR, acsc *sparse.CSC, b *sparse.CSR, rowWork []i
 	if err != nil {
 		return nil, err
 	}
-	if rowWork == nil {
-		endWork := rec.Span(trace.PhaseIntermediate)
-		rowWork, err = sparse.IntermediateRowNNZ(a, b)
-		endWork()
-		if err != nil {
-			return nil, err
-		}
-	}
 	endLimit := rec.SpanItems(trace.PhaseLimit, int64(a.Rows))
 	limit, err := PlanLimitFrom(rowWork, cls, p)
 	endLimit()
 	if err != nil {
 		return nil, err
-	}
-	if rowNNZ == nil {
-		endSym := rec.Span(trace.PhaseSymbolic)
-		rowNNZ, err = sparse.SymbolicRowNNZOn(a, b, nil)
-		endSym()
-		if err != nil {
-			return nil, err
-		}
 	}
 	var nnzc int64
 	for _, n := range rowNNZ {
@@ -171,8 +160,7 @@ func BuildPlanTraced(a *sparse.CSR, acsc *sparse.CSC, b *sparse.CSR, rowWork []i
 		Params: p, A: a, ACSC: acsc, B: b,
 		Cls: cls, Split: split, Gather: gather, Limit: limit,
 		RowNNZ: rowNNZ, NNZC: nnzc,
-		Accum: BuildAccumPlan(p.Accumulator, limit.RowWork, b.Cols),
-		Sim:   &SimMemo{},
+		Sim: &SimMemo{},
 	}
 	plan.RecordTrace(rec)
 	return plan, nil

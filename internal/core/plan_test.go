@@ -8,13 +8,20 @@ import (
 	"github.com/blockreorg/blockreorg/sparse/rmat"
 )
 
-func TestPlanLimitSelectsLongRows(t *testing.T) {
-	cls, in := skewedFixture(t, 3000, 45000, 31)
-	plan, err := PlanLimit(in.csr, in.csr, cls, Params{})
+// intermediateRowNNZ returns the row-wise intermediate populations of m².
+func intermediateRowNNZ(t *testing.T, m *sparse.CSR) []int64 {
+	t.Helper()
+	rowWork, err := sparse.IntermediateRowNNZ(m, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowWork, err := sparse.IntermediateRowNNZ(in.csr, in.csr)
+	return rowWork
+}
+
+func TestPlanLimitSelectsLongRows(t *testing.T) {
+	cls, in := skewedFixture(t, 3000, 45000, 31)
+	rowWork := intermediateRowNNZ(t, in.csr)
+	plan, err := PlanLimitFrom(rowWork, cls, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +46,7 @@ func TestPlanLimitSelectsLongRows(t *testing.T) {
 
 func TestPlanLimitDisabled(t *testing.T) {
 	cls, in := skewedFixture(t, 2000, 30000, 32)
-	plan, err := PlanLimit(in.csr, in.csr, cls, Params{DisableLimit: true})
+	plan, err := PlanLimitFrom(intermediateRowNNZ(t, in.csr), cls, Params{DisableLimit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +60,9 @@ func TestPlanLimitDisabled(t *testing.T) {
 
 func TestPlanLimitFactorScalesSharedMem(t *testing.T) {
 	cls, in := skewedFixture(t, 1000, 15000, 33)
+	rowWork := intermediateRowNNZ(t, in.csr)
 	for factor := 1; factor <= 7; factor++ {
-		plan, err := PlanLimit(in.csr, in.csr, cls, Params{LimitFactor: factor})
+		plan, err := PlanLimitFrom(rowWork, cls, Params{LimitFactor: factor})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,6 +268,41 @@ func TestPlanValidate(t *testing.T) {
 		plan.Split.Mapper[0]++
 		if err := plan.Validate(); err == nil {
 			t.Fatal("corrupted mapper accepted")
+		}
+	}
+}
+
+// BuildPlanCached takes its analysis as given: a missing or misshapen
+// piece is an error, never recomputed and never a panic.
+func TestBuildPlanCachedRejectsMisfitAnalysis(t *testing.T) {
+	m, err := rmat.PowerLaw(300, 3000, 2.1, 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acsc := m.ToCSC()
+	rowWork := intermediateRowNNZ(t, m)
+	rowNNZ, err := sparse.SymbolicRowNNZOn(m, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildPlanCached(m, acsc, m, rowWork, rowNNZ, Params{}); err != nil {
+		t.Fatalf("fitting analysis rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		acsc    *sparse.CSC
+		rowWork []int64
+		rowNNZ  []int
+	}{
+		{"nil CSC", nil, rowWork, rowNNZ},
+		{"CSC of another shape", m.RowPanel(0, 10).ToCSC(), rowWork, rowNNZ},
+		{"nil row work", acsc, nil, rowNNZ},
+		{"short row work", acsc, rowWork[1:], rowNNZ},
+		{"nil row populations", acsc, rowWork, nil},
+		{"long row populations", acsc, rowWork, append(rowNNZ, 0)},
+	} {
+		if _, err := BuildPlanCached(m, tc.acsc, m, tc.rowWork, tc.rowNNZ, Params{}); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }

@@ -25,8 +25,8 @@ import (
 //   - B-Limiting: the limited set is exactly the rows above the threshold,
 //     LimitedWork matches, and the extra shared memory is the configured
 //     LimitFactor × 6144 B;
-//   - execution inputs: the stashed row populations (RowNNZ) and the
-//     accumulator assignment (Accum.Rows) cover every row of A.
+//   - execution inputs: the stashed row populations (RowNNZ) cover every
+//     row of A.
 //
 // It costs O(nnz(A) + pairs + rows) and is wired behind Paranoid mode.
 func VerifyPlan(p *Plan) error {
@@ -39,14 +39,10 @@ func VerifyPlan(p *Plan) error {
 	if p.A == nil || p.ACSC == nil || p.B == nil {
 		return errors.New("core: plan missing an operand")
 	}
-	// The host engine writes every row into the slot RowNNZ sizes and
-	// merges it on the strategy Accum assigns; a plan without both, per
-	// row, cannot drive a multiplication.
+	// The host engine writes every row into the slot RowNNZ sizes; a plan
+	// without one per row cannot drive a multiplication.
 	if len(p.RowNNZ) != p.A.Rows {
 		return fmt.Errorf("core: plan holds %d row populations for %d rows", len(p.RowNNZ), p.A.Rows)
-	}
-	if p.Accum == nil || len(p.Accum.Rows) != p.A.Rows {
-		return fmt.Errorf("core: plan's accumulator assignment does not cover its %d rows", p.A.Rows)
 	}
 	if err := verifyClassification(p); err != nil {
 		return err

@@ -95,3 +95,56 @@ func TestAccumulatorPricedByReorganizer(t *testing.T) {
 		}
 	}
 }
+
+// TestReorganizerMergeSplitsRowsByStrategy reads the Reorganizer merge
+// kernel's small-row classes (merge-small, merge-small-hash,
+// merge-small-sort): auto splits a skewed network's short rows across
+// strategies, and a pinned strategy prices every one of them as itself.
+func TestReorganizerMergeSplitsRowsByStrategy(t *testing.T) {
+	spec, err := datasets.ByName("youtube")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spec.Generate(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := map[sparse.AccumulatorKind]string{
+		sparse.AccumDense: "merge-small",
+		sparse.AccumHash:  "merge-small-hash",
+		sparse.AccumSort:  "merge-small-sort",
+	}
+	for _, kind := range accumKinds {
+		opts := titanOpts()
+		opts.SkipValues = true
+		opts.Accumulator = kind
+		p, err := Reorganizer{}.Multiply(m, m, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		var merge *gpusim.KernelResult
+		for _, k := range p.Report.Kernels {
+			if k.Phase == gpusim.PhaseMerge {
+				merge = k
+			}
+		}
+		if merge == nil {
+			t.Fatalf("%v: no merge kernel", kind)
+		}
+		var present []sparse.AccumulatorKind
+		for k, l := range label {
+			if _, ok := merge.Label(l); ok {
+				present = append(present, k)
+			}
+		}
+		switch {
+		case kind == sparse.AccumAuto:
+			if _, ok := merge.Label(label[sparse.AccumSort]); !ok || len(present) < 2 {
+				t.Fatalf("auto priced the short rows of a skewed network under %v, want sort and another strategy (labels %v)",
+					present, merge.Labels())
+			}
+		case len(present) != 1 || present[0] != kind:
+			t.Fatalf("%v: short rows priced under %v (labels %v)", kind, present, merge.Labels())
+		}
+	}
+}

@@ -3,7 +3,6 @@ package kernels
 import (
 	"math/bits"
 
-	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/gpusim"
 	"github.com/blockreorg/blockreorg/sparse"
 )
@@ -185,22 +184,19 @@ func priceAccum(blk gpusim.BlockWork, kind sparse.AccumulatorKind, tableBytes in
 	return blk
 }
 
-// mergeKernel builds the Gustavson merge under the plan's accumulator
-// assignment: one block per long intermediate row, packed grid-stride
-// blocks (one aggregate class per strategy) for the rest. readBytes selects
-// the row-form or matrix-form intermediate cost. limited rows (may be nil)
-// receive extraSmem bytes of additional shared memory — the B-Limiting
-// mechanism. A nil accum prices every row as the dense accumulator — the
-// pre-selection model, and the shape fixed-strategy libraries share.
-func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, limited []int, extraSmem int, accum *core.AccumPlan) *gpusim.Kernel {
+// mergeKernel builds the Gustavson merge with each row priced under the
+// strategy kind resolves to for it (sparse.SelectAccumulator against the
+// output dimension cols): one block per long intermediate row, packed
+// grid-stride blocks (one aggregate class per strategy) for the rest.
+// readBytes selects the row-form or matrix-form intermediate cost. limited
+// rows (may be nil) receive extraSmem bytes of additional shared memory —
+// the B-Limiting mechanism.
+func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, limited []int, extraSmem int, kind sparse.AccumulatorKind, cols int) *gpusim.Kernel {
 	isLimited := make(map[int]bool, len(limited))
 	for _, r := range limited {
 		isLimited[r] = true
 	}
-	passes := 1
-	if accum != nil {
-		passes = sortPasses(accum.Cols)
-	}
+	passes := sortPasses(cols)
 	bb := newBlockBuilder()
 	// Small rows aggregate into one grid-stride class per strategy: the
 	// strategies differ in per-product traffic, so folding them together
@@ -213,14 +209,11 @@ func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, 
 		if w == 0 {
 			continue
 		}
-		kind := sparse.AccumDense
-		if accum != nil {
-			kind = accum.Rows[i]
-		}
+		rowKind := sparse.SelectAccumulator(kind, w, cols)
 		outBytes := int64(rowNNZ[i]) * elemBytes
 		if w < longRow {
 			sb := &small[0]
-			switch kind {
+			switch rowKind {
 			case sparse.AccumHash:
 				sb = &small[1]
 				sb.table += int64(sparse.HashTableSlots(w)) * hashSlotBytes
@@ -257,13 +250,13 @@ func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, 
 			Segment:             gpusim.NoSegment,
 			AccumBytes:          int(accumWS),
 			Label:               label,
-		}, kind, int64(sparse.HashTableSlots(w))*hashSlotBytes, passes))
+		}, rowKind, int64(sparse.HashTableSlots(w))*hashSlotBytes, passes))
 	}
 	for s, sb := range small {
 		if sb.work == 0 {
 			continue
 		}
-		kind := [3]sparse.AccumulatorKind{sparse.AccumDense, sparse.AccumHash, sparse.AccumSort}[s]
+		smallKind := [3]sparse.AccumulatorKind{sparse.AccumDense, sparse.AccumHash, sparse.AccumSort}[s]
 		perBlock := int64(expansionBlockThreads * mergeItersPerThread)
 		nblocks := (sb.work + perBlock - 1) / perBlock
 		smallWS := sb.out / elemBytes * accumSector / max64(nblocks, 1)
@@ -285,7 +278,7 @@ func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, 
 			Segment:             gpusim.NoSegment,
 			AccumBytes:          int(smallWS),
 			Label:               "merge-small",
-		}, kind, sb.table/max64(nblocks, 1), passes))
+		}, smallKind, sb.table/max64(nblocks, 1), passes))
 	}
 	return &gpusim.Kernel{Name: name, Phase: gpusim.PhaseMerge, Blocks: bb.grid()}
 }

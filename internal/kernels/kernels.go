@@ -41,7 +41,8 @@ type Options struct {
 	// bound to exactly these operands (core.Plan.Rebind) — the serving
 	// layer's plan-cache fast path. When it is bound, the Reorganizer
 	// skips plan construction and the precalculation kernel; the plan's
-	// embedded Params govern the run and Core is ignored. Other
+	// embedded Params govern the run and Core is ignored, while
+	// Accumulator still applies. Other
 	// algorithms ignore it, as does the Reorganizer when the plan is not
 	// bound to the operands.
 	Plan *core.Plan
@@ -56,15 +57,16 @@ type Options struct {
 	// for the run (see internal/trace). Nil disables tracing at zero
 	// cost; results never depend on it.
 	Trace *trace.Recorder
-	// Accumulator selects the per-row merge strategy of the numeric
-	// product and of the Gustavson-merge cost models (row-product,
-	// outer-product, and the Reorganizer — where Core.Accumulator, when
-	// set, takes precedence so plans stay self-describing). The zero
-	// value, sparse.AccumAuto, picks per row from the symbolic upper
-	// bounds. The fixed-strategy libraries (cuSPARSE, CUSP, bhSPARSE,
-	// MKL) keep their published merge models regardless — the knob never
-	// changes what those baselines are — but their numeric host product
-	// does use it, since the result is bit-identical either way.
+	// Accumulator selects the per-row merge strategy of the run: the
+	// numeric product's and that of the Gustavson-merge cost models
+	// (row-product, outer-product and the Reorganizer). It is a choice of
+	// the run alone — no plan records it, so a bound Plan drives runs
+	// under any kind. The zero value, sparse.AccumAuto, picks per row from
+	// the symbolic upper bounds. The fixed-strategy libraries (cuSPARSE,
+	// CUSP, bhSPARSE, MKL) keep their published merge models regardless —
+	// the knob never changes what those baselines are — but their numeric
+	// host product does use it, since the result is bit-identical either
+	// way.
 	Accumulator sparse.AccumulatorKind
 }
 

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/gpusim"
 	"github.com/blockreorg/blockreorg/sparse"
 )
@@ -36,7 +35,7 @@ func (OuterProduct) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 		precalcKernel("precalc(block-nnz)", pc.ACSC.Cols),
 		outerExpansionKernel(pc.ACSC, b),
 		mergeKernel("merge(gustavson)", pc.RowWork, pc.RowNNZ, mergeReadMatrixForm, nil, 0,
-			core.BuildAccumPlan(opts.Accumulator, pc.RowWork, b.Cols)),
+			opts.Accumulator, b.Cols),
 	); err != nil {
 		return nil, err
 	}

@@ -102,13 +102,13 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 // that carries the product's structure (CIdx) only fills values into it;
 // Paranoid mode also runs the accumulator engine and fails, naming the
 // first row, on any bitwise difference. Any other run merges on the host
-// engine, which resolves the plan's requested accumulator with its own
-// rule and counts the rows it merged per strategy; a plan built here then
-// keeps the product's column indices, before anyone else can see the plan,
-// so later runs driven by it skip the merge.
+// engine, which resolves the run's accumulator (opts.Accumulator) with its
+// own rule and counts the rows it merged per strategy; a plan built here
+// then keeps the product's column indices, before anyone else can see the
+// plan, so later runs driven by it skip the merge.
 func hostProduct(a, b *sparse.CSR, plan *core.Plan, reused bool, opts Options) (*sparse.CSR, error) {
 	ex := executor(opts)
-	cfg := sparse.MulConfig{Accum: plan.Params.Accumulator, RowNNZ: plan.RowNNZ, RowWork: plan.Limit.RowWork}
+	cfg := sparse.MulConfig{Accum: opts.Accumulator, RowNNZ: plan.RowNNZ, RowWork: plan.Limit.RowWork}
 	if !reused || plan.CIdx == nil {
 		c, err := sparse.MultiplyConfigured(a, b, ex, opts.Trace, cfg)
 		if err == nil && !reused {
@@ -155,8 +155,8 @@ func firstDifferingRow(x, y *sparse.CSR) int {
 // B-Gathering and B-Limiting — and returns the plan, which keeps the
 // analysis a later run needs. Every plan is built here: by a cold
 // Reorganizer run, blockreorg.NewPlan and cmd/inspect. Core.NumSMs
-// defaults to the device's SM count, and an explicit Core.Accumulator wins
-// over opts.Accumulator so plans stay self-describing.
+// defaults to the device's SM count. The plan holds structure only: the
+// accumulator is the choice of each run it drives.
 func BuildPlan(a, b *sparse.CSR, opts Options) (*core.Plan, error) {
 	if err := checkInputs(a, b, opts); err != nil {
 		return nil, err
@@ -164,9 +164,6 @@ func BuildPlan(a, b *sparse.CSR, opts Options) (*core.Plan, error) {
 	params := opts.Core
 	if params.NumSMs == 0 {
 		params.NumSMs = opts.Device.NumSMs
-	}
-	if params.Accumulator == sparse.AccumAuto {
-		params.Accumulator = opts.Accumulator
 	}
 	pc, err := pre(opts, a, b)
 	if err != nil {
@@ -176,14 +173,16 @@ func BuildPlan(a, b *sparse.CSR, opts Options) (*core.Plan, error) {
 }
 
 // simulatePlan appends the plan's expansion and merge kernel results to
-// rep. Those kernels read only the plan's structure-only fields and the
-// device, so their results are memoized on the plan (plan.Sim): a rebound
-// plan on a device it has already run on appends the stored results
-// without simulating — a plan-cache hit pays for no simulation at all.
+// rep. Those kernels read only the plan's structure-only fields, the
+// device and the accumulator the merge is priced under, so their results
+// are memoized on the plan (plan.Sim) per device and accumulator: a
+// rebound plan on a device and accumulator it has already run under
+// appends the stored results without simulating — a plan-cache hit pays
+// for no simulation at all.
 // Paranoid mode simulates anyway and fails, naming the kernel, when the
 // memo disagrees with the fresh run.
 func simulatePlan(sim *gpusim.Simulator, rep *gpusim.Report, plan *core.Plan, opts Options) error {
-	memo, hit := plan.Sim.Load(opts.Device)
+	memo, hit := plan.Sim.Load(opts.Device, opts.Accumulator)
 	if hit && !paranoid(opts) {
 		rep.Kernels = append(rep.Kernels, memo...)
 		return nil
@@ -200,7 +199,7 @@ func simulatePlan(sim *gpusim.Simulator, rep *gpusim.Report, plan *core.Plan, op
 		restKernel,
 		mergeKernel("merge(b-limiting)", plan.Limit.RowWork, plan.RowNNZ,
 			mergeReadMatrixForm, plan.Limit.Limited, plan.Limit.ExtraSharedMem,
-			plan.Accum),
+			opts.Accumulator, plan.B.Cols),
 	)
 	fresh := &gpusim.Report{}
 	if err := runKernels(sim, fresh, opts.Trace, kernels...); err != nil {
@@ -211,7 +210,7 @@ func simulatePlan(sim *gpusim.Simulator, rep *gpusim.Report, plan *core.Plan, op
 			return err
 		}
 	} else {
-		plan.Sim.Store(opts.Device, fresh.Kernels)
+		plan.Sim.Store(opts.Device, opts.Accumulator, fresh.Kernels)
 	}
 	rep.Kernels = append(rep.Kernels, fresh.Kernels...)
 	return nil

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/gpusim"
 	"github.com/blockreorg/blockreorg/sparse"
 )
@@ -35,7 +34,7 @@ func (RowProduct) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 		precalcKernel("precalc(row-nnz)", a.Rows),
 		rowExpansionKernel(a, b),
 		mergeKernel("merge(gustavson)", pc.RowWork, pc.RowNNZ, mergeReadRowForm, nil, 0,
-			core.BuildAccumPlan(opts.Accumulator, pc.RowWork, b.Cols)),
+			opts.Accumulator, b.Cols),
 	); err != nil {
 		return nil, err
 	}

@@ -89,8 +89,10 @@ func TestSimMemoGridBitIdentical(t *testing.T) {
 }
 
 // TestSimMemoKeyedByDevice checks that a plan simulated on one device and
-// then run on another simulates afresh, matching an unmemoized run there,
-// and that both devices' results stay memoized afterwards.
+// accumulator and then run on another device, or under another
+// accumulator, simulates afresh, matching an unmemoized run there, and
+// that every (device, accumulator) pair's results stay memoized
+// afterwards.
 func TestSimMemoKeyedByDevice(t *testing.T) {
 	a, err := rmat.PowerLaw(400, 6000, 2.1, 11)
 	if err != nil {
@@ -102,26 +104,38 @@ func TestSimMemoKeyedByDevice(t *testing.T) {
 
 	other := gpusim.TitanXp()
 	other.L2Size /= 2 // one field differs: a different key
-	opts.Device = other
-	opts.Plan = plan
-	got, err := Reorganizer{}.Multiply(m2, m2, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		dev   gpusim.Config
+		accum sparse.AccumulatorKind
+	}{
+		{"second device", other, sparse.AccumAuto},
+		{"hash accumulator", gpusim.TitanXp(), sparse.AccumHash},
+	} {
+		opts.Device, opts.Accumulator = tc.dev, tc.accum
+		opts.Plan = plan
+		got, err := Reorganizer{}.Multiply(m2, m2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Plan = unmemoized(plan)
+		want, err := Reorganizer{}.Multiply(m2, m2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Report.Kernels, want.Report.Kernels) {
+			t.Fatalf("%s: run does not match a fresh simulation", tc.name)
+		}
+		if reflect.DeepEqual(got.Report.Kernels, cold.Report.Kernels[1:]) {
+			t.Fatalf("%s: run reported the cold run's memoized results", tc.name)
+		}
 	}
-	opts.Plan = unmemoized(plan)
-	want, err := Reorganizer{}.Multiply(m2, m2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Report.Kernels, want.Report.Kernels) {
-		t.Fatal("run on a second device does not match a fresh simulation on it")
-	}
-	if reflect.DeepEqual(got.Report.Kernels, cold.Report.Kernels[1:]) {
-		t.Fatal("second device reported the first device's memoized results")
-	}
-	for _, dev := range []gpusim.Config{gpusim.TitanXp(), other} {
-		if _, ok := plan.Sim.Load(dev); !ok {
-			t.Fatalf("memo lost the results for %s (L2 %d)", dev.Name, dev.L2Size)
+	for _, k := range []struct {
+		dev   gpusim.Config
+		accum sparse.AccumulatorKind
+	}{{gpusim.TitanXp(), sparse.AccumAuto}, {other, sparse.AccumAuto}, {gpusim.TitanXp(), sparse.AccumHash}} {
+		if _, ok := plan.Sim.Load(k.dev, k.accum); !ok {
+			t.Fatalf("memo lost the results for %s (L2 %d) under %v", k.dev.Name, k.dev.L2Size, k.accum)
 		}
 	}
 }
@@ -197,7 +211,7 @@ func TestSimMemoParanoidAudit(t *testing.T) {
 	opts := titanOpts()
 	opts.SkipValues = true
 	_, m2, plan := coldAndRebound(t, a, opts)
-	memo, ok := plan.Sim.Load(opts.Device)
+	memo, ok := plan.Sim.Load(opts.Device, opts.Accumulator)
 	if !ok {
 		t.Fatal("cold run left no simulation memo on its plan")
 	}

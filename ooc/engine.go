@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"github.com/blockreorg/blockreorg"
@@ -28,7 +29,11 @@ type Options struct {
 	// grids give a quarter to the A row panel and the other half to the
 	// result tile and merge buffers. The cap is soft: a single row or
 	// column heavier than its share still gets a panel of its own, and
-	// the overshoot shows up honestly in Stats.PeakBytes.
+	// the overshoot shows up honestly in Stats.PeakBytes. A budget whose
+	// quarter cannot hold B's row pointers, 8·(rows+1) bytes, would give
+	// every column a panel of its own; when B has more than one column
+	// the call fails with ErrInvalidOptions naming the smallest workable
+	// budget instead.
 	Budget int64
 	// Dir hosts the engine's scratch and spill files. Empty creates a
 	// private temporary directory that Close removes; a caller-supplied
@@ -365,7 +370,9 @@ func (bp *colPanels) remove() {
 // scratch container per column panel, with column indices local to the
 // panel. The tile loop then loads B[:, J] with a single sequential read.
 // The nJ writers are open at once, each with its 64 KiB write buffer,
-// which the accountant does not track.
+// which the accountant does not track. A budget whose column share cannot
+// hold B's row pointer array would give every column a panel of its own,
+// so a B of several columns is then refused before any file is opened.
 func (e *Engine) reshard(b source) (bp *colPanels, err error) {
 	rec := e.opts.Trace
 	t0 := time.Now()
@@ -373,6 +380,10 @@ func (e *Engine) reshard(b source) (bp *colPanels, err error) {
 	hist, err := b.colNNZ()
 	if err != nil {
 		return nil, err
+	}
+	if base := csrBytesFor(rows, 0); len(hist) > 1 && base > e.shareB() {
+		return nil, fmt.Errorf("%w: ooc: a %d-byte budget leaves B's column panels %d bytes, less than the %d bytes of B's row pointers; the smallest workable budget is %d bytes",
+			blockreorg.ErrInvalidOptions, e.opts.Budget, e.shareB(), base, 4*(base+16*slices.Max(hist)))
 	}
 	cuts := colCuts(hist, rows, e.shareB())
 	nJ := len(cuts) - 1

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/blockreorg/blockreorg"
 	"github.com/blockreorg/blockreorg/internal/trace"
@@ -679,5 +680,73 @@ func TestColCuts(t *testing.T) {
 	cuts = colCuts([]int64{1000, 1, 1}, 3, 100)
 	if cuts[1] != 1 {
 		t.Fatalf("cuts %v, want the heavy column isolated", cuts)
+	}
+}
+
+// A budget whose column share cannot hold B's row pointers would give
+// each of B's columns a panel of its own — on these operands at 16 KiB a
+// 166×1500 grid with 1,500 writers open at once. Both entry points refuse
+// it up front: a classified error that names the smallest workable budget,
+// returned at once, with nothing written to the engine's directory.
+func TestBudgetBelowPointerArrayRefused(t *testing.T) {
+	a, err := rmat.PowerLaw(1500, 6000, 2.05, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rmat.Generate(1500, 6000, rmat.Default, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := memSource{b}.colNNZ()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 16 << 10
+	minBudget := 4 * (csrBytesFor(int64(b.Rows), 0) + 16*slices.Max(hist))
+	if csrBytesFor(int64(b.Rows), 0) <= budget/4 {
+		t.Fatalf("B's pointer array fits the %d-byte column share", budget/4)
+	}
+	operands := t.TempDir()
+	aPath := filepath.Join(operands, "a.seg")
+	bPath := filepath.Join(operands, "b.seg")
+	outPath := filepath.Join(operands, "c.seg")
+	if err := sparse.WriteSegmentedFile(aPath, a, 32); err != nil {
+		t.Fatal(err)
+	}
+	if err := sparse.WriteSegmentedFile(bPath, b, 32); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine) error
+	}{
+		{"Multiply", func(e *Engine) error { _, err := e.Multiply(a, b); return err }},
+		{"MultiplyFiles", func(e *Engine) error { return e.MultiplyFiles(aPath, bPath, outPath) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, err := New(Options{Budget: budget, Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			t0 := time.Now()
+			err = tc.run(e)
+			if d := time.Since(t0); d > time.Second {
+				t.Fatalf("refusal took %v", d)
+			}
+			if !errors.Is(err, blockreorg.ErrInvalidOptions) {
+				t.Fatalf("err %v, want ErrInvalidOptions", err)
+			}
+			if want := fmt.Sprintf("smallest workable budget is %d bytes", minBudget); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name the budget: want %q", err, want)
+			}
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+				t.Fatalf("engine directory holds %d entries (err %v), want none", len(ents), err)
+			}
+			if _, err := os.Stat(outPath); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("refused run left an output file: %v", err)
+			}
+		})
 	}
 }

@@ -35,9 +35,11 @@ type Plan struct {
 // the plan a Multiply with the same opts builds on its own, but without
 // the product's column indices, which only a multiply computes: a run it
 // drives merges its rows as a cold run does. The GPU (whose SM count
-// shapes the dominator threshold), tuning, Accumulator, Workers and Trace
-// fields are honored. Algorithm must be BlockReorganizer or
-// empty. Faulty requests are reported via the package's typed errors.
+// shapes the dominator threshold), tuning, Workers and Trace fields are
+// honored. Accumulator is validated but shapes nothing: the plan holds
+// structure only, and each run it drives chooses its own accumulator.
+// Algorithm must be BlockReorganizer or empty. Faulty requests are
+// reported via the package's typed errors.
 func NewPlan(a, b *sparse.CSR, opts Options) (*Plan, error) {
 	if opts.Algorithm != "" && opts.Algorithm != BlockReorganizer {
 		return nil, fmt.Errorf("%w: plans exist only for the %s algorithm, got %q",

@@ -13,20 +13,20 @@ import (
 // planKey identifies a reusable preprocessing plan: the sparsity
 // fingerprints of both operands (values excluded — refreshing a network's
 // weights keeps its plans hot) plus every option that shapes the
-// classification thresholds, the split/gather/limit decisions and the
-// per-row accumulator assignment. Build one with planKeyFor.
+// classification thresholds and the split/gather/limit decisions. The
+// accumulator is not among them: it is chosen per run, so requests that
+// differ only in it share an entry. Build one with planKeyFor.
 type planKey struct {
 	fpA, fpB uint64
 	gpu      GPU
 	params   core.Params
-	accum    sparse.AccumulatorKind
 }
 
 // planKeyFor returns the cache key of the plan a run of operands with
 // structure fingerprints fpA and fpB builds, from the options
 // resolveOptions validated and defaulted in place and the kernel options
-// it built. Defaulting makes "" and TitanXp, "" and "auto", or a zero
-// Alpha and the default α share entries; validation keeps NaN thresholds
+// it built. Defaulting makes "" and TitanXp, or a zero Alpha and the
+// default α, share entries; validation keeps NaN thresholds
 // out, so every key is equal to itself, which the cache's map lookups and
 // evictions rely on. ok is false when the run cannot yield a reusable
 // plan — another algorithm, or a plan of the caller's own in opts.Plan —
@@ -35,7 +35,7 @@ func planKeyFor(fpA, fpB uint64, opts *Options, kopts kernels.Options) (planKey,
 	if opts.Plan != nil || opts.Algorithm != BlockReorganizer {
 		return planKey{}, false
 	}
-	return planKey{fpA: fpA, fpB: fpB, gpu: opts.GPU, params: kopts.Core, accum: kopts.Accumulator}, true
+	return planKey{fpA: fpA, fpB: fpB, gpu: opts.GPU, params: kopts.Core}, true
 }
 
 // CacheStats is a point-in-time snapshot of a PlanCache's counters.

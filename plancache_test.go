@@ -192,7 +192,6 @@ func TestPlanKeyFor(t *testing.T) {
 		{"DisableSplit", 1, 2, Options{DisableSplit: true}},
 		{"DisableGather", 1, 2, Options{DisableGather: true}},
 		{"DisableLimit", 1, 2, Options{DisableLimit: true}},
-		{"Accumulator", 1, 2, Options{Accumulator: "hash"}},
 	} {
 		k, ok := keyOf(t, tc.fpA, tc.fpB, tc.opts)
 		if !ok {
@@ -211,6 +210,7 @@ func TestPlanKeyFor(t *testing.T) {
 		{"algorithm BlockReorganizer", Options{Algorithm: BlockReorganizer}},
 		// Options that do not shape the plan share its entry.
 		{"workers, paranoid", Options{Workers: 3, Paranoid: true}},
+		{"Accumulator", Options{Accumulator: "hash"}},
 	} {
 		if k, ok := keyOf(t, 1, 2, tc.opts); !ok || k != base {
 			t.Errorf("%s: key %+v (ok=%v), want the default key", tc.name, k, ok)
@@ -242,6 +242,48 @@ func TestPlanKeyFor(t *testing.T) {
 	}
 	if _, ok := planKeyFor(1, 2, &opts, kopts); ok {
 		t.Error("caller's plan: got a key, want ok=false")
+	}
+}
+
+// TestPlanCacheSharesAcrossAccumulators pins the accumulator as a run
+// choice: on one structure, requests that differ only in Accumulator share
+// one entry, so all but the first are hits, and each prices its merge
+// under its own kind — MergeSeconds equals an uncached run's — and
+// computes the same product.
+func TestPlanCacheSharesAcrossAccumulators(t *testing.T) {
+	a, err := rmat.PowerLaw(400, 6000, 2.1, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := a.StructureFingerprint()
+	c := NewPlanCache(4)
+	merge := map[string]float64{}
+	for i, accum := range []string{"auto", "dense", "hash", "sort"} {
+		opts := Options{Accumulator: accum}
+		got, err := c.Multiply(context.Background(), a, a, fp, fp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.PlanReused != (i > 0) {
+			t.Fatalf("%s: plan reused = %v, want %v", accum, got.PlanReused, i > 0)
+		}
+		cold, err := Multiply(a, a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MergeSeconds != cold.MergeSeconds {
+			t.Fatalf("%s: merge %v s through the cache, %v s cold", accum, got.MergeSeconds, cold.MergeSeconds)
+		}
+		if !got.C.Identical(cold.C) {
+			t.Fatalf("%s: product through the cache differs from the cold run's", accum)
+		}
+		merge[accum] = got.MergeSeconds
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 1 || st.Size != 1 {
+		t.Fatalf("cache %+v, want 3 hits, 1 miss and 1 entry", st)
+	}
+	if merge["dense"] == merge["hash"] && merge["dense"] == merge["sort"] {
+		t.Fatalf("merge pricing ignores the accumulator: %v", merge)
 	}
 }
 

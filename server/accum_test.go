@@ -13,8 +13,9 @@ import (
 
 // TestServerAccumulatorField covers the accumulator knob on the wire: every
 // strategy produces the same product, an unknown name fails as a client
-// error, "" and "auto" share one plan-cache entry while distinct strategies
-// get their own, and the per-strategy row counts surface in /metrics.
+// error, every strategy shares the structure's one plan-cache entry (the
+// accumulator is a run choice, not part of the plan), and the
+// per-strategy row counts surface in /metrics.
 func TestServerAccumulatorField(t *testing.T) {
 	a := testNetwork(t, 400, 6000, 13)
 	s, ts := newTestServer(t, Config{Workers: 1}, nil)
@@ -41,11 +42,23 @@ func TestServerAccumulatorField(t *testing.T) {
 		}
 	}
 
-	// "" and "auto" share a plan-cache entry (normalized key); dense, hash
-	// and sort each built their own. 5 runs, 4 distinct keys: 1 hit.
-	if stats := s.Cache().Stats(); stats.Hits != 1 || stats.Misses != 4 {
-		t.Fatalf("plan cache: %d hits, %d misses; want 1 and 4 (strategy-keyed entries)",
+	// One structure, one entry: the first run misses and the other four
+	// rebind its plan.
+	if stats := s.Cache().Stats(); stats.Hits != 4 || stats.Misses != 1 {
+		t.Fatalf("plan cache: %d hits, %d misses; want 4 and 1 (one entry per structure)",
 			stats.Hits, stats.Misses)
+	}
+
+	// A hit fills the product structure the first run left on the plan,
+	// with no per-row strategy, so each forced strategy gets a cold run on
+	// a structure of its own for the row counts below.
+	for i, accum := range []string{"dense", "hash", "sort"} {
+		id := submit(t, ts.URL, MultiplyRequest{
+			A: Operand{COO: PayloadFromCSR(testNetwork(t, 400, 6000, uint64(14+i)))}, Accumulator: accum,
+		})
+		if st := pollDone(t, ts.URL, id); st.State != StateDone {
+			t.Fatalf("cold %s run: job failed: %s %s", accum, st.ErrorKind, st.Error)
+		}
 	}
 
 	// An unknown strategy is a client fault.
@@ -60,9 +73,9 @@ func TestServerAccumulatorField(t *testing.T) {
 		t.Fatalf("unknown accumulator: error does not name it: %s", st.Error)
 	}
 
-	// The per-strategy row counts reached the metrics. Five successful runs
-	// over a power-law network: the forced-dense run guarantees dense rows,
-	// the forced-sort run sort rows, so every class must be non-zero.
+	// The per-strategy row counts reached the metrics: each forced
+	// strategy's cold run merged its rows under it, so every class must be
+	// non-zero.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -28,8 +28,9 @@ import (
 //
 // AccumAuto picks per row from the upper-bound intermediate population the
 // symbolic phase already computes (and plans stash as Limit.RowWork), so
-// the choice costs nothing extra. Two resolvers read it: SelectAccumulator
-// assigns the rows the simulated merge kernel prices, and the host merge
+// the choice costs nothing extra. The kind is a choice of each run, never
+// part of a plan. Two resolvers read it: SelectAccumulator resolves each
+// row as the simulated merge kernel prices it, and the host merge
 // (RowMerger.ProductRow) applies its own measured rule. Every kind
 // produces bit-identical output: dense and hash add each column's products
 // in stream order, and the sort path's stable sort preserves stream order
@@ -79,10 +80,9 @@ func ParseAccumulator(s string) (AccumulatorKind, error) {
 }
 
 // Auto-selection thresholds (see DESIGN §15). The gpusim merge cost model
-// resolves AccumAuto through SelectAccumulator, which is what a plan's
-// per-class counts (core.AccumPlan) record; the host merge resolves it
-// through hostAccumulator, which shares both thresholds and adds the
-// host-only ones below.
+// resolves AccumAuto through SelectAccumulator row by row as it prices the
+// merge; the host merge resolves it through hostAccumulator, which shares
+// both thresholds and adds the host-only ones below.
 const (
 	// SortRowMax is the upper-bound intermediate population at or below
 	// which a row sort-combines: at these sizes the products fit a handful
