@@ -1,72 +1,106 @@
 package gpusim
 
-import "container/list"
-
 // segmentCache is a coarse L2 reuse model: an LRU over named data segments
 // (e.g. "dominator column 17") with byte-granular capacity. A block that
 // touches a segment already resident reads it at L2 cost; the first toucher
 // pays DRAM cost and installs it. This captures the mechanism behind
 // B-Splitting's cache gain: split sub-blocks share their parent vector, so
 // all but the first find it in L2.
+//
+// A run numbers its grid's segments densely (see launch.resolveClasses),
+// so the LRU is a list linked through a slice indexed by that number.
 type segmentCache struct {
 	capacity int
 	used     int
-	lru      *list.List            // front = most recent; values are segEntry
-	index    map[int]*list.Element // segment id -> element
+	// head is the most and tail the least recently touched resident
+	// segment, -1 when none is resident.
+	head, tail int32
+	segs       []segEntry
+	resident   int
 }
 
+// segEntry is one segment's place in the LRU: its size while resident,
+// and its more recent (prev) and less recent (next) neighbours.
 type segEntry struct {
-	id   int
-	size int
+	size       int
+	prev, next int32
+	resident   bool
 }
 
-func newSegmentCache(capacity int) *segmentCache {
-	return &segmentCache{
-		capacity: capacity,
-		lru:      list.New(),
-		index:    make(map[int]*list.Element),
-	}
+// newSegmentCache returns an empty cache of the given capacity over the
+// segments numbered 0 to n-1.
+func newSegmentCache(capacity, n int) segmentCache {
+	return segmentCache{capacity: capacity, head: -1, tail: -1, segs: make([]segEntry, n)}
 }
 
-// touch records an access to segment id of the given size and reports
+// touch records an access to segment seg of the given size and reports
 // whether it hit. Segments larger than the cache never hit and are not
 // installed. A size change on an existing segment re-accounts it.
-func (c *segmentCache) touch(id, size int) bool {
-	if id == NoSegment || size <= 0 {
+func (c *segmentCache) touch(seg, size int) bool {
+	if seg < 0 || size <= 0 {
 		return false
 	}
 	if size > c.capacity {
 		return false
 	}
-	if el, ok := c.index[id]; ok {
-		ent := el.Value.(segEntry)
-		c.lru.MoveToFront(el)
-		if ent.size != size {
-			c.used += size - ent.size
-			el.Value = segEntry{id, size}
+	e := &c.segs[seg]
+	if e.resident {
+		c.unlink(int32(seg))
+		c.pushFront(int32(seg))
+		if e.size != size {
+			c.used += size - e.size
+			e.size = size
 			c.evict()
 		}
 		return true
 	}
+	e.size = size
+	e.resident = true
+	c.resident++
 	c.used += size
-	c.index[id] = c.lru.PushFront(segEntry{id, size})
+	c.pushFront(int32(seg))
 	c.evict()
 	return false
 }
 
+// pushFront links seg in as the most recent resident segment.
+func (c *segmentCache) pushFront(seg int32) {
+	e := &c.segs[seg]
+	e.prev, e.next = -1, c.head
+	if c.head >= 0 {
+		c.segs[c.head].prev = seg
+	} else {
+		c.tail = seg
+	}
+	c.head = seg
+}
+
+// unlink removes seg from the LRU list.
+func (c *segmentCache) unlink(seg int32) {
+	e := &c.segs[seg]
+	if e.prev >= 0 {
+		c.segs[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.segs[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
 // evict trims least-recently-used segments until usage fits capacity.
 func (c *segmentCache) evict() {
-	for c.used > c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		ent := back.Value.(segEntry)
-		c.lru.Remove(back)
-		delete(c.index, ent.id)
-		c.used -= ent.size
+	for c.used > c.capacity && c.tail >= 0 {
+		back := c.tail
+		e := &c.segs[back]
+		c.unlink(back)
+		e.resident = false
+		c.resident--
+		c.used -= e.size
 	}
 }
 
 // len returns the number of resident segments (used by tests).
-func (c *segmentCache) len() int { return c.lru.Len() }
+func (c *segmentCache) len() int { return c.resident }

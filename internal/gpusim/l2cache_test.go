@@ -3,7 +3,7 @@ package gpusim
 import "testing"
 
 func TestSegmentCacheHitOnReuse(t *testing.T) {
-	c := newSegmentCache(1000)
+	c := newSegmentCache(1000, 8)
 	if c.touch(1, 400) {
 		t.Fatal("first touch hit")
 	}
@@ -13,7 +13,7 @@ func TestSegmentCacheHitOnReuse(t *testing.T) {
 }
 
 func TestSegmentCacheEviction(t *testing.T) {
-	c := newSegmentCache(1000)
+	c := newSegmentCache(1000, 8)
 	c.touch(1, 400)
 	c.touch(2, 400)
 	c.touch(3, 400) // evicts 1
@@ -34,7 +34,7 @@ func TestSegmentCacheEviction(t *testing.T) {
 }
 
 func TestSegmentCacheOversized(t *testing.T) {
-	c := newSegmentCache(100)
+	c := newSegmentCache(100, 8)
 	if c.touch(1, 200) {
 		t.Fatal("oversized segment hit")
 	}
@@ -47,7 +47,7 @@ func TestSegmentCacheOversized(t *testing.T) {
 }
 
 func TestSegmentCacheResize(t *testing.T) {
-	c := newSegmentCache(1000)
+	c := newSegmentCache(1000, 8)
 	c.touch(1, 100)
 	if !c.touch(1, 900) {
 		t.Fatal("resize not treated as hit")
@@ -62,7 +62,7 @@ func TestSegmentCacheResize(t *testing.T) {
 }
 
 func TestSegmentCacheIgnoresNoSegment(t *testing.T) {
-	c := newSegmentCache(100)
+	c := newSegmentCache(100, 8)
 	if c.touch(NoSegment, 50) {
 		t.Fatal("NoSegment hit")
 	}

@@ -1,8 +1,10 @@
 package gpusim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // defaultInstrPerIter is the warp-instruction cost of one spGEMM inner-loop
@@ -35,52 +37,12 @@ func New(cfg Config) (*Simulator, error) {
 // Config returns the device configuration the simulator was built with.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// classCursor walks the grid, handing out chunks of identical blocks.
-type classCursor struct {
-	blocks    []BlockWork
-	classIdx  int
-	remaining int
-	chunkOf   []int
-}
-
-func newClassCursor(k *Kernel, chunkOf []int) *classCursor {
-	c := &classCursor{blocks: k.Blocks, chunkOf: chunkOf}
-	if len(k.Blocks) > 0 {
-		c.remaining = k.Blocks[0].norm()
-	}
-	return c
-}
-
-func (c *classCursor) empty() bool {
-	for c.classIdx < len(c.blocks) && c.remaining == 0 {
-		c.classIdx++
-		if c.classIdx < len(c.blocks) {
-			c.remaining = c.blocks[c.classIdx].norm()
-		}
-	}
-	return c.classIdx >= len(c.blocks)
-}
-
-// peek returns the next block profile without consuming it.
-func (c *classCursor) peek() *BlockWork {
-	return &c.blocks[c.classIdx]
-}
-
-// take consumes up to the class chunk size and returns how many blocks were
-// taken.
-func (c *classCursor) take() int {
-	n := c.chunkOf[c.classIdx]
-	if n > c.remaining {
-		n = c.remaining
-	}
-	c.remaining -= n
-	return n
-}
-
-// gpuState bundles the device-wide gauges shared by all SMs.
-type gpuState struct {
-	accumBytes float64 // resident merge-accumulator footprint
-	segs       *segmentCache
+// classSlots is what a run resolves once per block class: how many of
+// its identical blocks one dispatch fuses, and the slots its label and its
+// segment accumulate into (-1 for none).
+type classSlots struct {
+	chunk       int
+	label, segs int32
 }
 
 // runningBlock is one resident dispatch (a block, or a chunk of identical
@@ -91,33 +53,46 @@ type gpuState struct {
 type runningBlock struct {
 	block *BlockWork
 	chunk int
-	sm    int
+	// sm is the SM the dispatch occupies; label is its class's label slot.
+	sm, label int32
 	// placed is the dispatch time; fixedEnd is when the non-memory work
 	// completes.
 	placed   float64
 	fixedEnd float64
-	// remBytes is the remaining memory demand; mlp and pipe cap its
-	// bandwidth; bw is the current processor-sharing allocation.
+	// remBytes is the remaining memory demand; mlp caps its bandwidth and
+	// mlpPipe is mlp times the pipe bandwidth its hit mix sees; bw is the
+	// current processor-sharing allocation.
 	remBytes float64
 	mlp      float64
-	pipe     float64
+	mlpPipe  float64
 	bw       float64
 	// issueFloor is recorded for the stall decomposition at completion.
 	issueFloor float64
 }
 
-// finishEstimate projects the block's completion under its current rate.
-func (r *runningBlock) finishEstimate(now float64) float64 {
-	f := r.fixedEnd
-	if r.remBytes > 0 {
-		if r.bw <= 0 {
-			return math.Inf(1)
-		}
-		if m := now + r.remBytes/r.bw; m > f {
-			f = m
-		}
-	}
-	return f
+// launch is the state of one Run.
+type launch struct {
+	s       *Simulator
+	k       *Kernel
+	res     *KernelResult
+	classes []classSlots
+	// class and remaining are the dispatch cursor: the class being handed
+	// out and how many of its blocks are still to dispatch.
+	class, remaining int
+	sms              []smState
+	// accumBytes is the resident merge-accumulator footprint.
+	accumBytes float64
+	segs       segmentCache
+	// The resident dispatches live in slab; running holds their slab
+	// indices in dispatch order, which is the order every per-dispatch sum
+	// runs in, and free the slots of retired ones for the next placement.
+	slab          []runningBlock
+	running, free []int32
+	now           float64
+	// mlpSum and pipeWeighted are the next event's processor-sharing sums
+	// over the resident dispatches with memory demand left: the survivors
+	// of the last event, then each new dispatch as it is placed.
+	mlpSum, pipeWeighted float64
 }
 
 // Run executes one kernel and returns its statistics. The grid is
@@ -126,6 +101,12 @@ func (r *runningBlock) finishEstimate(now float64) float64 {
 // whenever the resident population changes. An error is returned if any
 // block can never be scheduled (e.g. its shared memory exceeds the
 // per-block limit).
+//
+// Each event visits every resident dispatch twice: the first pass divides
+// the bandwidth and finds the next completion, the second drains demand up
+// to it, retires what completed and sums the survivors' terms of the next
+// division. A run allocates a fixed number of times, whatever its block
+// counts: its buffers are sized once from the grid.
 func (s *Simulator) Run(k *Kernel) (*KernelResult, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -143,154 +124,226 @@ func (s *Simulator) Run(k *Kernel) (*KernelResult, error) {
 		}
 	}
 
-	res := newKernelResult(k.Name, k.Phase, cfg)
-	sms := make([]smState, cfg.NumSMs)
-	for i := range sms {
-		sms[i].id = i
+	l := &launch{s: s, k: k, res: newKernelResult(k.Name, k.Phase, cfg),
+		sms: make([]smState, cfg.NumSMs), now: float64(cfg.KernelOverheadCycles)}
+	dispatches, segments := l.resolveClasses()
+	l.segs = newSegmentCache(cfg.L2Size, segments)
+	resident := min(dispatches, cfg.NumSMs*cfg.MaxBlocksPerSM)
+	l.slab = make([]runningBlock, 0, resident)
+	indices := make([]int32, 2*resident)
+	l.running, l.free = indices[:0:resident], indices[resident:resident]
+	for i := range l.sms {
+		l.sms[i].id = i
 	}
-	gpu := &gpuState{segs: newSegmentCache(cfg.L2Size)}
-	cursor := newClassCursor(k, s.chunkSizes(k))
-
-	now := float64(cfg.KernelOverheadCycles)
-	// The resident dispatches live in one slab per run; running holds
-	// their slab indices in dispatch order, and a retired dispatch's slot
-	// goes on the free list for the next placement.
-	var slab []runningBlock
-	var running, free []int
-
-	fill := func() {
-		for {
-			placed := false
-			for i := range sms {
-				if cursor.empty() {
-					return
-				}
-				b := cursor.peek()
-				if !sms[i].fits(cfg, b) {
-					continue
-				}
-				chunk := cursor.take()
-				r := s.place(b, &sms[i], gpu, chunk, now, res)
-				sms[i].place(cfg, b)
-				gpu.accumBytes += float64(b.AccumBytes)
-				if n := len(free); n > 0 {
-					slab[free[n-1]] = r
-					running = append(running, free[n-1])
-					free = free[:n-1]
-				} else {
-					slab = append(slab, r)
-					running = append(running, len(slab)-1)
-				}
-				placed = true
-			}
-			if !placed {
-				return
-			}
-		}
+	if len(k.Blocks) > 0 {
+		l.remaining = k.Blocks[0].norm()
 	}
 
-	// reallocate divides the memory pipes among the blocks with remaining
-	// demand: every block gets its MLP-capped bandwidth, scaled down
-	// uniformly when the aggregate exceeds the (hit-mix weighted) pipe.
-	reallocate := func() {
-		var mlpSum, pipeWeighted float64
-		for _, ri := range running {
-			if r := &slab[ri]; r.remBytes > 0 {
-				mlpSum += r.mlp
-				pipeWeighted += r.mlp * r.pipe
-			}
+	l.fill()
+	for len(l.running) > 0 {
+		if err := l.event(); err != nil {
+			return nil, err
 		}
-		scale := 1.0
-		if mlpSum > 0 {
-			pipeEff := pipeWeighted / mlpSum
-			if mlpSum > pipeEff {
-				scale = pipeEff / mlpSum
-			}
-		}
-		for _, ri := range running {
-			if r := &slab[ri]; r.remBytes > 0 {
-				r.bw = r.mlp * scale
-			}
-		}
+		l.fill()
 	}
-
-	fill()
-	for len(running) > 0 {
-		reallocate()
-		// Next completion time under current rates.
-		next := math.Inf(1)
-		for _, ri := range running {
-			if f := slab[ri].finishEstimate(now); f < next {
-				next = f
-			}
-		}
-		if math.IsInf(next, 1) {
-			return nil, fmt.Errorf("gpusim: kernel %q stalled with no progress", k.Name)
-		}
-		// Drain memory demand up to the completion instant.
-		elapsed := next - now
-		for _, ri := range running {
-			if r := &slab[ri]; r.remBytes > 0 {
-				r.remBytes -= r.bw * elapsed
-				if r.remBytes < 0.5 {
-					r.remBytes = 0
-				}
-			}
-		}
-		// Time-weighted resident warps (achieved occupancy) and per-SM
-		// wall-clock busy time (the paper's per-SM execution time).
-		for i := range sms {
-			res.warpTime += float64(sms[i].warps) * elapsed
-			if sms[i].blocks > 0 {
-				sms[i].busyCycles += elapsed
-			}
-		}
-		now = next
-		// Retire every block that is done at this instant.
-		keep := running[:0]
-		for _, ri := range running {
-			if r := &slab[ri]; r.remBytes <= 0 && r.fixedEnd <= now+timeEps {
-				s.retire(r, &sms[r.sm], gpu, now, res)
-				free = append(free, ri)
-			} else {
-				keep = append(keep, ri)
-			}
-		}
-		running = keep
-		fill()
-	}
-	if !cursor.empty() {
+	if !l.exhausted() {
 		return nil, fmt.Errorf("gpusim: kernel %q deadlocked with blocks remaining", k.Name)
 	}
 
-	res.Cycles = now
-	for i := range sms {
-		res.SMBusyCycles[i] = sms[i].busyCycles
+	res := l.res
+	res.Cycles = l.now
+	for i := range l.sms {
+		res.SMBusyCycles[i] = l.sms[i].busyCycles
 	}
 	res.finalize(cfg)
 	return res, nil
 }
 
-// chunkSizes picks, per class, how many identical blocks one dispatch may
-// fuse, bounding event counts while leaving enough dispatches to keep every
-// SM slot busy.
-func (s *Simulator) chunkSizes(k *Kernel) []int {
-	sizes := make([]int, len(k.Blocks))
+// resolveClasses fills l.classes: each class's chunk size (see
+// chunkSize), its slot in the result's label table, and a dense slot for
+// its segment, equal for classes that name the same segment. It returns
+// the number of dispatches the grid makes and the number of distinct
+// segments.
+func (l *launch) resolveClasses() (dispatches, segments int) {
+	blocks := l.k.Blocks
+	l.classes = make([]classSlots, len(blocks))
+	var bySegment []int32
+	for i := range blocks {
+		b := &blocks[i]
+		c := &l.classes[i]
+		c.chunk = l.s.chunkSize(b.norm())
+		dispatches += (b.norm() + c.chunk - 1) / c.chunk
+		c.label = -1
+		if b.Label != "" {
+			if i > 0 && blocks[i-1].Label == b.Label {
+				c.label = l.classes[i-1].label
+			} else {
+				c.label = l.res.labelSlot(b.Label)
+			}
+		}
+		c.segs = -1
+		if b.Segment != NoSegment {
+			bySegment = append(bySegment, int32(i))
+		}
+	}
+	slices.SortFunc(bySegment, func(x, y int32) int { return cmp.Compare(blocks[x].Segment, blocks[y].Segment) })
+	for j, i := range bySegment {
+		if j > 0 && blocks[i].Segment != blocks[bySegment[j-1]].Segment {
+			segments++
+		}
+		l.classes[i].segs = int32(segments)
+	}
+	if len(bySegment) > 0 {
+		segments++
+	}
+	return dispatches, segments
+}
+
+// exhausted reports whether every block of the grid has been dispatched,
+// moving the cursor past classes with none left.
+func (l *launch) exhausted() bool {
+	for l.class < len(l.k.Blocks) && l.remaining == 0 {
+		l.class++
+		if l.class < len(l.k.Blocks) {
+			l.remaining = l.k.Blocks[l.class].norm()
+		}
+	}
+	return l.class >= len(l.k.Blocks)
+}
+
+// fill dispatches the grid's next blocks round-robin over the SMs, one
+// chunk per SM per round, until no SM fits the next block.
+func (l *launch) fill() {
+	cfg := &l.s.cfg
+	for {
+		placed := false
+		for i := range l.sms {
+			if l.exhausted() {
+				return
+			}
+			b := &l.k.Blocks[l.class]
+			sm := &l.sms[i]
+			if !sm.fits(cfg, b) {
+				continue
+			}
+			cls := l.classes[l.class]
+			chunk := min(cls.chunk, l.remaining)
+			l.remaining -= chunk
+			r := l.place(b, cls, sm, chunk)
+			sm.place(cfg, b)
+			l.accumBytes += float64(b.AccumBytes)
+			if r.remBytes > 0 {
+				l.mlpSum += r.mlp
+				l.pipeWeighted += r.mlpPipe
+			}
+			if n := len(l.free); n > 0 {
+				l.slab[l.free[n-1]] = r
+				l.running = append(l.running, l.free[n-1])
+				l.free = l.free[:n-1]
+			} else {
+				l.slab = append(l.slab, r)
+				l.running = append(l.running, int32(len(l.slab)-1))
+			}
+			placed = true
+		}
+		if !placed {
+			return
+		}
+	}
+}
+
+// event advances the simulation to the next completion. Its first pass
+// divides the memory pipes among the dispatches with remaining demand —
+// every one gets its MLP-capped bandwidth, scaled down uniformly when the
+// aggregate exceeds the (hit-mix weighted) pipe — and projects each
+// dispatch's completion under that rate. Its second pass drains demand up
+// to the earliest completion, retires every dispatch done at that instant
+// and sums the survivors' terms of the next division.
+func (l *launch) event() error {
+	now, slab := l.now, l.slab
+	scale := 1.0
+	if l.mlpSum > 0 {
+		pipeEff := l.pipeWeighted / l.mlpSum
+		if l.mlpSum > pipeEff {
+			scale = pipeEff / l.mlpSum
+		}
+	}
+	next := math.Inf(1)
+	for _, ri := range l.running {
+		r := &slab[ri]
+		f := r.fixedEnd
+		if r.remBytes > 0 {
+			r.bw = r.mlp * scale
+			if r.bw <= 0 {
+				continue
+			}
+			if m := now + r.remBytes/r.bw; m > f {
+				f = m
+			}
+		}
+		if f < next {
+			next = f
+		}
+	}
+	if math.IsInf(next, 1) {
+		return fmt.Errorf("gpusim: kernel %q stalled with no progress", l.k.Name)
+	}
+
+	// Time-weighted resident warps (achieved occupancy) and per-SM
+	// wall-clock busy time (the paper's per-SM execution time).
+	elapsed := next - now
+	warpTime := l.res.warpTime
+	for i := range l.sms {
+		if sm := &l.sms[i]; sm.blocks > 0 {
+			warpTime += float64(sm.warps) * elapsed
+			sm.busyCycles += elapsed
+		}
+	}
+	l.res.warpTime = warpTime
+	l.now = next
+
+	var mlpSum, pipeWeighted float64
+	doneBy := next + timeEps
+	keep := l.running[:0]
+	for _, ri := range l.running {
+		r := &slab[ri]
+		if r.remBytes > 0 {
+			r.remBytes -= r.bw * elapsed
+			if r.remBytes < 0.5 {
+				r.remBytes = 0
+			}
+		}
+		if r.remBytes <= 0 && r.fixedEnd <= doneBy {
+			l.retire(r)
+			l.free = append(l.free, ri)
+			continue
+		}
+		if r.remBytes > 0 {
+			mlpSum += r.mlp
+			pipeWeighted += r.mlpPipe
+		}
+		keep = append(keep, ri)
+	}
+	l.running = keep
+	l.mlpSum, l.pipeWeighted = mlpSum, pipeWeighted
+	return nil
+}
+
+// chunkSize picks how many of a class's n identical blocks one dispatch
+// may fuse, bounding event counts while leaving enough dispatches to keep
+// every SM slot busy.
+func (s *Simulator) chunkSize(n int) int {
 	// Enough chunks that every block slot on the device turns over many
 	// times, so chunking cannot distort load balance measurably.
 	target := s.cfg.NumSMs * s.cfg.MaxBlocksPerSM * 32
-	for i := range k.Blocks {
-		n := k.Blocks[i].norm()
-		c := n / target
-		if c < 1 {
-			c = 1
-		}
-		if s.cfg.MaxChunk > 0 && c > s.cfg.MaxChunk {
-			c = s.cfg.MaxChunk
-		}
-		sizes[i] = c
+	c := n / target
+	if c < 1 {
+		c = 1
 	}
-	return sizes
+	if s.cfg.MaxChunk > 0 && c > s.cfg.MaxChunk {
+		c = s.cfg.MaxChunk
+	}
+	return c
 }
 
 // mlpBandwidth is the peak bytes/cycle one block can pull given its warps'
@@ -300,9 +353,11 @@ func (s *Simulator) mlpBandwidth(b *BlockWork, latency float64) float64 {
 	return sectors * 32 / latency
 }
 
-// place prices the fixed (non-memory) portion of a dispatch, registers its
-// traffic statistics, and returns its running state.
-func (s *Simulator) place(b *BlockWork, sm *smState, gpu *gpuState, chunk int, now float64, res *KernelResult) runningBlock {
+// place prices the fixed (non-memory) portion of a dispatch of chunk
+// blocks of class cls on sm, registers its traffic statistics, and returns
+// its running state.
+func (l *launch) place(b *BlockWork, cls classSlots, sm *smState, chunk int) runningBlock {
+	s, res := l.s, l.res
 	cfg := &s.cfg
 	ipi := float64(b.InstrPerIter)
 	if ipi == 0 {
@@ -318,7 +373,7 @@ func (s *Simulator) place(b *BlockWork, sm *smState, gpu *gpuState, chunk int, n
 	accumBytes := b.AccumTrafficPerIter * float64(b.SumThreadIters)
 	readHit := 0.0
 	if b.Segment != NoSegment && readBytes > 0 {
-		hit := gpu.segs.touch(b.Segment, b.SegmentBytes)
+		hit := l.segs.touch(int(cls.segs), b.SegmentBytes)
 		readHit = float64(chunk-1) / float64(chunk)
 		if hit {
 			readHit = 1
@@ -329,7 +384,7 @@ func (s *Simulator) place(b *BlockWork, sm *smState, gpu *gpuState, chunk int, n
 	// lever). Writes of accumulator-carrying blocks follow the same set.
 	accumHit := 0.0
 	if b.AccumBytes > 0 {
-		ws := gpu.accumBytes + float64(b.AccumBytes)
+		ws := l.accumBytes + float64(b.AccumBytes)
 		accumHit = capacityHit(float64(cfg.L2Size), ws)
 	}
 	totalBytes := readBytes + writeBytes + accumBytes
@@ -373,15 +428,17 @@ func (s *Simulator) place(b *BlockWork, sm *smState, gpu *gpuState, chunk int, n
 	fixed := float64(cfg.BlockOverhead) + math.Max(issueCycles, math.Max(critCycles, atomCycles))
 	fchunk := float64(chunk)
 
+	mlp := s.mlpBandwidth(b, latency)
 	r := runningBlock{
 		block:      b,
 		chunk:      chunk,
-		sm:         sm.id,
-		placed:     now,
-		fixedEnd:   now + fixed*fchunk,
+		sm:         int32(sm.id),
+		label:      cls.label,
+		placed:     l.now,
+		fixedEnd:   l.now + fixed*fchunk,
 		remBytes:   totalBytes * fchunk,
-		mlp:        s.mlpBandwidth(b, latency),
-		pipe:       hit*cfg.L2Bandwidth + (1-hit)*cfg.DRAMBandwidth,
+		mlp:        mlp,
+		mlpPipe:    mlp * (hit*cfg.L2Bandwidth + (1-hit)*cfg.DRAMBandwidth),
 		issueFloor: (float64(cfg.BlockOverhead) + issueCycles) * fchunk,
 	}
 
@@ -397,14 +454,15 @@ func (s *Simulator) place(b *BlockWork, sm *smState, gpu *gpuState, chunk int, n
 
 // retire releases a completed dispatch and records its duration-dependent
 // statistics.
-func (s *Simulator) retire(r *runningBlock, sm *smState, gpu *gpuState, now float64, res *KernelResult) {
-	sm.release(&s.cfg, r.block)
-	gpu.accumBytes -= float64(r.block.AccumBytes)
+func (l *launch) retire(r *runningBlock) {
+	cfg, res, now := &l.s.cfg, l.res, l.now
+	l.sms[r.sm].release(cfg, r.block)
+	l.accumBytes -= float64(r.block.AccumBytes)
 	dur := now - r.placed
-	if s.cfg.TraceEvents > 0 {
-		if len(res.Trace) < s.cfg.TraceEvents {
+	if cfg.TraceEvents > 0 {
+		if len(res.Trace) < cfg.TraceEvents {
 			res.Trace = append(res.Trace, TraceEvent{
-				SM: r.sm, Start: r.placed, End: now, Label: r.block.Label, Blocks: r.chunk,
+				SM: int(r.sm), Start: r.placed, End: now, Label: r.block.Label, Blocks: r.chunk,
 			})
 		} else {
 			res.TraceDropped++
@@ -417,8 +475,8 @@ func (s *Simulator) retire(r *runningBlock, sm *smState, gpu *gpuState, now floa
 	res.MemStallCycles += memStall
 	lockstepIdle := 1 - float64(r.block.EffThreads)/float64(r.block.Threads)
 	res.SyncStallCycles += dur * lockstepIdle
-	if r.block.Label != "" {
-		lb := res.labels[r.block.Label]
+	if r.label >= 0 {
+		lb := &res.labels[r.label].stats
 		if lb.Blocks == 0 || r.placed < lb.start {
 			lb.start = r.placed
 		}
@@ -427,10 +485,8 @@ func (s *Simulator) retire(r *runningBlock, sm *smState, gpu *gpuState, now floa
 		}
 		lb.Blocks += int64(r.chunk)
 		lb.Cycles += dur
-		lb.Span = lb.end - lb.start
 		lb.Bytes += (r.block.ReadBytesPerIter + r.block.WriteBytesPerIter + r.block.AccumTrafficPerIter) *
 			float64(r.block.SumThreadIters) * float64(r.chunk)
-		res.labels[r.block.Label] = lb
 	}
 }
 

@@ -2,7 +2,8 @@ package gpusim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // LabelStats aggregates the blocks carrying one Label.
@@ -64,8 +65,15 @@ type KernelResult struct {
 	Trace        []TraceEvent
 	TraceDropped int64
 
-	labels   map[string]LabelStats
+	// labels is the label table, sorted by name once the run ends.
+	labels   []labelSlot
 	warpTime float64
+}
+
+// labelSlot is one label's row of the label table.
+type labelSlot struct {
+	name  string
+	stats LabelStats
 }
 
 func newKernelResult(name string, phase Phase, cfg *Config) *KernelResult {
@@ -73,12 +81,28 @@ func newKernelResult(name string, phase Phase, cfg *Config) *KernelResult {
 		Name:         name,
 		Phase:        phase,
 		SMBusyCycles: make([]float64, cfg.NumSMs),
-		labels:       make(map[string]LabelStats),
 	}
+}
+
+// labelSlot returns the index of label's row in the label table, adding
+// the row if the table has none.
+func (r *KernelResult) labelSlot(label string) int32 {
+	for i := range r.labels {
+		if r.labels[i].name == label {
+			return int32(i)
+		}
+	}
+	r.labels = append(r.labels, labelSlot{name: label})
+	return int32(len(r.labels) - 1)
 }
 
 // finalize fills the derived fields once simulation completes.
 func (r *KernelResult) finalize(cfg *Config) {
+	for i := range r.labels {
+		lb := &r.labels[i].stats
+		lb.Span = lb.end - lb.start
+	}
+	slices.SortFunc(r.labels, func(x, y labelSlot) int { return strings.Compare(x.name, y.name) })
 	r.Seconds = cfg.Seconds(r.Cycles)
 	r.LBI = lbi(r.SMBusyCycles)
 	if r.Seconds > 0 {
@@ -99,17 +123,20 @@ func (r *KernelResult) finalize(cfg *Config) {
 
 // Label returns the aggregate statistics of blocks tagged with label.
 func (r *KernelResult) Label(label string) (LabelStats, bool) {
-	s, ok := r.labels[label]
-	return s, ok
+	for _, l := range r.labels {
+		if l.name == label {
+			return l.stats, true
+		}
+	}
+	return LabelStats{}, false
 }
 
 // Labels returns the tagged classes present in the kernel, sorted.
 func (r *KernelResult) Labels() []string {
-	out := make([]string, 0, len(r.labels))
-	for k := range r.labels {
-		out = append(out, k)
+	out := make([]string, len(r.labels))
+	for i, l := range r.labels {
+		out[i] = l.name
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -72,7 +72,7 @@ func (BhSPARSE) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 // each with threads matched to the bin; spill rows add global-merge
 // traffic.
 func bhBinKernel(name string, rowWork []int64, rowNNZ []int, lo, hi int64) *gpusim.Kernel {
-	bb := newBlockBuilder()
+	bb := newBlockBuilder(len(rowWork))
 	var tinyWork, tinyOut int64
 	for i, w := range rowWork {
 		if w < lo || w >= hi || w == 0 {

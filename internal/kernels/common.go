@@ -73,53 +73,65 @@ const (
 	expansionBlockThreads = 256
 )
 
-// lightKey identifies a deduplicatable block profile. Two blocks with equal
-// keys are priced identically by the simulator.
-type lightKey struct {
-	threads, eff       int
-	maxIter            int64
-	sumWarp, sumThread int64
-	read, write, atom  float64
-	accumTraffic       float64
-	smem, accum, parts int
-	label              string
-}
-
 // blockBuilder assembles a grid, deduplicating light blocks into counted
 // classes while keeping heavy blocks as individual profiles in encounter
-// order (heavy blocks are what load balance hinges on).
+// order (heavy blocks are what load balance hinges on). A class is found
+// without hashing its profile: the light classes are chained by their
+// work (at most heavyWork), and a block is compared only with the classes
+// of its chain.
 type blockBuilder struct {
 	blocks []gpusim.BlockWork
-	light  map[lightKey]int // key -> index into blocks
+	// byWork[w & (len(byWork)-1)] is one more than the index of the last
+	// light class of work w (0 for none), and next[i] one more than the
+	// index of the light class before class i in the same chain. byWork is
+	// made on the first light block, with chains room slots.
+	byWork []int32
+	next   []int32
+	chains int
 }
 
-func newBlockBuilder() *blockBuilder {
-	return &blockBuilder{light: make(map[lightKey]int)}
+// newBlockBuilder returns a builder for a grid of about n blocks, which
+// sizes its class chains.
+func newBlockBuilder(n int) *blockBuilder {
+	chains := 1
+	for chains < n && chains < heavyWork {
+		chains <<= 1
+	}
+	return &blockBuilder{chains: chains}
 }
 
-// add appends block b, merging it into an existing class when it is light
-// and has no segment identity.
+// add appends block b, merging it into an existing class when it is light,
+// has no segment identity, and matches that class in everything but Count.
 func (bb *blockBuilder) add(b gpusim.BlockWork) {
 	if b.Count == 0 {
 		b.Count = 1
 	}
 	if b.SumThreadIters > heavyWork || b.Segment != gpusim.NoSegment {
 		bb.blocks = append(bb.blocks, b)
+		bb.next = append(bb.next, 0)
 		return
 	}
-	key := lightKey{
-		threads: b.Threads, eff: b.EffThreads,
-		maxIter: b.MaxWarpIters, sumWarp: b.SumWarpIters, sumThread: b.SumThreadIters,
-		read: b.ReadBytesPerIter, write: b.WriteBytesPerIter, atom: b.AtomicsPerIter,
-		accumTraffic: b.AccumTrafficPerIter,
-		smem:         b.SharedMem, accum: b.AccumBytes, parts: b.Partitions, label: b.Label,
+	if bb.byWork == nil {
+		bb.byWork = make([]int32, bb.chains)
 	}
-	if i, ok := bb.light[key]; ok {
-		bb.blocks[i].Count += b.Count
-		return
+	head := &bb.byWork[b.SumThreadIters&int64(len(bb.byWork)-1)]
+	for c := *head; c > 0; c = bb.next[c-1] {
+		if class := &bb.blocks[c-1]; sameProfile(class, &b) {
+			class.Count += b.Count
+			return
+		}
 	}
-	bb.light[key] = len(bb.blocks)
 	bb.blocks = append(bb.blocks, b)
+	bb.next = append(bb.next, *head)
+	*head = int32(len(bb.blocks))
+}
+
+// sameProfile reports whether x and y differ in nothing but Count, so the
+// simulator prices them identically.
+func sameProfile(x, y *gpusim.BlockWork) bool {
+	c := *y
+	c.Count = x.Count
+	return c == *x
 }
 
 // grid returns the assembled block classes.
@@ -159,12 +171,23 @@ func sortPasses(cols int) int {
 	return (bits.Len(uint(cols-1)) + sortRadixBits - 1) / sortRadixBits
 }
 
+// mergeLabels names the merge block classes, one row per block shape and
+// one column per strategy (dense, hash, sort), so pricing a row builds no
+// string.
+var mergeLabels = struct{ long, limited, small [3]string }{
+	long:    [3]string{"merge-long", "merge-long-hash", "merge-long-sort"},
+	limited: [3]string{"merge-limited", "merge-limited-hash", "merge-limited-sort"},
+	small:   [3]string{"merge-small", "merge-small-hash", "merge-small-sort"},
+}
+
 // priceAccum rewrites a dense-priced merge block for the row's assigned
-// accumulator strategy. Dense is the identity; hash swaps the RMW traffic
-// for probe traffic and shrinks the resident working set to the
-// power-of-two table; sort folds the radix passes into the streaming read
-// and drops the accumulator entirely (no atomics, no resident set).
-func priceAccum(blk gpusim.BlockWork, kind sparse.AccumulatorKind, tableBytes int64, passes int) gpusim.BlockWork {
+// accumulator strategy and labels it from labels. Dense is the identity;
+// hash swaps the RMW traffic for probe traffic and shrinks the resident
+// working set to the power-of-two table; sort folds the radix passes into
+// the streaming read and drops the accumulator entirely (no atomics, no
+// resident set).
+func priceAccum(blk gpusim.BlockWork, kind sparse.AccumulatorKind, labels *[3]string, tableBytes int64, passes int) gpusim.BlockWork {
+	blk.Label = labels[0]
 	switch kind {
 	case sparse.AccumHash:
 		blk.AccumTrafficPerIter = hashProbeTraffic
@@ -173,13 +196,13 @@ func priceAccum(blk gpusim.BlockWork, kind sparse.AccumulatorKind, tableBytes in
 			tableBytes = accumWindow
 		}
 		blk.AccumBytes = int(tableBytes)
-		blk.Label += "-hash"
+		blk.Label = labels[1]
 	case sparse.AccumSort:
 		blk.ReadBytesPerIter += float64(passes) * sortPassTraffic
 		blk.AccumTrafficPerIter = 0
 		blk.AtomicsPerIter = 0
 		blk.AccumBytes = 0
-		blk.Label += "-sort"
+		blk.Label = labels[2]
 	}
 	return blk
 }
@@ -189,15 +212,11 @@ func priceAccum(blk gpusim.BlockWork, kind sparse.AccumulatorKind, tableBytes in
 // output dimension cols): one block per long intermediate row, packed
 // grid-stride blocks (one aggregate class per strategy) for the rest.
 // readBytes selects the row-form or matrix-form intermediate cost. limited
-// rows (may be nil) receive extraSmem bytes of additional shared memory —
-// the B-Limiting mechanism.
+// rows (ascending, may be nil) receive extraSmem bytes of additional
+// shared memory — the B-Limiting mechanism.
 func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, limited []int, extraSmem int, kind sparse.AccumulatorKind, cols int) *gpusim.Kernel {
-	isLimited := make(map[int]bool, len(limited))
-	for _, r := range limited {
-		isLimited[r] = true
-	}
 	passes := sortPasses(cols)
-	bb := newBlockBuilder()
+	bb := newBlockBuilder(len(rowWork))
 	// Small rows aggregate into one grid-stride class per strategy: the
 	// strategies differ in per-product traffic, so folding them together
 	// would blur exactly the cost difference the selector exploits.
@@ -206,6 +225,10 @@ func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, 
 	}
 	var small [3]smallBucket // dense, hash, sort
 	for i, w := range rowWork {
+		isLimited := len(limited) > 0 && limited[0] == i
+		if isLimited {
+			limited = limited[1:]
+		}
 		if w == 0 {
 			continue
 		}
@@ -227,10 +250,10 @@ func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, 
 		threads := expansionBlockThreads
 		iters := (w + int64(threads) - 1) / int64(threads)
 		smem := mergeBaseSmem
-		label := "merge-long"
-		if isLimited[i] {
+		labels := &mergeLabels.long
+		if isLimited {
 			smem += extraSmem
-			label = "merge-limited"
+			labels = &mergeLabels.limited
 		}
 		accumWS := int64(rowNNZ[i]) * accumSector
 		if accumWS > accumWindow {
@@ -249,8 +272,7 @@ func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, 
 			SharedMem:           smem,
 			Segment:             gpusim.NoSegment,
 			AccumBytes:          int(accumWS),
-			Label:               label,
-		}, rowKind, int64(sparse.HashTableSlots(w))*hashSlotBytes, passes))
+		}, rowKind, labels, int64(sparse.HashTableSlots(w))*hashSlotBytes, passes))
 	}
 	for s, sb := range small {
 		if sb.work == 0 {
@@ -277,8 +299,7 @@ func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, 
 			SharedMem:           mergeBaseSmem,
 			Segment:             gpusim.NoSegment,
 			AccumBytes:          int(smallWS),
-			Label:               "merge-small",
-		}, smallKind, sb.table/max64(nblocks, 1), passes))
+		}, smallKind, &mergeLabels.small, sb.table/max64(nblocks, 1), passes))
 	}
 	return &gpusim.Kernel{Name: name, Phase: gpusim.PhaseMerge, Blocks: bb.grid()}
 }

@@ -53,9 +53,9 @@ func (CuSPARSE) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 // accumulation costs extra instructions per product; results merge in
 // shared memory, so only final rows are written back.
 func warpPerRowKernel(name string, rowWork []int64, rowNNZ []int, scale float64) *gpusim.Kernel {
-	bb := newBlockBuilder()
 	threads := expansionBlockThreads
 	rowsPerBlock := threads / 32
+	bb := newBlockBuilder(len(rowWork) / rowsPerBlock)
 	for r0 := 0; r0 < len(rowWork); r0 += rowsPerBlock {
 		var maxWarp, sumWarp, sumThread, outBytes int64
 		effWarps := 0

@@ -44,7 +44,7 @@ func (OuterProduct) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 
 // outerExpansionKernel builds one block per active pair, in pair order.
 func outerExpansionKernel(acsc *sparse.CSC, b *sparse.CSR) *gpusim.Kernel {
-	bb := newBlockBuilder()
+	bb := newBlockBuilder(acsc.Cols)
 	for k := 0; k < acsc.Cols; k++ {
 		colNNZ := acsc.ColNNZ(k)
 		rowNNZ := b.RowNNZ(k)

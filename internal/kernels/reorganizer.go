@@ -187,22 +187,8 @@ func simulatePlan(sim *gpusim.Simulator, rep *gpusim.Report, plan *core.Plan, op
 		rep.Kernels = append(rep.Kernels, memo...)
 		return nil
 	}
-	// The dominator pairs live in the temporary matrices A′/B′ and launch
-	// as their own kernel, exactly as the paper's implementation copies
-	// them out; everything else shares the main expansion launch.
-	domKernel, restKernel := reorganizedExpansionKernels(plan)
-	var kernels []*gpusim.Kernel
-	if len(domKernel.Blocks) > 0 {
-		kernels = append(kernels, domKernel)
-	}
-	kernels = append(kernels,
-		restKernel,
-		mergeKernel("merge(b-limiting)", plan.Limit.RowWork, plan.RowNNZ,
-			mergeReadMatrixForm, plan.Limit.Limited, plan.Limit.ExtraSharedMem,
-			opts.Accumulator, plan.B.Cols),
-	)
 	fresh := &gpusim.Report{}
-	if err := runKernels(sim, fresh, opts.Trace, kernels...); err != nil {
+	if err := runKernels(sim, fresh, opts.Trace, planKernels(plan, opts.Accumulator)...); err != nil {
 		return err
 	}
 	if hit {
@@ -214,6 +200,25 @@ func simulatePlan(sim *gpusim.Simulator, rep *gpusim.Report, plan *core.Plan, op
 	}
 	rep.Kernels = append(rep.Kernels, fresh.Kernels...)
 	return nil
+}
+
+// planKernels builds the expansion and merge launches of the plan, the
+// merge priced under accum. The dominator pairs live in the temporary
+// matrices A′/B′ and launch as their own kernel, exactly as the paper's
+// implementation copies them out; everything else shares the main
+// expansion launch.
+func planKernels(plan *core.Plan, accum sparse.AccumulatorKind) []*gpusim.Kernel {
+	domKernel, restKernel := reorganizedExpansionKernels(plan)
+	var kernels []*gpusim.Kernel
+	if len(domKernel.Blocks) > 0 {
+		kernels = append(kernels, domKernel)
+	}
+	return append(kernels,
+		restKernel,
+		mergeKernel("merge(b-limiting)", plan.Limit.RowWork, plan.RowNNZ,
+			mergeReadMatrixForm, plan.Limit.Limited, plan.Limit.ExtraSharedMem,
+			accum, plan.B.Cols),
+	)
 }
 
 // auditSimMemo fails unless the memoized results equal a fresh simulation
@@ -236,8 +241,8 @@ func auditSimMemo(memo, fresh []*gpusim.KernelResult) error {
 // untouched normal pairs, gathered combined blocks, and ungathered small
 // pairs.
 func reorganizedExpansionKernels(plan *core.Plan) (dom, rest *gpusim.Kernel) {
-	domBB := newBlockBuilder()
-	bb := newBlockBuilder()
+	domBB := newBlockBuilder(len(plan.Split.Blocks))
+	bb := newBlockBuilder(plan.NumBlocks())
 	b := plan.B
 	plan.VisitBlocks(func(kind core.BlockKind, parts []core.Partition) {
 		switch kind {

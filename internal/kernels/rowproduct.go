@@ -48,9 +48,9 @@ func (RowProduct) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 // attributes to the row-product scheme (lanes whose B rows are hub rows
 // stall their whole warp).
 func rowExpansionKernel(a, b *sparse.CSR) *gpusim.Kernel {
-	bb := newBlockBuilder()
 	threads := expansionBlockThreads
 	nnz := a.NNZ()
+	bb := newBlockBuilder(nnz / threads)
 	// elemWork[e] is the expansion workload of A's e-th stored element in
 	// row-major order: the population of the B row its column selects.
 	elemWork := make([]int64, 0, nnz)
