@@ -97,6 +97,14 @@
 #                      memo. The other 9 CSVs (casestudy_1, fig3c, fig8,
 #                      fig9, fig10, fig14, fig15, fig16a, fig16b) are not
 #                      gated yet (ROADMAP item 1)
+#  14. grid-golden gate — the benchmark's grid-multiply workload runs for one
+#                      second (about 6 s with its build and set-up) and must
+#                      report "correct":true: the simulated seconds of a
+#                      cold and a rebound Block Reorganizer run, and the
+#                      product checksums, of the six scale-32 grid datasets
+#                      match benchmark/testdata/grid_golden.json, so a
+#                      change to the simulator or the host engine that
+#                      moves a simulated second or a product bit fails here
 #
 # Run from the repository root. Exits non-zero on the first failure.
 set -eu
@@ -301,5 +309,12 @@ for csv in ablation-alpha_0 casestudy_0 fig11_0 fig11_1 fig12_0 fig13_0 fig3a_0 
         exit 1
     fi
 done
+
+echo "==> grid-golden gate (benchmark grid-multiply: simulated seconds and checksums match the golden)"
+bash benchmark/run.sh --workload grid-multiply --seed 1 --seconds 1 --trace 0 | tee "$smoke_dir/grid.txt"
+if ! tail -n 1 "$smoke_dir/grid.txt" | grep -q '"correct":true'; then
+    echo "grid-golden gate: the grid-multiply run does not match benchmark/testdata/grid_golden.json" >&2
+    exit 1
+fi
 
 echo "ci.sh: all gates passed"

@@ -150,19 +150,18 @@ func SelectAccumulator(kind AccumulatorKind, upper int64, cols int) AccumulatorK
 // kind itself unless it is AccumAuto. upper is the row's intermediate
 // product count and nnz its merged population, 0 when unknown. The rule
 // comes from timing each strategy per row-size bin on the Table II grid
-// and on R-MAT operands (DESIGN §15): tiny rows sort-combine, as in
-// SelectAccumulator; so do rows with next to nothing to combine that the
-// dense path could not sweep; short rows of very wide operands hash;
-// everything else goes dense, which on a host CPU beats a probe per
-// product and, swept out of its bitmap, a sort per row.
+// and on R-MAT operands (DESIGN §15): rows the dense path cannot run
+// branch-free (wideDenseRow) sort-combine when they are tiny, as in
+// SelectAccumulator, or have next to nothing to combine; short rows of
+// very wide operands hash; everything else goes dense, which on a host
+// CPU beats a probe per product and, swept out of its bitmap, a sort per
+// row — tiny wide rows included.
 func hostAccumulator(kind AccumulatorKind, upper int64, nnz, cols int) AccumulatorKind {
 	if kind != AccumAuto {
 		return kind
 	}
 	switch {
-	case upper <= SortRowMax:
-		return AccumSort
-	case !wideDenseRow(nnz, cols) && (upper-int64(nnz))<<hostDistinctShift <= int64(nnz):
+	case !wideDenseRow(nnz, cols) && (upper <= SortRowMax || (upper-int64(nnz))<<hostDistinctShift <= int64(nnz)):
 		return AccumSort
 	case cols >= hostHashMinCols && upper*HashColsFactor < int64(cols):
 		return AccumHash
