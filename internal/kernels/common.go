@@ -82,9 +82,9 @@ const (
 type blockBuilder struct {
 	blocks []gpusim.BlockWork
 	// byWork[w & (len(byWork)-1)] is one more than the index of the last
-	// light class of work w (0 for none), and next[i] one more than the
-	// index of the light class before class i in the same chain. byWork is
-	// made on the first light block, with chains room slots.
+	// light class whose work w falls in that chain (0 for none), and
+	// next[i] one more than the index of the class before class i in its
+	// chain. byWork has chains entries, made on the first light block.
 	byWork []int32
 	next   []int32
 	chains int
