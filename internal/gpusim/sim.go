@@ -41,8 +41,8 @@ func (s *Simulator) Config() Config { return s.cfg }
 // its identical blocks one dispatch fuses, and the slots its label and its
 // segment accumulate into (-1 for none).
 type classSlots struct {
-	chunk       int
-	label, segs int32
+	chunk          int
+	label, segment int32
 }
 
 // runningBlock is one resident dispatch (a block, or a chunk of identical
@@ -175,13 +175,9 @@ func (l *launch) resolveClasses() (dispatches, segments int) {
 		dispatches += (b.norm() + c.chunk - 1) / c.chunk
 		c.label = -1
 		if b.Label != "" {
-			if i > 0 && blocks[i-1].Label == b.Label {
-				c.label = l.classes[i-1].label
-			} else {
-				c.label = l.res.labelSlot(b.Label)
-			}
+			c.label = l.res.labelSlot(b.Label)
 		}
-		c.segs = -1
+		c.segment = -1
 		if b.Segment != NoSegment {
 			bySegment = append(bySegment, int32(i))
 		}
@@ -191,7 +187,7 @@ func (l *launch) resolveClasses() (dispatches, segments int) {
 		if j > 0 && blocks[i].Segment != blocks[bySegment[j-1]].Segment {
 			segments++
 		}
-		l.classes[i].segs = int32(segments)
+		l.classes[i].segment = int32(segments)
 	}
 	if len(bySegment) > 0 {
 		segments++
@@ -373,7 +369,7 @@ func (l *launch) place(b *BlockWork, cls classSlots, sm *smState, chunk int) run
 	accumBytes := b.AccumTrafficPerIter * float64(b.SumThreadIters)
 	readHit := 0.0
 	if b.Segment != NoSegment && readBytes > 0 {
-		hit := l.segs.touch(int(cls.segs), b.SegmentBytes)
+		hit := l.segs.touch(int(cls.segment), b.SegmentBytes)
 		readHit = float64(chunk-1) / float64(chunk)
 		if hit {
 			readHit = 1

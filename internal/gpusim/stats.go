@@ -66,12 +66,12 @@ type KernelResult struct {
 	TraceDropped int64
 
 	// labels is the label table, sorted by name once the run ends.
-	labels   []labelSlot
+	labels   []labelRow
 	warpTime float64
 }
 
-// labelSlot is one label's row of the label table.
-type labelSlot struct {
+// labelRow is one label's row of the label table.
+type labelRow struct {
 	name  string
 	stats LabelStats
 }
@@ -92,7 +92,7 @@ func (r *KernelResult) labelSlot(label string) int32 {
 			return int32(i)
 		}
 	}
-	r.labels = append(r.labels, labelSlot{name: label})
+	r.labels = append(r.labels, labelRow{name: label})
 	return int32(len(r.labels) - 1)
 }
 
@@ -102,7 +102,7 @@ func (r *KernelResult) finalize(cfg *Config) {
 		lb := &r.labels[i].stats
 		lb.Span = lb.end - lb.start
 	}
-	slices.SortFunc(r.labels, func(x, y labelSlot) int { return strings.Compare(x.name, y.name) })
+	slices.SortFunc(r.labels, func(x, y labelRow) int { return strings.Compare(x.name, y.name) })
 	r.Seconds = cfg.Seconds(r.Cycles)
 	r.LBI = lbi(r.SMBusyCycles)
 	if r.Seconds > 0 {
