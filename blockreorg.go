@@ -73,9 +73,11 @@ type Options struct {
 	// Accumulator selects the merge strategy of the numeric product and of
 	// the Gustavson-merge timing models: "auto" (or empty, the default)
 	// picks per row from the symbolic upper bounds, "dense", "hash" and
-	// "sort" force one strategy everywhere. The result is bit-identical
-	// for every setting — the knob trades merge time, never values. Any
-	// other string is ErrInvalidOptions. The fixed-strategy library
+	// "sort" force one strategy everywhere; the host merge has no table,
+	// so under "hash" only the timing models price one and the numeric
+	// product merges dense. The result is bit-identical for every
+	// setting — the knob trades merge time, never values. Any other
+	// string is ErrInvalidOptions. The fixed-strategy library
 	// baselines (cuSPARSE, CUSP, bhSPARSE, MKL) keep their published
 	// timing models regardless. It is a choice of each run, never part of
 	// a plan: requests that differ only in it share a plan and a

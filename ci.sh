@@ -33,9 +33,11 @@
 #                      perf record, plus one spgemm CLI run per accumulator
 #                      (auto, dense, hash, sort) on youtube and on harbor
 #                      whose four products must compare byte-identical —
-#                      auto sends few rows of a narrow operand through hash
-#                      or sort, so each forced path gets its own end-to-end
-#                      check, and the two datasets take the dense path's
+#                      auto sends few rows of a narrow operand through sort,
+#                      so the forced sort path gets its own end-to-end
+#                      check; the host merges hash rows dense, so the hash
+#                      run checks that the name still runs and agrees byte
+#                      for byte; and the two datasets take the dense path's
 #                      sort-fallback and bitmap-sweep emits. Runs on every
 #                      host: it checks that the paths work and agree, and
 #                      records no timings

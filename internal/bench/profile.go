@@ -112,7 +112,7 @@ func (r *ProfileReport) Table() *tableio.Table {
 	for _, ph := range phases {
 		cols = append(cols, string(ph))
 	}
-	cols = append(cols, "coverage", "accum d/h/s")
+	cols = append(cols, "coverage", "accum d/s")
 	t := tableio.New("Host phase profile (share of wall time, Block Reorganizer)", cols...)
 	for _, d := range r.Datasets {
 		row := []string{d.Dataset, fmt.Sprintf("%.2f", d.Profile.WallSeconds*1e3)}
@@ -120,9 +120,8 @@ func (r *ProfileReport) Table() *tableio.Table {
 			row = append(row, fmt.Sprintf("%.3f", d.Profile.PhaseSeconds(ph)/d.Profile.WallSeconds))
 		}
 		row = append(row, fmt.Sprintf("%.3f", d.Coverage),
-			fmt.Sprintf("%d/%d/%d",
+			fmt.Sprintf("%d/%d",
 				d.Profile.Counters[trace.CounterAccumDenseRows],
-				d.Profile.Counters[trace.CounterAccumHashRows],
 				d.Profile.Counters[trace.CounterAccumSortRows]))
 		t.AddRow(row...)
 	}

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math/bits"
 	"testing"
 
 	"github.com/blockreorg/blockreorg/internal/datasets"
@@ -10,6 +11,56 @@ import (
 
 var accumKinds = []sparse.AccumulatorKind{
 	sparse.AccumAuto, sparse.AccumDense, sparse.AccumHash, sparse.AccumSort,
+}
+
+func TestSelectAccumulatorThresholds(t *testing.T) {
+	const cols = 10_000
+	cases := []struct {
+		kind  sparse.AccumulatorKind
+		upper int64
+		want  sparse.AccumulatorKind
+	}{
+		// Explicit requests pass through whatever the row looks like.
+		{sparse.AccumDense, 1, sparse.AccumDense},
+		{sparse.AccumHash, 1 << 30, sparse.AccumHash},
+		{sparse.AccumSort, 1 << 30, sparse.AccumSort},
+		// Auto: tiny rows sort-combine...
+		{sparse.AccumAuto, 1, sparse.AccumSort},
+		{sparse.AccumAuto, sparse.SortRowMax, sparse.AccumSort},
+		// ...mid rows hash while the table stays far below O(cols)...
+		{sparse.AccumAuto, sparse.SortRowMax + 1, sparse.AccumHash},
+		{sparse.AccumAuto, cols/hashColsFactor - 1, sparse.AccumHash},
+		// ...and rows whose footprint rivals the dimension go dense.
+		{sparse.AccumAuto, cols / hashColsFactor, sparse.AccumDense},
+		{sparse.AccumAuto, cols, sparse.AccumDense},
+	}
+	for _, c := range cases {
+		if got := selectAccumulator(c.kind, c.upper, cols); got != c.want {
+			t.Errorf("selectAccumulator(%v, %d, %d) = %v, want %v",
+				c.kind, c.upper, cols, got, c.want)
+		}
+	}
+}
+
+func TestHashTableSlots(t *testing.T) {
+	for upper := int64(0); upper < 5000; upper++ {
+		slots := hashTableSlots(upper)
+		if slots&(slots-1) != 0 {
+			t.Fatalf("hashTableSlots(%d) = %d, not a power of two", upper, slots)
+		}
+		if slots < 8 {
+			t.Fatalf("hashTableSlots(%d) = %d, below the minimum table", upper, slots)
+		}
+		if upper >= 4 && int64(slots) < 2*upper {
+			t.Fatalf("hashTableSlots(%d) = %d, load factor above 1/2", upper, slots)
+		}
+		if upper >= 4 && int64(slots) >= 4*upper {
+			t.Fatalf("hashTableSlots(%d) = %d, table more than 2x oversized", upper, slots)
+		}
+		if slots != 1<<bits.Len64(uint64(slots-1)) {
+			t.Fatalf("hashTableSlots(%d) = %d, not exact", upper, slots)
+		}
+	}
 }
 
 // TestAccumulatorBitIdenticalAcrossAlgorithms forces every strategy through

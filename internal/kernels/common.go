@@ -56,8 +56,14 @@ const (
 	// the device default (10): multiply-shift hashing plus the probe loop.
 	hashInstrPerIter = 14
 	// hashSlotBytes is the device footprint of one table slot (8B key
-	// lane + 8B value lane, separate arrays as the host merger lays out).
+	// lane + 8B value lane, in separate arrays).
 	hashSlotBytes = 16
+	// hashColsFactor gates the hash accumulator under auto: a row hashes
+	// when its power-of-two table (about 2×upper slots) is still an order
+	// of magnitude smaller than the dense accumulator's O(cols) working
+	// set. Rows failing the test keep the dense path — its unconditional
+	// per-product cost is lower than a probe.
+	hashColsFactor = 8
 	// Sort-accumulator merge pricing: the row is sorted by LSD radix
 	// passes over the column keys (8 bits per pass, so
 	// ceil(log2(cols)/8) passes) and then compacted in one streaming
@@ -180,6 +186,37 @@ var mergeLabels = struct{ long, limited, small [3]string }{
 	small:   [3]string{"merge-small", "merge-small-hash", "merge-small-sort"},
 }
 
+// selectAccumulator resolves the strategy the simulated merge prices one
+// row under: kind itself unless it is AccumAuto, in which case the row's
+// upper-bound intermediate population (upper) is weighed against the
+// output dimension (cols). upper is an upper bound on the merged
+// population — the symbolic phase's row work — so the hash table it prices
+// never overflows. The host merge resolves rows by its own rule
+// (sparse.RowMerger), which never hashes.
+func selectAccumulator(kind sparse.AccumulatorKind, upper int64, cols int) sparse.AccumulatorKind {
+	if kind != sparse.AccumAuto {
+		return kind
+	}
+	switch {
+	case upper <= sparse.SortRowMax:
+		return sparse.AccumSort
+	case upper*hashColsFactor < int64(cols):
+		return sparse.AccumHash
+	default:
+		return sparse.AccumDense
+	}
+}
+
+// hashTableSlots sizes the open-addressing table priced for a row holding
+// at most upper distinct columns: the next power of two past 2×upper keeps
+// the load factor at or below one half.
+func hashTableSlots(upper int64) int {
+	if upper < 4 {
+		upper = 4
+	}
+	return 1 << bits.Len64(uint64(2*upper-1))
+}
+
 // priceAccum rewrites a dense-priced merge block for the row's assigned
 // accumulator strategy and labels it from labels. Dense is the identity;
 // hash swaps the RMW traffic for probe traffic and shrinks the resident
@@ -208,8 +245,8 @@ func priceAccum(blk gpusim.BlockWork, kind sparse.AccumulatorKind, labels *[3]st
 }
 
 // mergeKernel builds the Gustavson merge with each row priced under the
-// strategy kind resolves to for it (sparse.SelectAccumulator against the
-// output dimension cols): one block per long intermediate row, packed
+// strategy kind resolves to for it (selectAccumulator against the output
+// dimension cols): one block per long intermediate row, packed
 // grid-stride blocks (one aggregate class per strategy) for the rest.
 // readBytes selects the row-form or matrix-form intermediate cost. limited
 // rows (ascending, may be nil) receive extraSmem bytes of additional
@@ -232,14 +269,14 @@ func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, 
 		if w == 0 {
 			continue
 		}
-		rowKind := sparse.SelectAccumulator(kind, w, cols)
+		rowKind := selectAccumulator(kind, w, cols)
 		outBytes := int64(rowNNZ[i]) * elemBytes
 		if w < longRow {
 			sb := &small[0]
 			switch rowKind {
 			case sparse.AccumHash:
 				sb = &small[1]
-				sb.table += int64(sparse.HashTableSlots(w)) * hashSlotBytes
+				sb.table += int64(hashTableSlots(w)) * hashSlotBytes
 			case sparse.AccumSort:
 				sb = &small[2]
 			}
@@ -272,7 +309,7 @@ func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, 
 			SharedMem:           smem,
 			Segment:             gpusim.NoSegment,
 			AccumBytes:          int(accumWS),
-		}, rowKind, labels, int64(sparse.HashTableSlots(w))*hashSlotBytes, passes))
+		}, rowKind, labels, int64(hashTableSlots(w))*hashSlotBytes, passes))
 	}
 	for s, sb := range small {
 		if sb.work == 0 {

@@ -67,8 +67,8 @@ func TestKnownStructureHitGridBitIdentical(t *testing.T) {
 			t.Fatalf("%s/%v: hit product row %d differs from a cold run's", spec.Name, kind, i)
 		}
 		prof := opts.Trace.Profile()
-		if n := prof.Counter(trace.CounterAccumHashRows) + prof.Counter(trace.CounterAccumSortRows); n != 0 {
-			t.Fatalf("%s/%v: a known-structure hit merged %d rows through hash or sort", spec.Name, kind, n)
+		if n := prof.Counter(trace.CounterAccumSortRows); n != 0 {
+			t.Fatalf("%s/%v: a known-structure hit merged %d rows through sort", spec.Name, kind, n)
 		}
 		if prof.Counter(trace.CounterAccumDenseRows) == 0 && hit.NNZ() > 0 {
 			t.Fatalf("%s/%v: a known-structure hit counted no dense rows", spec.Name, kind)

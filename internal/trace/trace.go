@@ -137,13 +137,12 @@ const (
 	CounterPipelinePlanHits   = "pipeline_plan_hits"
 	CounterPipelinePlanMisses = "pipeline_plan_misses"
 	CounterPipelinePruned     = "pipeline_pruned_entries"
-	// Accumulator selection: rows merged per strategy (see
+	// Accumulator selection: rows merged per host strategy (see
 	// sparse.AccumulatorKind). Recorded once per numeric product by the
 	// host engine (sparse.MultiplyConfigured), for every algorithm, so the
-	// three counters sum to the product's populated row count; runs with
+	// two counters sum to the product's populated row count; runs with
 	// SkipValues merge nothing and record none.
 	CounterAccumDenseRows = "accum_rows_dense"
-	CounterAccumHashRows  = "accum_rows_hash"
 	CounterAccumSortRows  = "accum_rows_sort"
 	// Out-of-core engine accounting (package ooc): tile pairs multiplied,
 	// the tile-plan cache's hit/miss split (a hit reuses a structurally

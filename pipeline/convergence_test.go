@@ -122,7 +122,7 @@ func TestPowerIterateExecuteVsExecuteOnBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !serial.M.Equal(parallelRun.M, 0) {
+	if !serial.M.Identical(parallelRun.M) {
 		t.Fatal("power chain differs between sequential and parallel executors")
 	}
 
@@ -147,7 +147,7 @@ func TestPowerIterateExecuteVsExecuteOnBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ref.Equal(got, 0) {
+	if !ref.Identical(got) {
 		t.Fatal("Execute and ExecuteOn disagree bitwise")
 	}
 }

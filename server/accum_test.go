@@ -51,13 +51,25 @@ func TestServerAccumulatorField(t *testing.T) {
 
 	// A hit fills the product structure the first run left on the plan,
 	// with no per-row strategy, so each forced strategy gets a cold run on
-	// a structure of its own for the row counts below.
-	for i, accum := range []string{"dense", "hash", "sort"} {
+	// a structure of its own. Each run's rows reach /metrics under the
+	// host strategy that merged them: the host has no table, so a forced
+	// hash run merges dense and counts as dense.
+	for i, run := range []struct{ accum, counted string }{
+		{"dense", "dense"}, {"hash", "dense"}, {"sort", "sort"},
+	} {
+		before := accumRows(t, ts.URL)
 		id := submit(t, ts.URL, MultiplyRequest{
-			A: Operand{COO: PayloadFromCSR(testNetwork(t, 400, 6000, uint64(14+i)))}, Accumulator: accum,
+			A: Operand{COO: PayloadFromCSR(testNetwork(t, 400, 6000, uint64(14+i)))}, Accumulator: run.accum,
 		})
 		if st := pollDone(t, ts.URL, id); st.State != StateDone {
-			t.Fatalf("cold %s run: job failed: %s %s", accum, st.ErrorKind, st.Error)
+			t.Fatalf("cold %s run: job failed: %s %s", run.accum, st.ErrorKind, st.Error)
+		}
+		after := accumRows(t, ts.URL)
+		for _, strategy := range []string{"dense", "sort"} {
+			if grew := after[strategy] > before[strategy]; grew != (strategy == run.counted) {
+				t.Errorf("cold %s run: spgemmd_accum_rows_total{strategy=%q} went %d -> %d, want growth only under %q",
+					run.accum, strategy, before[strategy], after[strategy], run.counted)
+			}
 		}
 	}
 
@@ -72,11 +84,13 @@ func TestServerAccumulatorField(t *testing.T) {
 	if !strings.Contains(st.Error, "radix") {
 		t.Fatalf("unknown accumulator: error does not name it: %s", st.Error)
 	}
+}
 
-	// The per-strategy row counts reached the metrics: each forced
-	// strategy's cold run merged its rows under it, so every class must be
-	// non-zero.
-	resp, err := http.Get(ts.URL + "/metrics")
+// accumRows scrapes /metrics for the merged-row counts per host strategy,
+// failing if a series is missing or a hash series is exposed.
+func accumRows(t *testing.T, url string) map[string]int {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +99,17 @@ func TestServerAccumulatorField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strategy := range []string{"dense", "hash", "sort"} {
+	if strings.Contains(string(body), `spgemmd_accum_rows_total{strategy="hash"}`) {
+		t.Fatalf("metrics expose a hash row series:\n%s", body)
+	}
+	rows := map[string]int{}
+	for _, strategy := range []string{"dense", "sort"} {
 		re := regexp.MustCompile(`spgemmd_accum_rows_total\{strategy="` + strategy + `"\} (\d+)`)
 		m := re.FindStringSubmatch(string(body))
 		if m == nil {
 			t.Fatalf("metrics missing spgemmd_accum_rows_total{strategy=%q}:\n%s", strategy, body)
 		}
-		if n, _ := strconv.Atoi(m[1]); n == 0 {
-			t.Errorf("spgemmd_accum_rows_total{strategy=%q} is zero after forced runs", strategy)
-		}
+		rows[strategy], _ = strconv.Atoi(m[1])
 	}
+	return rows
 }

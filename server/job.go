@@ -114,9 +114,11 @@ type MultiplyRequest struct {
 	// Accumulator selects the merge strategy: "auto" (or omitted, the
 	// default), "dense", "hash" or "sort". The product is bit-identical
 	// for every setting; the knob trades merge time and shows up in the
-	// spgemmd_accum_rows_total metrics. It chooses the merge of cold runs
-	// only: a plan-cache hit fills the structure its plan kept with the
-	// dense accumulator, and its rows count as dense.
+	// spgemmd_accum_rows_total metrics. The host merges every row dense
+	// or sorted: a forced "hash" prices the simulated merge as a table
+	// and merges its rows dense, counting them as dense. It chooses the
+	// merge of cold runs only: a plan-cache hit fills the structure its
+	// plan kept with the dense accumulator, and its rows count as dense.
 	Accumulator string `json:"accumulator,omitempty"`
 
 	// Block Reorganizer tuning; zero values select the paper's defaults.

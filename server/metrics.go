@@ -77,7 +77,7 @@ func newMetrics(cache func() blockreorg.CacheStats, queue func() (depth, capacit
 	r.CounterFunc("spgemmd_arena_allocs_total", func() float64 { return float64(parallel.ReadStats().ArenaNews) })
 
 	m.accumRows = r.Counter("spgemmd_accum_rows_total", "strategy")
-	for _, strategy := range []string{"dense", "hash", "sort"} {
+	for _, strategy := range []string{"dense", "sort"} {
 		m.accumRows.Add(0, strategy)
 	}
 	m.pipelinePlanHits = r.Counter("spgemmd_pipeline_plan_hits_total")
@@ -101,6 +101,5 @@ func (m *metrics) addPhases(p *trace.Profile) {
 		}
 	}
 	m.accumRows.Add(float64(p.Counter(trace.CounterAccumDenseRows)), "dense")
-	m.accumRows.Add(float64(p.Counter(trace.CounterAccumHashRows)), "hash")
 	m.accumRows.Add(float64(p.Counter(trace.CounterAccumSortRows)), "sort")
 }

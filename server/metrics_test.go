@@ -52,7 +52,6 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	p := &trace.Profile{Counters: map[string]int64{
 		trace.CounterAccumDenseRows: 5,
-		trace.CounterAccumHashRows:  7,
 		trace.CounterAccumSortRows:  1234567,
 	}}
 	for _, ph := range trace.Phases() {

@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"os"
 	"os/exec"
 	"strings"
@@ -35,45 +34,16 @@ func TestParseAccumulatorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSelectAccumulatorThresholds(t *testing.T) {
-	const cols = 10_000
-	cases := []struct {
-		kind  AccumulatorKind
-		upper int64
-		want  AccumulatorKind
-	}{
-		// Explicit requests pass through whatever the row looks like.
-		{AccumDense, 1, AccumDense},
-		{AccumHash, 1 << 30, AccumHash},
-		{AccumSort, 1 << 30, AccumSort},
-		// Auto: tiny rows sort-combine...
-		{AccumAuto, 1, AccumSort},
-		{AccumAuto, SortRowMax, AccumSort},
-		// ...mid rows hash while the table stays far below O(cols)...
-		{AccumAuto, SortRowMax + 1, AccumHash},
-		{AccumAuto, cols/HashColsFactor - 1, AccumHash},
-		// ...and rows whose footprint rivals the dimension go dense.
-		{AccumAuto, cols / HashColsFactor, AccumDense},
-		{AccumAuto, cols, AccumDense},
-	}
-	for _, c := range cases {
-		if got := SelectAccumulator(c.kind, c.upper, cols); got != c.want {
-			t.Errorf("SelectAccumulator(%v, %d, %d) = %v, want %v",
-				c.kind, c.upper, cols, got, c.want)
-		}
-	}
-}
-
-// TestHostAccumulatorRule pins the host merge's resolution of AccumAuto:
+// TestHostAccumulatorRule pins the host merge's resolution of each kind:
 // tiny rows sort; rows with next to nothing to combine sort once the
 // operand is too wide for the dense path to sweep them out of its bitmap;
-// short rows hash only on operands at least hostHashMinCols wide;
-// everything else goes dense. Explicit kinds always pass through.
+// everything else goes dense, short rows of very wide operands included.
+// A forced dense or sort passes through, and a forced hash merges dense.
 func TestHostAccumulatorRule(t *testing.T) {
 	const (
 		narrow = 10_000
 		mid    = 1 << 14 // 256 bitmap words: 8 per column of a 32-column row
-		wide   = hostHashMinCols
+		wide   = 1 << 21 // 16 MiB of dense scratch per worker
 	)
 	cases := []struct {
 		kind  AccumulatorKind
@@ -82,18 +52,22 @@ func TestHostAccumulatorRule(t *testing.T) {
 		cols  int
 		want  AccumulatorKind
 	}{
-		// Explicit requests pass through whatever the row looks like.
+		// Explicit requests pass through whatever the row looks like;
+		// the host has no table, so hash merges dense.
 		{AccumDense, 1, 1, wide, AccumDense},
-		{AccumHash, 1 << 30, 1, narrow, AccumHash},
+		{AccumHash, 1 << 30, 1, narrow, AccumDense},
+		{AccumHash, 1, 1, narrow, AccumDense},
+		{AccumHash, SortRowMax + 1, 8, wide, AccumDense},
 		{AccumSort, 1 << 30, 1, narrow, AccumSort},
 		// Tiny rows sort-combine at every width, nnz known or not.
 		{AccumAuto, 1, 0, narrow, AccumSort},
 		{AccumAuto, SortRowMax, 0, wide, AccumSort},
 		// Narrow operands: everything past SortRowMax goes dense, even
-		// rows the model would hash and rows with nothing to combine.
+		// rows the simulated merge would hash and rows with nothing to
+		// combine.
 		{AccumAuto, SortRowMax + 1, 0, narrow, AccumDense},
 		{AccumAuto, SortRowMax + 1, SortRowMax + 1, narrow, AccumDense},
-		{AccumAuto, narrow/HashColsFactor - 1, 10, narrow, AccumDense},
+		{AccumAuto, narrow/8 - 1, 10, narrow, AccumDense},
 		// Rows whose duplicates are at most one in 32 of their products
 		// sort while the bitmap holds more than 8 words per merged
 		// column; more duplicates, a denser bitmap or an unknown nnz keep
@@ -104,137 +78,16 @@ func TestHostAccumulatorRule(t *testing.T) {
 		{AccumAuto, 66, 64, 2 * mid, AccumDense},
 		{AccumAuto, 34, 32, 2 * mid, AccumDense}, // two duplicates in 34
 		{AccumAuto, 66, 0, 4 * mid, AccumDense},
-		// From hostHashMinCols, short rows with duplicates hash...
-		{AccumAuto, SortRowMax + 1, 8, wide, AccumHash},
-		{AccumAuto, wide/HashColsFactor - 1, 8, wide, AccumHash},
-		{AccumAuto, SortRowMax + 1, 8, wide - 1, AccumDense},
-		// ...and rows whose footprint rivals the dimension stay dense.
-		{AccumAuto, wide / HashColsFactor, 8, wide, AccumDense},
-		// SelectAccumulator (the model's rule) still hashes the narrow
-		// case above: the two resolvers differ by design.
+		// Short rows with duplicates of a 2^21-column operand go dense
+		// too, as do rows whose footprint rivals the dimension.
+		{AccumAuto, SortRowMax + 1, 8, wide, AccumDense},
+		{AccumAuto, wide/8 - 1, 8, wide, AccumDense},
+		{AccumAuto, wide / 8, 8, wide, AccumDense},
 	}
 	for _, c := range cases {
 		if got := hostAccumulator(c.kind, c.upper, c.nnz, c.cols); got != c.want {
 			t.Errorf("hostAccumulator(%v, upper %d, nnz %d, cols %d) = %v, want %v",
 				c.kind, c.upper, c.nnz, c.cols, got, c.want)
-		}
-	}
-	if got := SelectAccumulator(AccumAuto, narrow/HashColsFactor-1, narrow); got != AccumHash {
-		t.Errorf("SelectAccumulator no longer hashes short rows of narrow operands: %v", got)
-	}
-}
-
-// TestHostAutoHashesWideOperands is the hash path's reason to exist on the
-// host: on an operand 2^21 columns wide, whose dense accumulator would be
-// 16 MiB per worker, short rows with duplicates merge through a row-sized
-// table. Auto must take that path without ever acquiring the O(Cols) dense
-// scratch, and its product must equal the dense one bit for bit.
-func TestHostAutoHashesWideOperands(t *testing.T) {
-	const (
-		rows  = 64
-		mid   = 48
-		cols  = hostHashMinCols
-		perB  = 12 // entries per B row
-		perA  = 6  // entries per A row: 72 products per row, well past SortRowMax
-		share = 16 // B rows draw from a column pool spread over the width, so products collide
-	)
-	rng := testRNG(31)
-	a := NewCSR(rows, mid)
-	for i := 0; i < rows; i++ {
-		seen := map[int]bool{}
-		var idx []int
-		for len(idx) < perA {
-			if k := rng.IntN(mid); !seen[k] {
-				seen[k] = true
-				idx = append(idx, k)
-			}
-		}
-		insertionSortInts(idx)
-		for _, k := range idx {
-			a.Idx = append(a.Idx, k)
-			a.Val = append(a.Val, rng.Float64()*2-1)
-		}
-		a.Ptr[i+1] = len(a.Idx)
-	}
-	pool := make([]int, share)
-	for p := range pool {
-		pool[p] = rng.IntN(cols)
-	}
-	b := NewCSR(mid, cols)
-	for k := 0; k < mid; k++ {
-		seen := map[int]bool{}
-		var idx []int
-		for len(idx) < perB {
-			if j := pool[rng.IntN(share)]; !seen[j] {
-				seen[j] = true
-				idx = append(idx, j)
-			}
-		}
-		insertionSortInts(idx)
-		val := make([]float64, len(idx))
-		for v := range val {
-			val[v] = rng.Float64()*2 - 1
-		}
-		b.AppendRow(k, idx, val)
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	upper, err := IntermediateRowNNZ(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowNNZ, err := SymbolicRowNNZ(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m := NewRowMerger(cols)
-	defer m.Release()
-	for i := 0; i < rows; i++ {
-		m.ProductRow(AccumAuto, a, b, i, upper[i], rowNNZ[i], nil, nil)
-	}
-	if m.Counts.Hash != rows || m.Counts.Dense != 0 || m.Counts.Sort != 0 {
-		t.Fatalf("auto merged %+v on a %d-column operand, want all %d rows by hash", m.Counts, cols, rows)
-	}
-	if m.acc != nil || m.occupied != nil {
-		t.Fatalf("auto acquired dense scratch (%d + %d words) for short rows of a wide operand",
-			len(m.acc), len(m.occupied))
-	}
-
-	want, err := MultiplyConfigured(a, b, nil, nil, MulConfig{Accum: AccumDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MultiplyConfigured(a, b, nil, nil, MulConfig{Accum: AccumAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want, 0) {
-		t.Fatal("auto product on a wide operand is not bit-identical to dense")
-	}
-}
-
-func TestHashTableSlots(t *testing.T) {
-	for upper := int64(0); upper < 5000; upper++ {
-		slots := HashTableSlots(upper)
-		if slots&(slots-1) != 0 {
-			t.Fatalf("HashTableSlots(%d) = %d, not a power of two", upper, slots)
-		}
-		if slots < 8 {
-			t.Fatalf("HashTableSlots(%d) = %d, below the minimum table", upper, slots)
-		}
-		if upper >= 4 && int64(slots) < 2*upper {
-			t.Fatalf("HashTableSlots(%d) = %d, load factor above 1/2", upper, slots)
-		}
-		if upper >= 4 && int64(slots) >= 4*upper {
-			t.Fatalf("HashTableSlots(%d) = %d, table more than 2x oversized", upper, slots)
-		}
-		if slots != 1<<bits.Len64(uint64(slots-1)) {
-			t.Fatalf("HashTableSlots(%d) = %d, not exact", upper, slots)
 		}
 	}
 }
@@ -279,7 +132,8 @@ func streamOperands(idx []int, val []float64, cols int) (a, b *CSR) {
 // ProductRow (see streamOperands), and requires bit-identical output to
 // CombineRow, the engine's historical sort-merge. Each runs with the
 // merged population unknown (nnz 0) and with the exact count, which sends
-// the long streams' dense rows down the wide path.
+// the long streams' dense rows down the wide path. Every non-empty row
+// counts once, and a forced hash counts as dense.
 func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 	rng := testRNG(7)
 	const cols = 1 << 14
@@ -289,7 +143,7 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 		{9, 9, 9, 9, 9, 9},    // one column, all duplicates
 		{3, 1, 2, 1, 3, 1, 0}, // small with duplicates
 		make([]int, 33),       // just past SortRowMax
-		make([]int, 1000),     // hash-sized under SelectAccumulator
+		make([]int, 1000),     // a row the simulated merge prices as hash
 		make([]int, 3*cols),   // wider than the dimension: dense under both rules
 	}
 	for i := 4; i < len(streams); i++ {
@@ -319,9 +173,12 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 					if m.Counts != (AccumCounts{}) {
 						t.Fatalf("stream %d: empty merge counted a row: %+v", si, m.Counts)
 					}
-				} else if m.Counts.Dense+m.Counts.Hash+m.Counts.Sort != 1 {
+				} else if m.Counts.Dense+m.Counts.Sort != 1 {
 					t.Fatalf("stream %d (%v, nnz %d): counts %+v, want exactly one row",
 						si, kind, nnz, m.Counts)
+				} else if kind == AccumHash && m.Counts.Dense != 1 {
+					t.Fatalf("stream %d (hash, nnz %d): counts %+v, want one dense row",
+						si, nnz, m.Counts)
 				}
 				m.Release()
 			}
@@ -449,7 +306,7 @@ func TestMultiplyConfiguredStrategies(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v workers=%d rowNNZ=%v: %v", kind, workers, withNNZ, err)
 				}
-				if !got.Equal(want, 0) {
+				if !got.Identical(want) {
 					t.Fatalf("%v workers=%d rowNNZ=%v: not bit-identical to Multiply",
 						kind, workers, withNNZ)
 				}
@@ -463,9 +320,10 @@ func TestMultiplyConfiguredStrategies(t *testing.T) {
 // and every occupancy bit is clear, whichever emit branch ran and whatever
 // the other strategies did in between. One merger runs rows that land on
 // the wide row's whole-bitmap sweep, the span sweep and the sort fallback,
-// interleaved with hash and sort rows, each holding a column of only -0
-// products and one of cancelling products, and each must match CombineRow
-// bit for bit. The merger's dense vector is drawn from an arena just
+// interleaved with forced hash rows (which merge dense) and sort rows,
+// each holding a column of only -0 products and one of cancelling
+// products, and each must match CombineRow bit for bit. The merger's
+// dense vector is drawn from an arena just
 // handed a dirty buffer. Unless it already runs under BLOCKREORG_PARANOID,
 // the test then runs itself again with it set, so that buffer comes back
 // poisoned with NaN.
@@ -528,8 +386,8 @@ func TestDenseScratchZeroBetweenRows(t *testing.T) {
 			}
 		}
 	}
-	if m.Counts.Dense != 5 || m.Counts.Hash != 2 || m.Counts.Sort != 1 {
-		t.Fatalf("counts %+v, want 5 dense, 2 hash, 1 sort", m.Counts)
+	if m.Counts.Dense != 7 || m.Counts.Sort != 1 {
+		t.Fatalf("counts %+v, want 7 dense (2 of them forced hash), 1 sort", m.Counts)
 	}
 
 	if os.Getenv("BLOCKREORG_PARANOID") != "" || testing.Short() {

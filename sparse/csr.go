@@ -235,8 +235,8 @@ const sortRowEntriesRun = 32
 //
 // The sort is STABLE, and that is a correctness property, not a detail:
 // CombineRow sums duplicate columns in post-sort order, so stability makes
-// that order the original stream order — exactly the order the dense and
-// hash accumulators add in. Bit-identity of the sort strategy (and of
+// that order the original stream order — exactly the order the dense
+// accumulator adds in. Bit-identity of the sort strategy (and of
 // core.Plan.Execute's COO conversion) with the dense oracle rests on it.
 func sortRowEntries(idx []int, val []float64) {
 	n := len(idx)
@@ -317,7 +317,7 @@ func mergeRowEntries(srcI []int, srcV []float64, dstI []int, dstV []float64, lo,
 // It is the single merge primitive behind SortRows (and therefore every
 // COO→CSR conversion) and the sort accumulator strategy. The underlying sort is stable, so duplicate
 // columns are summed in their original stream order — the same addition
-// order as the dense and hash accumulators, which is what makes every
+// order as the dense accumulator, which is what makes every
 // merge path agree to the last bit.
 func CombineRow(idx []int, val []float64, outIdx []int, outVal []float64) ([]int, []float64) {
 	sortRowEntries(idx, val)

@@ -11,9 +11,10 @@ import (
 // MulConfig tunes MultiplyConfigured beyond the executor and recorder.
 type MulConfig struct {
 	// Accum selects the per-row merge strategy; the zero value is
-	// AccumAuto (per-row selection from the symbolic upper bound). Every
-	// setting is bit-identical — the knob trades merge locality, never
-	// values.
+	// AccumAuto (per-row selection from the symbolic upper bound). The
+	// host merges every row dense or sorted, so AccumHash merges dense.
+	// Every setting is bit-identical — the knob trades merge locality,
+	// never values.
 	Accum AccumulatorKind
 	// RowNNZ optionally supplies the exact merged row populations of the
 	// product (sparse.SymbolicRowNNZ of the same operands), letting the
@@ -35,7 +36,6 @@ func recordAccumCounts(rec *trace.Recorder, counts AccumCounts) {
 		return
 	}
 	rec.Add(trace.CounterAccumDenseRows, counts.Dense)
-	rec.Add(trace.CounterAccumHashRows, counts.Hash)
 	rec.Add(trace.CounterAccumSortRows, counts.Sort)
 }
 

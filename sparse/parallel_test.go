@@ -35,7 +35,7 @@ func TestMultiplyParallelMatchesSerial(t *testing.T) {
 		}
 		for _, workers := range []int{0, 1, 2, 7} {
 			got, err := multiplyWorkers(a, b, workers)
-			if err != nil || got.Validate() != nil || !got.Equal(want, 0) {
+			if err != nil || got.Validate() != nil || !got.Identical(want) {
 				return false
 			}
 		}
@@ -67,7 +67,7 @@ func TestMultiplyParallelSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want, 0) {
+	if !got.Identical(want) {
 		t.Fatal("parallel result differs on skewed input")
 	}
 }
@@ -135,7 +135,7 @@ func TestMultiplyParallelMostlyEmptyRows(t *testing.T) {
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want, 0) {
+		if !got.Identical(want) {
 			t.Fatalf("workers=%d: parallel result not bit-identical on mostly-empty matrix", workers)
 		}
 	}
@@ -268,11 +268,11 @@ func TestStoppedViewReturnsItsError(t *testing.T) {
 		switch {
 		case err != nil && !errors.Is(err, context.DeadlineExceeded):
 			t.Fatalf("deadline %d/20: err %v", i, err)
-		case err == nil && !got.Equal(want, 0):
+		case err == nil && !got.Identical(want):
 			t.Fatalf("deadline %d/20: a run that reported success returned a wrong product", i)
 		case kerr != nil && !errors.Is(kerr, context.DeadlineExceeded):
 			t.Fatalf("deadline %d/20: MultiplyKnown err %v", i, kerr)
-		case kerr == nil && !known.Equal(want, 0):
+		case kerr == nil && !known.Identical(want):
 			t.Fatalf("deadline %d/20: a MultiplyKnown run that reported success returned a wrong product", i)
 		}
 	}
