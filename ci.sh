@@ -57,11 +57,13 @@
 #                      clusters it end to end, so the CLI wiring from file
 #                      input through the pipeline engine stays exercised
 #  10. spgemmload smoke — a tiny workload spec drives an in-process spgemmd
-#                      for under a second, records the request trace, replays
-#                      it virtually, and validates the fitness report against
-#                      the committed schema golden, so the serving loop
-#                      (admission, queue-wait accounting, trace record/replay,
-#                      SLO scoring) stays exercised end to end
+#                      for under a second and records the request trace;
+#                      the trace is scored twice and the two reports must
+#                      compare byte-identical, and both the live and the
+#                      scored report must pass the committed schema golden,
+#                      so the serving loop (admission, queue-wait
+#                      accounting, trace recording and reading, SLO
+#                      scoring) stays exercised end to end
 #  11. cluster smoke  — spgemmd starts as a 2-instance cluster behind the
 #                      structure-affinity router, spgemmload drives a
 #                      structure-repeating spec at it over real HTTP, and
@@ -183,7 +185,7 @@ echo "==> graphrun smoke (genmat R-MAT -> MCL clustering)"
 go run ./cmd/genmat -kind rmat -n 256 -nnz 1024 -seed 7 -o "$smoke_dir/net.mtx"
 go run ./cmd/graphrun -workload mcl -in "$smoke_dir/net.mtx" -symmetrize -profile
 
-echo "==> spgemmload smoke (spec -> live run -> trace -> replay -> schema check)"
+echo "==> spgemmload smoke (spec -> live run -> trace -> score twice -> schema check)"
 cat >"$smoke_dir/wl.json" <<'EOF'
 {
   "name": "ci-smoke",
@@ -209,16 +211,16 @@ cat >"$smoke_dir/wl.json" <<'EOF'
 EOF
 go run ./cmd/spgemmload run -spec "$smoke_dir/wl.json" -self \
     -trace "$smoke_dir/wl.jsonl" -o "$smoke_dir/live.json"
-go run ./cmd/spgemmload replay -trace "$smoke_dir/wl.jsonl" -spec "$smoke_dir/wl.json" \
-    -workers 2 -speed 2 -o "$smoke_dir/replay1.json"
-go run ./cmd/spgemmload replay -trace "$smoke_dir/wl.jsonl" -spec "$smoke_dir/wl.json" \
-    -workers 2 -speed 2 -o "$smoke_dir/replay2.json"
-if ! cmp -s "$smoke_dir/replay1.json" "$smoke_dir/replay2.json"; then
-    echo "spgemmload replay is not deterministic" >&2
+go run ./cmd/spgemmload score -trace "$smoke_dir/wl.jsonl" -spec "$smoke_dir/wl.json" \
+    -o "$smoke_dir/score1.json"
+go run ./cmd/spgemmload score -trace "$smoke_dir/wl.jsonl" -spec "$smoke_dir/wl.json" \
+    -o "$smoke_dir/score2.json"
+if ! cmp -s "$smoke_dir/score1.json" "$smoke_dir/score2.json"; then
+    echo "spgemmload score is not deterministic" >&2
     exit 1
 fi
 go run ./cmd/spgemmload check -report "$smoke_dir/live.json" -schema workload/testdata/fitness_schema.json
-go run ./cmd/spgemmload check -report "$smoke_dir/replay1.json" -schema workload/testdata/fitness_schema.json
+go run ./cmd/spgemmload check -report "$smoke_dir/score1.json" -schema workload/testdata/fitness_schema.json
 
 echo "==> cluster smoke (2-instance affinity router, real HTTP)"
 cat >"$smoke_dir/cl.json" <<'EOF'

@@ -50,7 +50,7 @@ func main() {
 		maxTimeout = flag.Duration("max-timeout", 2*time.Minute, "ceiling on client-requested deadlines")
 		drainWait  = flag.Duration("drain", time.Minute, "how long shutdown waits for in-flight jobs")
 		paranoid   = flag.Bool("paranoid", false, "run every job with the deep sanitizer layer")
-		traceOut   = flag.String("trace-out", "", "append a JSONL request trace to this file (replayable with spgemmload)")
+		traceOut   = flag.String("trace-out", "", "append a JSONL request trace to this file (scorable with spgemmload score)")
 
 		clusterN   = flag.Int("cluster", 0, "shard into N in-process instances behind a routing front-end (0: single instance)")
 		route      = flag.String("route", cluster.PolicyAffinity, "cluster routing policy: "+strings.Join(cluster.Policies(), ", "))

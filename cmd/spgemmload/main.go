@@ -1,20 +1,17 @@
 // Command spgemmload is the workload harness for the spgemmd serving
 // layer: it compiles declarative workload specs into deterministic request
 // streams, drives them against a live server (external or in-process),
-// records request traces, re-enacts traces through a virtual queueing model
-// at scaled speed, and scores the outcomes against per-class SLOs.
+// records request traces, and scores the outcomes against per-class SLOs.
 //
 //	spgemmload gen -spec wl.json                 # inspect the compiled stream
 //	spgemmload run -spec wl.json -self -trace t.jsonl
 //	spgemmload run -spec wl.json -target http://localhost:8447
-//	spgemmload replay -trace t.jsonl -spec wl.json -speed 2 -workers 4
 //	spgemmload score -trace t.jsonl -spec wl.json
-//	spgemmload calibrate -trace t.jsonl
 //	spgemmload check -report rep.json -schema workload/testdata/fitness_schema.json
 //
-// Replay is a deterministic simulation: the same trace, options and seed
-// always render byte-identical fitness reports, which is what makes the
-// reports diffable in CI.
+// Scoring is deterministic: the same trace and spec always render
+// byte-identical fitness reports, which is what makes the reports
+// diffable in CI.
 package main
 
 import (
@@ -43,12 +40,8 @@ func main() {
 		err = cmdGen(os.Args[2:])
 	case "run":
 		err = cmdRun(os.Args[2:])
-	case "replay":
-		err = cmdReplay(os.Args[2:])
 	case "score":
 		err = cmdScore(os.Args[2:])
-	case "calibrate":
-		err = cmdCalibrate(os.Args[2:])
 	case "check":
 		err = cmdCheck(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -69,12 +62,10 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: spgemmload <verb> [flags]
 
 verbs:
-  gen        compile a workload spec and dump the request stream
-  run        drive a compiled stream against a live server, recording a trace
-  replay     re-enact a recorded trace through the virtual queueing model
-  score      score a recorded trace as-is against a spec's SLOs
-  calibrate  compare gpusim predictions with host measurements in a trace
-  check      validate a fitness report against a schema golden (CI gate)
+  gen    compile a workload spec and dump the request stream
+  run    drive a compiled stream against a live server, recording a trace
+  score  score a recorded trace as-is against a spec's SLOs
+  check  validate a fitness report against a schema golden (CI gate)
 
 run 'spgemmload <verb> -h' for the verb's flags.
 `)
@@ -103,14 +94,6 @@ func loadTrace(path string) ([]workload.Record, error) {
 	}
 	defer f.Close()
 	return workload.ReadTrace(f)
-}
-
-// loadSpecFlag loads -spec when given (several verbs score spec-free).
-func loadSpecFlag(path string) (*workload.Spec, error) {
-	if path == "" {
-		return nil, nil
-	}
-	return workload.LoadSpec(path)
 }
 
 // writeReport renders a fitness report to the -o target.
@@ -239,38 +222,6 @@ func cmdRun(args []string) error {
 	return writeReport(workload.Score(records, spec, "live"), *out)
 }
 
-func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	tracePath := fs.String("trace", "", "recorded trace (JSONL)")
-	specPath := fs.String("spec", "", "workload spec for SLO scoring (optional)")
-	workers := fs.Int("workers", 2, "simulated worker-pool size")
-	speed := fs.Float64("speed", 1, "timeline compression (2 = twice the arrival rate)")
-	queueDepth := fs.Int("queue", 0, "simulated admission-queue bound (0: unbounded)")
-	jitter := fs.Float64("jitter", 0, "service-time jitter fraction in [0, 1)")
-	seed := fs.Uint64("seed", 0, "jitter seed (same trace + options + seed => identical report)")
-	out := fs.String("o", "-", "fitness report output (- for stdout)")
-	fs.Parse(args)
-	recs, err := loadTrace(*tracePath)
-	if err != nil {
-		return err
-	}
-	spec, err := loadSpecFlag(*specPath)
-	if err != nil {
-		return err
-	}
-	rep, err := workload.ReplayScore(recs, workload.ReplayOptions{
-		Workers:       *workers,
-		Speed:         *speed,
-		QueueDepth:    *queueDepth,
-		ServiceJitter: *jitter,
-		Seed:          *seed,
-	}, spec)
-	if err != nil {
-		return err
-	}
-	return writeReport(rep, *out)
-}
-
 func cmdScore(args []string) error {
 	fs := flag.NewFlagSet("score", flag.ExitOnError)
 	tracePath := fs.String("trace", "", "recorded trace (JSONL)")
@@ -281,34 +232,13 @@ func cmdScore(args []string) error {
 	if err != nil {
 		return err
 	}
-	spec, err := loadSpecFlag(*specPath)
-	if err != nil {
-		return err
+	var spec *workload.Spec // nil scores spec-free
+	if *specPath != "" {
+		if spec, err = workload.LoadSpec(*specPath); err != nil {
+			return err
+		}
 	}
 	return writeReport(workload.Score(recs, spec, "trace"), *out)
-}
-
-func cmdCalibrate(args []string) error {
-	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
-	tracePath := fs.String("trace", "", "recorded trace (JSONL)")
-	out := fs.String("o", "-", "calibration report output (- for stdout)")
-	fs.Parse(args)
-	recs, err := loadTrace(*tracePath)
-	if err != nil {
-		return err
-	}
-	cal := workload.Calibrate(recs)
-	if cal == nil {
-		return fmt.Errorf("trace %s carries no gpusim predictions to calibrate against", *tracePath)
-	}
-	w, err := output(*out)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cal)
 }
 
 func cmdCheck(args []string) error {

@@ -32,8 +32,8 @@ const testSpecJSON = `{
 }`
 
 // TestHarnessEndToEnd walks the whole loop the ci.sh smoke gate scripts:
-// gen → run -self (recording a trace) → replay twice (byte-identical) →
-// score → calibrate → check against the committed schema golden.
+// gen → run -self (recording a trace) → score twice (byte-identical) →
+// check against the committed schema golden.
 func TestHarnessEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a live in-process server")
@@ -84,55 +84,29 @@ func TestHarnessEndToEnd(t *testing.T) {
 		t.Fatal("no request completed")
 	}
 
-	// replay twice: byte-identical reports.
-	repA := filepath.Join(dir, "replay-a.json")
-	repB := filepath.Join(dir, "replay-b.json")
-	replayArgs := func(out string) []string {
-		return []string{"-trace", tracePath, "-spec", specPath,
-			"-workers", "2", "-speed", "2", "-jitter", "0.1", "-seed", "42", "-o", out}
+	// score twice: the recorded trace scores to byte-identical reports.
+	scoreA := filepath.Join(dir, "score-a.json")
+	scoreB := filepath.Join(dir, "score-b.json")
+	for _, out := range []string{scoreA, scoreB} {
+		if err := cmdScore([]string{"-trace", tracePath, "-spec", specPath, "-o", out}); err != nil {
+			t.Fatalf("score: %v", err)
+		}
 	}
-	if err := cmdReplay(replayArgs(repA)); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if err := cmdReplay(replayArgs(repB)); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	a, err := os.ReadFile(repA)
+	a, err := os.ReadFile(scoreA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(repB)
+	b, err := os.ReadFile(scoreB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("same trace + seed replayed to different reports")
-	}
-
-	// score: trace as-recorded.
-	scoreOut := filepath.Join(dir, "score.json")
-	if err := cmdScore([]string{"-trace", tracePath, "-spec", specPath, "-o", scoreOut}); err != nil {
-		t.Fatalf("score: %v", err)
-	}
-
-	// calibrate: MAPE and Pearson-r present.
-	calOut := filepath.Join(dir, "cal.json")
-	if err := cmdCalibrate([]string{"-trace", tracePath, "-o", calOut}); err != nil {
-		t.Fatalf("calibrate: %v", err)
-	}
-	cal, err := os.ReadFile(calOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"mape"`, `"pearson_r"`, `"fitted_mape"`} {
-		if !bytes.Contains(cal, []byte(key)) {
-			t.Fatalf("calibration report misses %s:\n%s", key, cal)
-		}
+		t.Fatal("one trace scored to different reports")
 	}
 
 	// check: every produced report conforms to the committed schema golden.
 	schema := filepath.Join("..", "..", "workload", "testdata", "fitness_schema.json")
-	for _, rep := range []string{liveReport, repA, scoreOut} {
+	for _, rep := range []string{liveReport, scoreA} {
 		if err := cmdCheck([]string{"-report", rep, "-schema", schema}); err != nil {
 			t.Fatalf("check %s: %v", rep, err)
 		}

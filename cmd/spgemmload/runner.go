@@ -93,7 +93,7 @@ func run(ctx context.Context, client *server.Client, reqs []workload.Request, op
 
 // alreadyRegistered reports a registration name conflict (409). Workload
 // matrix names encode their synthesis spec, so an existing entry is the
-// same matrix, registered by an earlier run or replay.
+// same matrix, registered by an earlier run.
 func alreadyRegistered(err error) bool {
 	var se *server.StatusError
 	return errors.As(err, &se) && se.Code == http.StatusConflict

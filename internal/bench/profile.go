@@ -20,8 +20,9 @@ type DatasetProfile struct {
 	Rows    int    `json:"rows"`
 	NNZ     int    `json:"nnz"`
 	// Coverage is the instrumented share of the run's wall time: the sum of
-	// every phase except "other", over the wall time. The acceptance gate is
-	// ≥0.95 on the Table II grid.
+	// every phase except "other", over the wall time. ≥0.95 is a target
+	// (ROADMAP item 6), not an enforced bound; -profile -scale 16 on a
+	// 2-CPU host reads 0.62–0.85.
 	Coverage float64        `json:"coverage"`
 	Profile  *trace.Profile `json:"profile"`
 }

@@ -11,7 +11,7 @@ import (
 // generator family. It is the in-process form of cmd/genmat's flag surface,
 // shared with the workload harness so a request stream can synthesize its
 // operands without shelling out, and small enough to ride along in trace
-// records so a replay can rebuild the exact operand.
+// records so a reader of the trace can rebuild the exact operand.
 type GenSpec struct {
 	// Kind selects the generator: "rmat", "powerlaw", "mesh", "uniform",
 	// or "dataset" (a Table II stand-in named by Dataset).
@@ -79,8 +79,8 @@ func (g GenSpec) Validate() error {
 
 // Synthesize materializes the spec. The same spec always yields the same
 // matrix (the generators are PCG-seeded), which is what lets the workload
-// harness name matrices by their spec and a replay re-register identical
-// operands.
+// harness name matrices by their spec and a later run re-register
+// identical operands.
 func Synthesize(g GenSpec) (*sparse.CSR, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -211,8 +211,8 @@ func (s *Server) runPipeline(ctx context.Context, j *job, workerGPU string, rec 
 	}
 
 	// A pipeline run spans many multiplies, so the single-multiplication
-	// timing fields stay zero; in particular there is no gpusim prediction
-	// for the request trace to calibrate against.
+	// timing fields stay zero; in particular the request trace records no
+	// simulated seconds for it.
 	out := &JobResult{
 		Algorithm: algorithm,
 		Device:    gpu,

@@ -10,9 +10,9 @@ import (
 
 // The request-trace recorder. When Config.RequestTrace is set, the server
 // appends one workload.Record per terminal request — completed, failed, or
-// rejected at admission — as JSONL. The trace feeds `spgemmload replay`,
-// `score` and `calibrate`: arrival offsets are measured from the server's
-// construction, so a recorded burst replays with its original spacing.
+// rejected at admission — as JSONL. The trace feeds `spgemmload score`:
+// arrival offsets are measured from the server's construction, so a
+// recorded burst keeps its original spacing.
 
 // traceRecord appends one record and flushes, so a crash or kill loses at
 // most the record being written. Append errors are sticky inside the writer

@@ -43,8 +43,7 @@ type Config struct {
 	// (one workload.Record per terminal request: completed, failed, or
 	// rejected at admission). Arrival offsets are measured from server
 	// construction. Typically an append-opened file; spgemmd wires its
-	// -trace-out flag here. The trace feeds `spgemmload replay/score/
-	// calibrate`.
+	// -trace-out flag here. The trace feeds `spgemmload score`.
 	RequestTrace io.Writer
 }
 

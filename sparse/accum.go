@@ -179,8 +179,9 @@ type RowMerger struct {
 	acc      []float64
 	occupied []uint64
 
-	// Pair scratch shared by the strategies: the dense path's touched
-	// list and the sort path's append buffer.
+	// Pair scratch: pIdx is the dense path's touched list and the sort
+	// path's column buffer; pVal, the sort path's product buffer, is
+	// acquired only by the sort path.
 	pIdx []int
 	pVal []float64
 }
@@ -212,15 +213,20 @@ func (m *RowMerger) ensureDense() {
 	}
 }
 
-// ensurePairs guarantees the pair scratch holds at least n entries.
-func (m *RowMerger) ensurePairs(n int) {
-	if cap(m.pIdx) >= n {
-		return
+// ensureIdx guarantees the index scratch holds at least n entries.
+func (m *RowMerger) ensureIdx(n int) {
+	if cap(m.pIdx) < n {
+		parallel.PutInts(m.pIdx)
+		m.pIdx = parallel.GetInts(n)
 	}
-	parallel.PutInts(m.pIdx)
-	parallel.PutFloats(m.pVal)
-	m.pIdx = parallel.GetInts(n)
-	m.pVal = parallel.GetFloats(n)
+}
+
+// ensureVals guarantees the value scratch holds at least n entries.
+func (m *RowMerger) ensureVals(n int) {
+	if cap(m.pVal) < n {
+		parallel.PutFloats(m.pVal)
+		m.pVal = parallel.GetFloats(n)
+	}
 }
 
 // ProductRow computes row i of A×B under the strategy kind resolves to
@@ -274,7 +280,7 @@ func (m *RowMerger) denseProductRow(a, b *CSR, i int, upper int64, nnz int,
 	if bound > m.cols {
 		bound = m.cols
 	}
-	m.ensurePairs(bound)
+	m.ensureIdx(bound)
 	touched := m.pIdx[:0]
 	lo, hi := m.cols, 0
 	for ka := a.Ptr[i]; ka < a.Ptr[i+1]; ka++ {
@@ -325,7 +331,8 @@ func sweepDense(acc []float64, occ []uint64, first, last int,
 // duplicate sums add in exactly the dense path's order.
 func (m *RowMerger) sortProductRow(a, b *CSR, i int, upper int64,
 	outIdx []int, outVal []float64) ([]int, []float64) {
-	m.ensurePairs(int(upper))
+	m.ensureIdx(int(upper))
+	m.ensureVals(int(upper))
 	pi := m.pIdx[:0]
 	pv := m.pVal[:0]
 	for ka := a.Ptr[i]; ka < a.Ptr[i+1]; ka++ {

@@ -399,3 +399,37 @@ func TestDenseScratchZeroBetweenRows(t *testing.T) {
 		t.Fatalf("under BLOCKREORG_PARANOID=1: %v\n%s", err, out)
 	}
 }
+
+// TestDenseRowsHoldNoValueScratch pins that the pair value buffer belongs
+// to the sort path alone: a merger that has merged only dense rows — the
+// span sweep and the sort fallback both fill the touched list — holds no
+// float pair scratch, and its first sort row acquires it.
+func TestDenseRowsHoldNoValueScratch(t *testing.T) {
+	const cols = 4097
+	m := NewRowMerger(cols)
+	defer m.Release()
+	merge := func(kind AccumulatorKind, idx []int) {
+		val := make([]float64, len(idx))
+		for k := range val {
+			val[k] = float64(k + 1)
+		}
+		a, b := streamOperands(idx, val, cols)
+		m.ProductRow(kind, a, b, 0, int64(len(idx)), 0, nil, nil)
+	}
+	merge(AccumDense, []int{3, 4, 3})          // span sweep
+	merge(AccumDense, []int{0, 4096, 0, 4096}) // sort fallback
+	merge(AccumHash, []int{7, 4000, 7, 2048})
+	if m.Counts != (AccumCounts{Dense: 3}) {
+		t.Fatalf("counts %+v, want 3 dense", m.Counts)
+	}
+	if cap(m.pIdx) == 0 {
+		t.Fatal("dense rows acquired no touched-column scratch")
+	}
+	if cap(m.pVal) != 0 {
+		t.Fatalf("dense rows hold %d floats of pair scratch, want none", cap(m.pVal))
+	}
+	merge(AccumSort, []int{4096, 0, 4096})
+	if cap(m.pVal) < 3 {
+		t.Fatalf("sort row holds %d floats of pair scratch, want at least 3", cap(m.pVal))
+	}
+}

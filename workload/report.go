@@ -8,24 +8,20 @@ import (
 )
 
 // FitnessReport is the scored outcome of a trace: per-class latency
-// breakdowns, SLO verdicts, an overall fitness in [0, 1], and — when the
-// trace carries predictions — the simulator calibration. Every float is
+// breakdowns, SLO verdicts and an overall fitness in [0, 1]. Every float is
 // rounded (see Round6), so identical inputs render byte-identically; the
 // JSON field set is a stable schema pinned by a golden-file test and the
 // ci.sh smoke gate.
 type FitnessReport struct {
 	// Spec names the workload spec that scored the trace ("" without one).
 	Spec string `json:"spec,omitempty"`
-	// Source is how the records were obtained: "trace" (as recorded),
-	// "replay" (virtual re-enactment) or "live" (a fresh load run).
+	// Source is how the records were obtained: "trace" (as recorded) or
+	// "live" (a fresh load run).
 	Source string `json:"source"`
 	// Requests counts the trace's records; DurationSeconds the arrival
 	// window (first to last arrival offset).
 	Requests        int     `json:"requests"`
 	DurationSeconds float64 `json:"duration_s"`
-	// Replay echoes the virtual replay configuration when Source is
-	// "replay".
-	Replay *ReplayOptions `json:"replay,omitempty"`
 	// Classes holds one report per class, sorted by name.
 	Classes []ClassReport `json:"classes"`
 	// PlanHitRate is the share of completed requests across all classes
@@ -34,9 +30,6 @@ type FitnessReport struct {
 	PlanHitRate float64 `json:"plan_hit_rate"`
 	// Fitness is the weighted mean of per-class SLO scores.
 	Fitness float64 `json:"fitness"`
-	// Calibration compares gpusim predictions against host measurements;
-	// nil when no record carries a prediction.
-	Calibration *Calibration `json:"calibration,omitempty"`
 }
 
 // WriteJSON renders the report with stable key order and indentation.

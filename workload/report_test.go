@@ -14,24 +14,55 @@ var update = flag.Bool("update", false, "rewrite the schema golden")
 
 const schemaGolden = "testdata/fitness_schema.json"
 
-// maximalReport builds a report exercising every optional section: SLO
-// verdicts with violations, replay options with all knobs, and per-class
-// calibration rows. Its rendered key paths ARE the schema.
+// syntheticTrace builds a deterministic trace shaped like a real recording.
+func syntheticTrace() []Record {
+	recs := []Record{}
+	for i := 0; i < 40; i++ {
+		class := "interactive"
+		if i%3 == 0 {
+			class = "batch"
+		}
+		r := Record{
+			ArrivalSeconds:   Round6(float64(i) * 0.05),
+			Class:            class,
+			Kind:             "multiply",
+			Outcome:          OutcomeDone,
+			QueueWaitSeconds: 0.002,
+			ExecSeconds:      Round6(0.03 + 0.001*float64(i%7)),
+			PredictedSeconds: Round6(0.01 + 0.0005*float64(i%7)),
+			PlanCacheHit:     i%2 == 0,
+			Phases: map[string]float64{
+				"expansion": 0.01, "merge": 0.01,
+			},
+		}
+		if i == 11 {
+			r.Outcome = FailedOutcome("timeout")
+		}
+		if i == 23 {
+			r.Outcome = OutcomeRejected
+			r.ExecSeconds = 0
+			r.QueueWaitSeconds = 0
+			r.PredictedSeconds = 0
+			r.Phases = nil
+		}
+		recs = append(recs, r)
+	}
+	for i := range recs {
+		recs[i].Seq = i
+	}
+	return recs
+}
+
+// maximalReport builds a report exercising every optional section: a spec
+// name and SLO verdicts with violations. Its rendered key paths ARE the
+// schema.
 func maximalReport(t *testing.T) []byte {
 	t.Helper()
 	spec := testSpec()
-	// Tighten the SLO so the replay violates it — the violations array and
+	// Tighten the SLO so the trace violates it — the violations array and
 	// the error-budget target must appear in the schema.
 	spec.Classes[0].SLO = SLOSpec{P50Millis: 1, P95Millis: 2, P99Millis: 3, MaxErrorRate: 0.001}
-	rep, err := ReplayScore(syntheticTrace(), ReplayOptions{
-		Workers: 1, Speed: 2, QueueDepth: 4, ServiceJitter: 0.1, Seed: 7,
-	}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Calibration == nil || len(rep.Calibration.Classes) < 2 {
-		t.Fatal("maximal report misses per-class calibration")
-	}
+	rep := Score(syntheticTrace(), spec, "trace")
 	violated := false
 	for _, c := range rep.Classes {
 		if c.SLO != nil && len(c.SLO.Violations) > 0 {
@@ -125,5 +156,24 @@ func TestReadReportRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(data, buf.Bytes()) {
 		t.Fatal("report did not survive a decode/encode round trip")
+	}
+}
+
+// TestScoreByteIdentical pins the property the ci.sh smoke gate checks
+// with cmp: scoring the same trace twice renders the exact same fitness
+// report, byte for byte, although each record's phases live in a map.
+func TestScoreByteIdentical(t *testing.T) {
+	var a, b bytes.Buffer
+	if err := Score(syntheticTrace(), testSpec(), "trace").WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := Score(syntheticTrace(), testSpec(), "trace").WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() == 0 {
+		t.Fatal("empty report")
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("one trace scored to different reports")
 	}
 }

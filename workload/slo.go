@@ -7,7 +7,7 @@ import (
 
 // Round6 rounds to microsecond-scale precision. Every float in a report
 // and every time in a trace record passes through it, so re-rendering the
-// same inputs is byte-identical — the property the replay determinism
+// same inputs is byte-identical — the property the scoring determinism
 // gate pins.
 func Round6(v float64) float64 {
 	r := math.Round(v*1e6) / 1e6
@@ -266,9 +266,6 @@ func Score(recs []Record, spec *Spec, source string) *FitnessReport {
 	}
 	if completed > 0 {
 		rep.PlanHitRate = Round6(float64(planHits) / float64(completed))
-	}
-	if cal := Calibrate(recs); cal != nil {
-		rep.Calibration = cal
 	}
 	return rep
 }

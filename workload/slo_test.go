@@ -138,9 +138,6 @@ func TestScore(t *testing.T) {
 	if math.Abs(rep.Fitness-want) > 1e-12 {
 		t.Fatalf("fitness = %g, want %g", rep.Fitness, want)
 	}
-	if rep.Calibration != nil {
-		t.Fatal("calibration present without predictions")
-	}
 	// Top-level plan hit rate spans all classes: 1 hit over 3 completions.
 	if rep.PlanHitRate != Round6(1.0/3.0) {
 		t.Fatalf("plan hit rate = %g, want %g", rep.PlanHitRate, Round6(1.0/3.0))

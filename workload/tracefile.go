@@ -22,9 +22,9 @@ const (
 func FailedOutcome(kind string) string { return "failed/" + kind }
 
 // Record is one request's trace entry — the JSONL schema shared by the
-// spgemmd server-side recorder (-trace-out), the spgemmload live runner,
-// and the virtual replayer. Times are seconds; Arrival is the offset from
-// the trace's own start.
+// spgemmd server-side recorder (-trace-out) and the spgemmload live
+// runner. Times are seconds; Arrival is the offset from the trace's own
+// start.
 type Record struct {
 	// Seq orders the trace by arrival; it is the line's identity within
 	// one trace file.
@@ -52,8 +52,10 @@ type Record struct {
 	// ExecSeconds the host wall time of the run itself.
 	QueueWaitSeconds float64 `json:"queue_wait_s"`
 	ExecSeconds      float64 `json:"exec_s"`
-	// PredictedSeconds is the gpusim-predicted device time of the
-	// multiplication (Result.TotalSeconds); 0 when the run failed.
+	// PredictedSeconds is the simulated device time of the multiplication
+	// (Result.TotalSeconds), recorded as a fact of the run; 0 when the run
+	// failed. It is a simulated GPU second and is never compared with the
+	// host seconds above.
 	PredictedSeconds float64 `json:"predicted_s,omitempty"`
 	// PlanCacheHit reports plan reuse.
 	PlanCacheHit bool `json:"plan_cache_hit,omitempty"`
@@ -61,7 +63,7 @@ type Record struct {
 	// trace layer's profile.
 	Phases map[string]float64 `json:"phases_s,omitempty"`
 	// Gen, when present, is the synthesis spec of the operand — enough
-	// for a replay to rebuild it. Client-side records carry it; server-
+	// to rebuild it. Client-side records carry it; server-
 	// side records cannot (the server only sees the matrix).
 	Gen *datasets.GenSpec `json:"gen,omitempty"`
 }
